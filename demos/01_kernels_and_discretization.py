@@ -26,13 +26,13 @@ print(graph.weights)
 # off-diagonal row sums onto the diagonal.  Rows sum to zero.
 gen = vl.laplacian(graph)
 print("\ngenerator at n=6 (times 6):")
-print(gen.matrix * 6)
-print("row sums:", np.abs(gen.matrix.sum(axis=1)).max())
+print(gen * 6)
+print("row sums:", np.abs(gen.sum(axis=1)).max())
 
 # When r does not align with the grid, one straddling cell picks up an
 # averaged weight; n=5 shows the mixed entries in the first two rows.
 print("\ngenerator at n=5 (times 5):")
-print(vl.laplacian(vl.discretize_kernel(kernel, 5)).matrix * 5)
+print(vl.laplacian(vl.discretize_kernel(kernel, 5)) * 5)
 
 # Any finite graph embeds back into kernel space as its pixel kernel.
 # Round-tripping through discretize recovers the weights exactly when

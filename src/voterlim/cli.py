@@ -12,16 +12,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
+    DEFAULT_NUM_TIMES,
     average_initial,
     consensus_diameter,
-    default_horizon,
     detect_consensus,
     make_initial,
+    resolve_time_grid,
     solve_continuum,
     solve_finite,
     write_trajectory,
@@ -42,7 +41,7 @@ from .experiments import (
 )
 from .graphs import WeightedGraph, discretize_kernel, write_edge_list
 from .kernels import make_kernel
-from .structure import structure_report
+from .structure import PROPORTIONALITY_TOL, structure_report
 
 OUT_DIR_ENV = "VOTERLIM_OUT"
 
@@ -71,18 +70,6 @@ def _load_config(path) -> dict:
     return data
 
 
-def _resolve_times(config, kernel):
-    if "times" in config:
-        times = np.asarray(config["times"], dtype=float)
-        return times, float(times[-1]), "config"
-    horizon = config.get("horizon")
-    source = "config"
-    if horizon is None:
-        horizon, source = default_horizon(kernel)
-    num_times = int(config.get("num_times", 201))
-    return np.linspace(0.0, float(horizon), num_times), float(horizon), source
-
-
 def _cmd_simulate(config, out_dir, threads) -> None:
     initial = make_initial(config["initial"])
     method = config.get("method", "expm")
@@ -97,8 +84,6 @@ def _cmd_simulate(config, out_dir, threads) -> None:
         if "n" not in config:
             raise ValidationError("simulate with a kernel needs a resolution n")
         n = int(config["n"])
-        times, horizon, source = _resolve_times(config, kernel)
-        traj = solve_continuum(kernel, initial, n, times, method=method, **solver_opts)
     elif "graph" in config:
         gspec = config["graph"]
         if isinstance(gspec, dict) and "path" in gspec:
@@ -106,14 +91,22 @@ def _cmd_simulate(config, out_dir, threads) -> None:
                 graph = WeightedGraph.from_json(fh.read())
         else:
             graph = WeightedGraph.from_json(json.dumps(gspec))
-        n = graph.n
-        times, horizon, source = _resolve_times(config, None)
+        kernel, n = None, graph.n
+    else:
+        raise ValidationError("simulate config needs a 'kernel' or a 'graph'")
+    times, horizon, source = resolve_time_grid(
+        kernel,
+        config.get("horizon"),
+        config.get("num_times", DEFAULT_NUM_TIMES),
+        config.get("times"),
+    )
+    if kernel is None:
         traj = solve_finite(
             graph, average_initial(initial, n), times, method=method, **solver_opts
         )
         traj.metadata["initial"] = initial.spec()
     else:
-        raise ValidationError("simulate config needs a 'kernel' or a 'graph'")
+        traj = solve_continuum(kernel, initial, n, times, method=method, **solver_opts)
     traj.metadata.update(
         {
             "library_version": __version__,
@@ -161,20 +154,17 @@ def _cmd_discretize(config, out_dir, threads) -> None:
 def _cmd_structure(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
     initial = make_initial(config["initial"]) if "initial" in config else None
-    report = structure_report(
-        kernel,
-        initial,
-        zero_tol=float(config.get("zero_tol", 0.0)),
-        prop_tol=float(config.get("prop_tol", 1e-10)),
-    )
+    zero_tol = float(config.get("zero_tol", 0.0))
+    prop_tol = float(config.get("prop_tol", PROPORTIONALITY_TOL))
+    report = structure_report(kernel, initial, zero_tol=zero_tol, prop_tol=prop_tol)
     _write_json(os.path.join(out_dir, "structure.json"), report)
     _write_json(
         os.path.join(out_dir, "structure_meta.json"),
         {
             "kernel": kernel.spec(),
             "initial": initial.spec() if initial is not None else None,
-            "zero_tol": float(config.get("zero_tol", 0.0)),
-            "prop_tol": float(config.get("prop_tol", 1e-10)),
+            "zero_tol": zero_tol,
+            "prop_tol": prop_tol,
             "library_version": __version__,
         },
     )

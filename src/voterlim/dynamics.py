@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .errors import SolverConvergenceError, ValidationError
+from .errors import SizeLimitError, SolverConvergenceError, ValidationError
 from .graphs import DEFAULT_N_MAX, WeightedGraph, discretize_kernel, laplacian
-from .kernels import Kernel, Partition, overlap_matrix
+from .kernels import Kernel, Partition, common_refinement, overlap_matrix
 
 # Default tolerances; every consumer that overrides them records the value
 # it used in its output metadata.
@@ -27,32 +27,9 @@ RK_MAX_HALVINGS = 12
 LIMIT_TOL = 1e-8
 CONSENSUS_EPS = 1e-3
 ZERO_MEAN_TOL = 1e-12
+DEFAULT_NUM_TIMES = 201
 
 SOLVER_METHODS = ("expm", "rk")
-
-
-class StateVector:
-    """Opinion profile on n uniform cells, read as a step function on [0,1]."""
-
-    def __init__(self, values):
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValidationError("state must be a non-empty 1-D array")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("state entries must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        self.values = v
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def __repr__(self):
-        return f"StateVector(n={self.n})"
 
 
 class InitialCondition:
@@ -162,12 +139,8 @@ class Trajectory:
     """Solution samples on a time grid: states[k] is the profile at times[k]."""
 
     def __init__(self, times, states, metadata=None):
-        t = np.asarray(times, dtype=float)
+        t = _validate_times(times)
         s = np.asarray(states, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ValidationError("time grid must be a non-empty 1-D array")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ValidationError("time grid must start at 0 and strictly increase")
         if s.ndim != 2 or s.shape[0] != t.size:
             raise ValidationError("need one state row per grid time")
         t = t.copy()
@@ -182,13 +155,6 @@ class Trajectory:
     def n(self) -> int:
         return self.states.shape[1]
 
-    def state(self, k: int) -> StateVector:
-        return StateVector(self.states[k])
-
-    @property
-    def final_state(self) -> StateVector:
-        return StateVector(self.states[-1])
-
     def diameters(self) -> np.ndarray:
         return self.states.max(axis=1) - self.states.min(axis=1)
 
@@ -196,21 +162,19 @@ class Trajectory:
         return f"Trajectory(n={self.n}, times={self.times.size})"
 
 
-def _state_values(state) -> np.ndarray:
-    v = state.values if isinstance(state, StateVector) else state
-    return np.asarray(v, dtype=float)
-
-
-def average_initial(g: InitialCondition, n: int) -> StateVector:
+def average_initial(g: InitialCondition, n: int) -> np.ndarray:
     """Cell averages of g on the uniform n-partition: n * integral over each cell."""
     if n < 1:
         raise ValidationError("averaging needs n >= 1")
     overlap = overlap_matrix(Partition.uniform(n), g.partition)
-    return StateVector(n * (overlap @ g.values))
+    return n * (overlap @ g.values)
 
 
 def _validate_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
+    try:
+        t = np.asarray(times, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed time grid: {exc}") from exc
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("time grid must be a non-empty 1-D array")
     if t[0] != 0.0:
@@ -286,14 +250,14 @@ def solve_finite(
     agree at the final time to within `rk_tol`.
     """
     t = _validate_times(times)
-    u = _state_values(u0)
-    if u.size != graph.n:
+    u = np.asarray(u0, dtype=float)
+    if u.shape != (graph.n,):
         raise ValidationError(f"state has {u.size} cells, graph has {graph.n}")
     if graph.n > n_max:
         raise SizeLimitError(f"n={graph.n} exceeds n_max={n_max}")
     if method not in SOLVER_METHODS:
         raise ValidationError(f"method must be one of {SOLVER_METHODS}")
-    D = laplacian(graph).matrix
+    D = laplacian(graph)
     meta: dict = {"solver": method, "n": graph.n}
     if method == "expm":
         states = _solve_expm(D, u, t)
@@ -342,7 +306,7 @@ def default_horizon(kernel: Kernel | None = None, probe_n: int = 64) -> tuple[fl
     """
     if kernel is None:
         return 20.0, "fallback"
-    d = laplacian(discretize_kernel(kernel, probe_n)).matrix
+    d = laplacian(discretize_kernel(kernel, probe_n))
     eigvals = np.linalg.eigvalsh(d)
     if eigvals[-1] > 1e-12:
         return 20.0, "fallback"
@@ -352,25 +316,36 @@ def default_horizon(kernel: Kernel | None = None, probe_n: int = 64) -> tuple[fl
     return float(10.0 / -decaying.max()), "spectral_gap"
 
 
-def closed_form_bipartite(r: float, g: InitialCondition, x, t):
-    """Exact solution on the two-block kernel for block-balanced starts.
+def resolve_time_grid(
+    kernel: Kernel | None, horizon=None, num_times=DEFAULT_NUM_TIMES, times=None
+) -> tuple[np.ndarray, float, str]:
+    """Time grid of a run config: (times, horizon, horizon_source).
 
-    Requires g to integrate to zero over [0, r) and over [r, 1]; then the
-    profile decays in place, at rate 1 on [r, 1] and rate 1 - 2r on [0, r).
+    Explicit `times` win and end at the horizon.  Otherwise the grid has
+    `num_times` evenly spaced points on [0, horizon], a missing horizon
+    coming from `default_horizon(kernel)`.  Values that do not form a
+    grid raise ValidationError.
     """
-    if not (0.0 < r < 0.5):
-        raise ValidationError("block boundary r must lie strictly in (0, 1/2)")
-    if not g.has_balanced_blocks(r):
-        raise ValidationError("initial condition must have zero mean on both blocks")
-    xa = np.asarray(x, dtype=float)
-    ta = np.asarray(t, dtype=float)
-    rate = np.where(xa >= r, 1.0, 1.0 - 2.0 * r)
-    out = g.evaluate(xa) * np.exp(-rate * ta)
-    return float(out) if out.ndim == 0 else out
+    if times is not None:
+        t = _validate_times(times)
+        return t, float(t[-1]), "config"
+    source = "config"
+    if horizon is None:
+        horizon, source = default_horizon(kernel)
+    try:
+        horizon = float(horizon)
+        return np.linspace(0.0, horizon, int(num_times)), horizon, source
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed time grid: {exc}") from exc
 
 
 class BipartiteClosedForm:
-    """Step-function view of the two-block closed form, for exact comparisons."""
+    """Exact solution on the two-block kernel for block-balanced starts.
+
+    Requires g to integrate to zero over [0, r] and over (r, 1]; then the
+    profile decays in place, at rate 1 - 2r on [0, r] and rate 1 on (r, 1].
+    The solution is a step function on g's partition refined by r.
+    """
 
     def __init__(self, r: float, g: InitialCondition):
         if not (0.0 < r < 0.5):
@@ -378,29 +353,39 @@ class BipartiteClosedForm:
         if not g.has_balanced_blocks(r):
             raise ValidationError("initial condition must have zero mean on both blocks")
         self.r = r
-        part = g.partition.refined_with(Partition([0.0, r, 1.0]))
+        part, (g_cells, blocks) = common_refinement(g.partition, [0.0, r, 1.0])
         self.partition = part
-        mids = part.midpoints()
-        self.base = g.values[g.partition.cell_of(mids)]
-        self.rates = np.where(mids >= r, 1.0, 1.0 - 2.0 * r)
+        self.base = g.values[g_cells]
+        self.rates = np.where(blocks == 1, 1.0, 1.0 - 2.0 * r)
 
     def values_at(self, t: float) -> np.ndarray:
         return self.base * np.exp(-self.rates * float(t))
+
+    def evaluate(self, x, t):
+        """Pointwise value u(x, t); x = r belongs to the left block."""
+        c = self.partition.cell_of(x)
+        out = self.base[c] * np.exp(-self.rates[c] * np.asarray(t, dtype=float))
+        return float(out) if out.ndim == 0 else out
 
     def diameter(self, t: float) -> float:
         v = self.values_at(t)
         return float(v.max() - v.min())
 
 
+def closed_form_bipartite(r: float, g: InitialCondition, x, t):
+    """Pointwise two-block closed form; see `BipartiteClosedForm`."""
+    return BipartiteClosedForm(r, g).evaluate(x, t)
+
+
 def consensus_diameter(state) -> float:
     """Spread of opinions: max minus min cell value."""
-    v = _state_values(state)
+    v = np.asarray(state, dtype=float)
     return float(v.max() - v.min())
 
 
 def mean_value(state) -> float:
     """Average opinion; conserved along every trajectory."""
-    return float(_state_values(state).mean())
+    return float(np.asarray(state, dtype=float).mean())
 
 
 def exceptional_measure(state, eps: float) -> float:
@@ -411,7 +396,7 @@ def exceptional_measure(state, eps: float) -> float:
     """
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
-    v = np.sort(_state_values(state))
+    v = np.sort(np.asarray(state, dtype=float))
     n = v.size
     kept = np.searchsorted(v, v + eps, side="right") - np.arange(n)
     return float(n - kept.max()) / n
@@ -435,7 +420,7 @@ def detect_consensus(traj: Trajectory, eps: float):
 
 def limit_state(
     traj: Trajectory, tail_fraction: float = 0.2, limit_tol: float = LIMIT_TOL
-) -> tuple[StateVector, bool]:
+) -> tuple[np.ndarray, bool]:
     """Final state plus a convergence flag from the trailing grid window.
 
     The flag is set when every cell's oscillation (max minus min) over the
@@ -449,7 +434,7 @@ def limit_state(
     count = max(2, math.ceil(tail_fraction * k))
     tail = traj.states[-count:]
     osc = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    return StateVector(traj.states[-1]), osc <= limit_tol
+    return traj.states[-1], osc <= limit_tol
 
 
 def _phi_a(z: np.ndarray) -> np.ndarray:
@@ -503,41 +488,45 @@ def volterra_residual(kernel: Kernel, traj: Trajectory) -> float:
     return worst
 
 
+def _step_difference(bounds_a, values_a, bounds_b, values_b):
+    """Cell measures and values of f - g on the common refinement."""
+    merged, (ia, ib) = common_refinement(bounds_a, bounds_b)
+    diff = np.asarray(values_a, dtype=float)[ia] - np.asarray(values_b, dtype=float)[ib]
+    return merged.measures, diff
+
+
 def step_l2_distance(bounds_a, values_a, bounds_b, values_b) -> float:
     """Exact L2([0,1]) distance between two step functions."""
-    pa = bounds_a if isinstance(bounds_a, Partition) else Partition(bounds_a)
-    pb = bounds_b if isinstance(bounds_b, Partition) else Partition(bounds_b)
-    merged = pa.refined_with(pb)
-    mids = merged.midpoints()
-    va = np.asarray(values_a, dtype=float)[pa.cell_of(mids)]
-    vb = np.asarray(values_b, dtype=float)[pb.cell_of(mids)]
-    diff = va - vb
-    return float(np.sqrt(merged.measures @ (diff * diff)))
+    measures, diff = _step_difference(bounds_a, values_a, bounds_b, values_b)
+    return float(np.sqrt(measures @ (diff * diff)))
 
 
 def step_exceedance_measure(bounds_a, values_a, bounds_b, values_b, threshold: float) -> float:
     """Exact measure of { x : |f(x) - g(x)| > threshold } for step functions."""
-    pa = bounds_a if isinstance(bounds_a, Partition) else Partition(bounds_a)
-    pb = bounds_b if isinstance(bounds_b, Partition) else Partition(bounds_b)
-    merged = pa.refined_with(pb)
-    mids = merged.midpoints()
-    va = np.asarray(values_a, dtype=float)[pa.cell_of(mids)]
-    vb = np.asarray(values_b, dtype=float)[pb.cell_of(mids)]
-    return float(merged.measures[np.abs(va - vb) > threshold].sum())
+    measures, diff = _step_difference(bounds_a, values_a, bounds_b, values_b)
+    return float(measures[np.abs(diff) > threshold].sum())
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    """Render a trajectory as CSV with header t,cell_0,...,cell_{n-1}.
+def csv_text(header, rows) -> str:
+    """CSV text with newline line ends, written one row at a time.
 
-    Floats are written with shortest round-trip repr, so equal trajectories
-    produce byte-identical text.
+    Python floats print as their shortest round-trip repr, so equal data
+    gives byte-identical text.  Rows must hold Python scalars (for arrays,
+    `ndarray.tolist()`); a generator of rows keeps memory flat.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"cell_{i}" for i in range(traj.n)])
-    for t, row in zip(traj.times, traj.states):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def trajectory_csv_text(traj: Trajectory) -> str:
+    """Render a trajectory as CSV with header t,cell_0,...,cell_{n-1}."""
+    return csv_text(
+        ["t"] + [f"cell_{i}" for i in range(traj.n)],
+        ([t, *row.tolist()] for t, row in zip(traj.times.tolist(), traj.states)),
+    )
 
 
 def write_trajectory(traj: Trajectory, csv_path, meta_path=None) -> None:

@@ -9,9 +9,6 @@ JSON that echoes each resolved default.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,15 +17,17 @@ import numpy as np
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
+    DEFAULT_NUM_TIMES,
     BipartiteClosedForm,
     InitialCondition,
     SOLVER_METHODS,
     Trajectory,
     average_initial,
     consensus_diameter,
-    default_horizon,
+    csv_text,
     exceptional_measure,
     make_initial,
+    resolve_time_grid,
     solve_continuum,
     solve_finite,
     step_exceedance_measure,
@@ -36,7 +35,13 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .graphs import RNG_ALGORITHM, sample_w_random
-from .kernels import BipartiteKernel, Kernel, Partition, make_kernel
+from .kernels import (
+    BipartiteKernel,
+    Kernel,
+    Partition,
+    common_refinement,
+    make_kernel,
+)
 
 MC_MIN_TRIALS = 30
 
@@ -60,7 +65,7 @@ class ExperimentConfig:
     trials: int = 50
     base_seed: int = 0
     method: str = "expm"
-    num_times: int = 201
+    num_times: int = DEFAULT_NUM_TIMES
     horizon_source: str = "config"
 
     def __post_init__(self):
@@ -90,24 +95,26 @@ class ExperimentConfig:
             ladder = data["n_ladder"]
         except KeyError as exc:
             raise ValidationError(f"experiment config missing field {exc}") from exc
-        horizon = data.get("horizon")
-        source = "config"
-        if horizon is None:
-            horizon, source = default_horizon(kernel)
-        return cls(
-            kernel=kernel,
-            initial=initial,
-            n_ladder=tuple(ladder),
-            horizon=float(horizon),
-            window=float(data.get("window", 1.0)),
-            eps=float(data.get("eps", CONSENSUS_EPS)),
-            c=float(data.get("c", 0.1)),
-            trials=int(data.get("trials", 50)),
-            base_seed=int(data.get("base_seed", 0)),
-            method=data.get("method", "expm"),
-            num_times=int(data.get("num_times", 201)),
-            horizon_source=source,
+        times, horizon, source = resolve_time_grid(
+            kernel, data.get("horizon"), data.get("num_times", DEFAULT_NUM_TIMES)
         )
+        try:
+            return cls(
+                kernel=kernel,
+                initial=initial,
+                n_ladder=tuple(ladder),
+                horizon=horizon,
+                window=float(data.get("window", 1.0)),
+                eps=float(data.get("eps", CONSENSUS_EPS)),
+                c=float(data.get("c", 0.1)),
+                trials=int(data.get("trials", 50)),
+                base_seed=int(data.get("base_seed", 0)),
+                method=data.get("method", "expm"),
+                num_times=times.size,
+                horizon_source=source,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed experiment config: {exc}") from exc
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.num_times)
@@ -138,23 +145,6 @@ def experiment_metadata(cfg: ExperimentConfig, **extra) -> dict:
     }
     meta.update(extra)
     return meta
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()
 
 
 class _Reference:
@@ -204,7 +194,7 @@ class ErrorTable:
     reference: str
 
     def csv_text(self) -> str:
-        return _csv_text(
+        return csv_text(
             ["n", "sup_l2_error", "diameter_at_T", "exceptional_measure"],
             [
                 (r.n, r.sup_l2_error, r.diameter_at_T, r.exceptional_measure)
@@ -272,7 +262,7 @@ class ProximityReport:
     rows: tuple[ProximityRow, ...]
 
     def csv_text(self) -> str:
-        return _csv_text(
+        return csv_text(
             ["n", "max_exceptional_measure"],
             [(r.n, r.max_exceptional_measure) for r in self.rows],
         )
@@ -348,10 +338,10 @@ class MCResult:
     def csv_text(self) -> str:
         # Diagnostics (exceedance vs Chebyshev) live in the metadata, not
         # the CSV, whose schema is fixed.
-        return _csv_text(
+        return csv_text(
             ["n", "trial", "seed", "diameter_at_T", "exceptional_measure", "success"],
             [
-                (r.n, r.trial, r.seed, r.diameter_at_T, r.exceptional_measure, r.success)
+                (r.n, r.trial, r.seed, r.diameter_at_T, r.exceptional_measure, int(r.success))
                 for r in self.rows
             ],
         )
@@ -449,11 +439,7 @@ def randcond_evaluate(kernel: Kernel, traj: Trajectory, variant: str = "literal"
     if variant not in ("literal", "absolute"):
         raise ValidationError("variant must be 'literal' or 'absolute'")
     step = kernel.as_step()
-    uniform = Partition.uniform(traj.n)
-    merged = step.partition.refined_with(uniform)
-    mids = merged.midpoints()
-    kc = step.partition.cell_of(mids)
-    uc = uniform.cell_of(mids)
+    merged, (kc, uc) = common_refinement(step.partition, Partition.uniform(traj.n))
     w = step.values[np.ix_(kc, kc)]
     weight = w * (1.0 - w)
     m = merged.measures

@@ -13,7 +13,13 @@ import json
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .kernels import Kernel, Partition, StepKernel, overlap_matrix
+from .kernels import (
+    Kernel,
+    Partition,
+    StepKernel,
+    overlap_matrix,
+    symmetric_unit_matrix,
+)
 
 # Dense-storage guard: discretisation and solvers refuse larger systems.
 DEFAULT_N_MAX = 4096
@@ -34,16 +40,7 @@ class WeightedGraph:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise ValidationError("weights must form a square matrix, n >= 1")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite")
-        if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
-            raise ValidationError("weights must be symmetric")
-        w = (w + w.T) / 2.0
-        if np.max(np.abs(w)) > 1.0 + 1e-12:
-            raise ValidationError("weights must lie in [-1, 1]")
-        np.clip(w, -1.0, 1.0, out=w)
-        w.setflags(write=False)
-        self.weights = w
+        self.weights = symmetric_unit_matrix(w, "weights")
 
     @property
     def n(self) -> int:
@@ -74,36 +71,20 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n})"
 
 
-class LaplacianOperator:
-    """Generator of the finite voter dynamics du/dt = D u.
+def laplacian(graph: WeightedGraph) -> np.ndarray:
+    """Generator D of the finite voter dynamics du/dt = D u, read-only.
 
     Off-diagonal entries are weights / n; each diagonal entry is minus the
     sum of the other entries in its row, so rows and columns sum to zero
     and self-weights cancel out.
     """
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=float)
-        m.setflags(write=False)
-        self.matrix = m
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self):
-        return f"LaplacianOperator(n={self.n})"
-
-
-def laplacian(graph: WeightedGraph) -> LaplacianOperator:
-    """Dynamics generator of a weighted graph."""
     w = graph.weights
     n = graph.n
     d = w / n
-    d = d.copy()
     off_sums = w.sum(axis=1) - np.diag(w)
     np.fill_diagonal(d, -off_sums / n)
-    return LaplacianOperator(d)
+    d.setflags(write=False)
+    return d
 
 
 def discretize_kernel(kernel: Kernel, n: int, n_max: int = DEFAULT_N_MAX) -> WeightedGraph:

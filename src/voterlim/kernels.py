@@ -9,6 +9,8 @@ refinement and is documented as approximate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, UnsupportedVariantError, ValidationError
@@ -65,14 +67,6 @@ class Partition:
         idx = np.maximum(idx, 0)
         return int(idx) if np.isscalar(x) or xa.ndim == 0 else idx
 
-    def to_unit(self, i: int, x):
-        """Affine chart of cell i: maps the cell onto [0, 1]."""
-        return (np.asarray(x, dtype=float) - self.boundaries[i]) / self.measures[i]
-
-    def from_unit(self, i: int, z):
-        """Inverse affine chart of cell i."""
-        return self.boundaries[i] + np.asarray(z, dtype=float) * self.measures[i]
-
     def refined_with(self, other: "Partition") -> "Partition":
         return Partition(np.union1d(self.boundaries, other.boundaries))
 
@@ -86,6 +80,40 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({self.size} cells)"
+
+
+def common_refinement(*partitions):
+    """Coarsest partition refining all inputs, with each input's cell per merged cell.
+
+    Inputs are `Partition`s or boundary arrays.  Returns `(merged, cells)`
+    where `cells[k][c]` is the cell of input k that contains merged cell c,
+    so a step function with values `v` on input k reads `v[cells[k]]` on
+    the merged partition.
+    """
+    parts = [p if isinstance(p, Partition) else Partition(p) for p in partitions]
+    merged = functools.reduce(Partition.refined_with, parts)
+    mids = merged.midpoints()
+    return merged, [p.cell_of(mids) for p in parts]
+
+
+def symmetric_unit_matrix(values, what: str) -> np.ndarray:
+    """Read-only copy of a finite symmetric matrix with entries in [-1, 1].
+
+    Asymmetry and range excess up to SYMMETRY_TOL are float dust from
+    exact integrals and are absorbed; larger ones raise ValidationError
+    naming `what`.
+    """
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} must be finite")
+    if np.max(np.abs(v - v.T), initial=0.0) > SYMMETRY_TOL:
+        raise ValidationError(f"{what} must be symmetric")
+    v = (v + v.T) / 2.0
+    if np.max(np.abs(v)) > 1.0 + SYMMETRY_TOL:
+        raise ValidationError(f"{what} must lie in [-1, 1]")
+    np.clip(v, -1.0, 1.0, out=v)
+    v.setflags(write=False)
+    return v
 
 
 def overlap_matrix(part_a: Partition, part_b: Partition) -> np.ndarray:
@@ -155,17 +183,8 @@ class StepKernel(Kernel):
             raise ValidationError(
                 f"value matrix must be {m}x{m} for {m} cells, got {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("kernel values must be finite")
-        if np.max(np.abs(v - v.T), initial=0.0) > SYMMETRY_TOL:
-            raise ValidationError("kernel values must be symmetric")
-        v = (v + v.T) / 2.0
-        if np.max(np.abs(v)) > 1.0 + SYMMETRY_TOL:
-            raise ValidationError("kernel values must lie in [-1, 1]")
-        np.clip(v, -1.0, 1.0, out=v)  # absorb float dust from exact integrals
-        v.setflags(write=False)
         self.partition = part
-        self.values = v
+        self.values = symmetric_unit_matrix(v, "kernel values")
 
     def as_step(self) -> "StepKernel":
         return self
@@ -214,7 +233,7 @@ class ConstantKernel(Kernel):
 
 
 class BipartiteKernel(Kernel):
-    """Two-block kernel: -1 on [0,r)^2 and +1 elsewhere, for r in (0, 1/2)."""
+    """Two-block kernel: -1 on [0,r]^2 and +1 elsewhere, for r in (0, 1/2)."""
 
     def __init__(self, r: float):
         r = float(r)
@@ -380,10 +399,7 @@ def l2_distance(k1: Kernel, k2: Kernel, resolution: int | None = None) -> float:
             k2.evaluate(xg, yg), dtype=float
         )
         return float(np.sqrt(np.mean(diff * diff)))
-    merged = s1.partition.refined_with(s2.partition)
-    mids = merged.midpoints()
-    i1 = s1.partition.cell_of(mids)
-    i2 = s2.partition.cell_of(mids)
+    merged, (i1, i2) = common_refinement(s1.partition, s2.partition)
     dv = s1.values[np.ix_(i1, i1)] - s2.values[np.ix_(i2, i2)]
     mm = merged.measures
     return float(np.sqrt(mm @ (dv * dv) @ mm))

@@ -21,7 +21,7 @@ from .dynamics import (
 )
 from .errors import UnsupportedVariantError, ValidationError
 from .graphs import discretize_kernel
-from .kernels import DirectSumKernel, Kernel, StepKernel
+from .kernels import DirectSumKernel, Kernel, StepKernel, common_refinement
 
 PROPORTIONALITY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
@@ -246,12 +246,11 @@ def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
         comp_of_cell[list(comp.cells)] = ci
         frozen.append(float(np.max(np.abs(comp.kernel.values))) == 0.0)
         means.append(_component_mean(g, step, comp.cells))
-    merged = step.partition.refined_with(g.partition)
-    mids = merged.midpoints()
-    comp_idx = comp_of_cell[step.partition.cell_of(mids)]
+    merged, (k_cells, g_cells) = common_refinement(step.partition, g.partition)
+    comp_idx = comp_of_cell[k_cells]
     values = np.asarray(means)[comp_idx]
     frozen_mask = np.asarray(frozen)[comp_idx]
-    values[frozen_mask] = g.values[g.partition.cell_of(mids)][frozen_mask]
+    values[frozen_mask] = g.values[g_cells][frozen_mask]
     return InitialCondition(merged, values)
 
 
@@ -283,7 +282,7 @@ def decompose_solution(
         comp_of_cell[list(comp.cells)] = ci
     mids = (np.arange(n) + 0.5) / n
     comp_idx = comp_of_cell[step.partition.cell_of(mids)]
-    u0 = average_initial(g, n).values
+    u0 = average_initial(g, n)
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, n))
     detail = []

@@ -63,8 +63,8 @@ def frac_step_integral(bounds, values, lo, hi):
     return float(acc)
 
 
-def brute_step_l2(bounds_a, values_a, bounds_b, values_b):
-    """Exact L2 distance of two step functions via rational cell algebra."""
+def _frac_cell_differences(bounds_a, values_a, bounds_b, values_b):
+    """(length, f - g) on each cell of the common refinement, as Fractions."""
     cuts = sorted(
         set(Fraction(float(x)) for x in list(bounds_a) + list(bounds_b))
     )
@@ -77,14 +77,27 @@ def brute_step_l2(bounds_a, values_a, bounds_b, values_b):
                 return i
         return len(bounds) - 2
 
-    acc = Fraction(0)
     for k in range(len(cuts) - 1):
         mid = (cuts[k] + cuts[k + 1]) / 2
         d = Fraction(float(values_a[locate(ba, mid)])) - Fraction(
             float(values_b[locate(bb, mid)])
         )
-        acc += (cuts[k + 1] - cuts[k]) * d * d
+        yield cuts[k + 1] - cuts[k], d
+
+
+def brute_step_l2(bounds_a, values_a, bounds_b, values_b):
+    """Exact L2 distance of two step functions via rational cell algebra."""
+    pieces = _frac_cell_differences(bounds_a, values_a, bounds_b, values_b)
+    acc = sum((length * d * d for length, d in pieces), Fraction(0))
     return float(np.sqrt(float(acc)))
+
+
+def brute_step_exceedance(bounds_a, values_a, bounds_b, values_b, threshold):
+    """Exact measure of {|f - g| > threshold} via rational cell algebra."""
+    limit = Fraction(float(threshold))
+    pieces = _frac_cell_differences(bounds_a, values_a, bounds_b, values_b)
+    acc = sum((length for length, d in pieces if abs(d) > limit), Fraction(0))
+    return float(acc)
 
 
 def brute_exceptional(values, eps):

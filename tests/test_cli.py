@@ -325,6 +325,41 @@ class TestFailureModes:
         err = self.check_error(out, rc, 2, "ValidationError")
         assert "graphon" in err["message"]
 
+    @pytest.mark.parametrize(
+        "command, cfg, fragment",
+        [
+            ("simulate", simulate_config(times=()), "non-empty"),
+            (
+                "simulate",
+                {
+                    "kernel": {"type": "bipartite", "r": 1 / 3},
+                    "n": 12,
+                    "initial": {"type": "balanced_blocks", "r": 1 / 3},
+                    "num_times": "x",
+                },
+                "time grid",
+            ),
+            (
+                "convergence",
+                {
+                    "kernel": {"type": "bipartite", "r": 1 / 3},
+                    "initial": {"type": "balanced_blocks", "r": 1 / 3},
+                    "n_ladder": [6],
+                    "horizon": 2.0,
+                    "num_times": 5,
+                    "trials": "x",
+                },
+                "malformed experiment config",
+            ),
+        ],
+    )
+    def test_malformed_values_map_to_config_exit(self, tmp_path, command, cfg, fragment):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert fragment in err["message"]
+
     def test_stderr_carries_the_payload(self, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(out)])

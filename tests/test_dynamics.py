@@ -8,6 +8,7 @@ from voterlim.kernels import Partition
 
 from _oracles import (
     brute_exceptional,
+    brute_step_exceedance,
     frac_step_integral,
     naive_volterra_residual,
     taylor_expm,
@@ -71,7 +72,7 @@ class TestInitialCondition:
 def test_average_initial_is_exact_cell_mean(rng):
     g = random_initial(rng, n_cells=4)
     n = 7
-    got = vl.average_initial(g, n).values
+    got = vl.average_initial(g, n)
     for k in range(n):
         want = n * frac_step_integral(
             g.partition.boundaries, g.values, k / n, (k + 1) / n
@@ -91,6 +92,11 @@ def test_default_horizon():
 
 
 class TestSolveFinite:
+    def test_size_guard(self):
+        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 5)
+        with pytest.raises(vl.SizeLimitError):
+            vl.solve_finite(g, np.zeros(5), np.array([0.0, 1.0]), n_max=3)
+
     def test_initial_state_is_preserved(self, rng):
         g = vl.discretize_kernel(random_step_kernel(rng), 8)
         u0 = rng.uniform(-1, 1, 8)
@@ -116,7 +122,7 @@ class TestSolveFinite:
 
     def test_expm_matches_series_oracle(self, rng):
         g = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 12)
-        D = vl.laplacian(g).matrix
+        D = vl.laplacian(g)
         u0 = rng.uniform(-1, 1, 12)
         t = 1.7
         traj = vl.solve_finite(g, u0, np.array([0.0, t]))
@@ -167,6 +173,13 @@ class TestClosedForm:
         got_out = vl.closed_form_bipartite(r, g, x_out, t)
         assert got_in == pytest.approx(0.5 * np.exp(-(1 - 2 * r) * t), rel=1e-12)
         assert got_out == pytest.approx(-0.5 * np.exp(-t), rel=1e-12)
+
+    def test_block_boundary_belongs_to_left_block(self):
+        r, t = 0.25, 1.0
+        g = vl.InitialCondition.balanced_blocks(r)
+        # g(r) is the left block's -0.5, which decays at the left rate 1-2r
+        got = vl.closed_form_bipartite(r, g, r, t)
+        assert got == pytest.approx(-0.5 * np.exp(-(1 - 2 * r) * t), rel=1e-12)
 
     def test_closed_form_object_matches_pointwise(self):
         r = 0.25
@@ -293,7 +306,7 @@ class TestConsensusOps:
         traj = vl.solve_continuum(vl.ConstantKernel(1.0), g, 4, np.linspace(0, 60, 21))
         state, converged = vl.limit_state(traj)
         assert converged
-        assert np.abs(state.values - g.mean()).max() <= 1e-8
+        assert np.abs(state - g.mean()).max() <= 1e-8
 
     def test_limit_state_not_converged(self):
         g = vl.InitialCondition.from_cell_values([1.0, -1.0])
@@ -328,6 +341,24 @@ def test_step_exceedance_measure_hand_case():
     assert vl.step_exceedance_measure(a, f, b, h, 0.9) == pytest.approx(0.25)
     assert vl.step_exceedance_measure(a, f, b, h, 0.5) == pytest.approx(0.5)
     assert vl.step_exceedance_measure(a, f, b, h, 0.1) == pytest.approx(1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9), st.booleans())
+def test_step_exceedance_measure_matches_fraction_oracle(seed, n_a, n_b, uniform_b):
+    r = np.random.default_rng(seed)
+    bounds_a = Partition.uniform(n_a).boundaries
+    if uniform_b:
+        bounds_b = Partition.uniform(n_b).boundaries
+    else:
+        cuts = np.unique(r.uniform(0.05, 0.95, n_b - 1))
+        bounds_b = np.concatenate([[0.0], cuts, [1.0]])
+    f = r.uniform(-1.0, 1.0, n_a)
+    h = r.uniform(-1.0, 1.0, bounds_b.size - 1)
+    threshold = float(r.uniform(0.0, 1.5))
+    got = vl.step_exceedance_measure(bounds_a, f, bounds_b, h, threshold)
+    want = brute_step_exceedance(bounds_a, f, bounds_b, h, threshold)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestTrajectoryIO:

@@ -56,12 +56,12 @@ class TestWeightedGraph:
 class TestDiscretize:
     def test_d6_reference(self):
         g = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 6)
-        D = vl.laplacian(g).matrix
+        D = vl.laplacian(g)
         assert np.abs(D - D6).max() <= 1e-12
 
     def test_d5_reference_with_corrected_corner(self):
         g = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 5)
-        D = vl.laplacian(g).matrix
+        D = vl.laplacian(g)
         assert np.abs(D - D5).max() <= 1e-12
         assert D[0, 0] == pytest.approx(-8 / 15, abs=1e-15)
 
@@ -117,7 +117,7 @@ class TestPixelKernel:
 class TestLaplacian:
     def test_rows_sum_to_zero(self, rng):
         k = random_step_kernel(rng)
-        D = vl.laplacian(vl.discretize_kernel(k, 9)).matrix
+        D = vl.laplacian(vl.discretize_kernel(k, 9))
         assert np.abs(D.sum(axis=1)).max() <= 1e-14
         assert np.abs(D - D.T).max() <= 1e-14
 
@@ -129,8 +129,8 @@ class TestLaplacian:
         np.fill_diagonal(w2, rng.uniform(-1, 1, 6))
         g2 = vl.WeightedGraph(w2)
         u = rng.uniform(-1, 1, 6)
-        f1 = vl.laplacian(g1).matrix @ u
-        f2 = vl.laplacian(g2).matrix @ u
+        f1 = vl.laplacian(g1) @ u
+        f2 = vl.laplacian(g2) @ u
         assert np.abs(f1 - f2).max() <= 1e-14
 
 

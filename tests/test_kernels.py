@@ -34,6 +34,15 @@ class TestPartition:
         m = a.refined_with(b)
         assert list(m.boundaries) == [0.0, 0.25, 0.5, 1.0]
 
+    def test_common_refinement_maps_each_input(self):
+        merged, (ia, ib, ic) = vl.common_refinement(
+            Partition([0.0, 0.5, 1.0]), [0.0, 0.25, 1.0], Partition.uniform(1)
+        )
+        assert list(merged.boundaries) == [0.0, 0.25, 0.5, 1.0]
+        assert list(ia) == [0, 0, 1]
+        assert list(ib) == [0, 1, 1]
+        assert list(ic) == [0, 0, 0]
+
     def test_rejects_bad_boundaries(self):
         with pytest.raises(vl.ValidationError):
             Partition([0.0, 0.5, 0.5, 1.0])
