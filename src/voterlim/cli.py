@@ -50,6 +50,8 @@ EXIT_CONFIG = 2
 EXIT_SIZE = 3
 EXIT_SOLVER = 4
 
+_REQUIRED = object()
+
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
@@ -70,20 +72,34 @@ def _load_config(path) -> dict:
     return data
 
 
+def _number(config, key, kind, default=_REQUIRED):
+    """config[key] as `kind`, or ValidationError; no default means required.
+
+    A None default lets an absent or null value through as None.
+    """
+    value = config[key] if default is _REQUIRED else config.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed config value for {key!r}: {exc}") from exc
+
+
 def _cmd_simulate(config, out_dir, threads) -> None:
     initial = make_initial(config["initial"])
     method = config.get("method", "expm")
-    eps = float(config.get("eps", CONSENSUS_EPS))
+    eps = _number(config, "eps", float, CONSENSUS_EPS)
     solver_opts = {}
     if "rk_tol" in config:
-        solver_opts["rk_tol"] = float(config["rk_tol"])
+        solver_opts["rk_tol"] = _number(config, "rk_tol", float)
     if "max_halvings" in config:
-        solver_opts["max_halvings"] = int(config["max_halvings"])
+        solver_opts["max_halvings"] = _number(config, "max_halvings", int)
     if "kernel" in config:
         kernel = make_kernel(config["kernel"])
         if "n" not in config:
             raise ValidationError("simulate with a kernel needs a resolution n")
-        n = int(config["n"])
+        n = _number(config, "n", int)
     elif "graph" in config:
         gspec = config["graph"]
         if isinstance(gspec, dict) and "path" in gspec:
@@ -133,7 +149,7 @@ def _cmd_simulate(config, out_dir, threads) -> None:
 
 def _cmd_discretize(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
-    n = int(config["n"])
+    n = _number(config, "n", int)
     graph = discretize_kernel(kernel, n)
     with open(os.path.join(out_dir, "graph.json"), "w") as fh:
         fh.write(graph.to_json())
@@ -154,8 +170,8 @@ def _cmd_discretize(config, out_dir, threads) -> None:
 def _cmd_structure(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
     initial = make_initial(config["initial"]) if "initial" in config else None
-    zero_tol = float(config.get("zero_tol", 0.0))
-    prop_tol = float(config.get("prop_tol", PROPORTIONALITY_TOL))
+    zero_tol = _number(config, "zero_tol", float, 0.0)
+    prop_tol = _number(config, "prop_tol", float, PROPORTIONALITY_TOL)
     report = structure_report(kernel, initial, zero_tol=zero_tol, prop_tol=prop_tol)
     _write_json(os.path.join(out_dir, "structure.json"), report)
     _write_json(
@@ -172,8 +188,7 @@ def _cmd_structure(config, out_dir, threads) -> None:
 
 def _cmd_convergence(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
-    reference_n = config.get("reference_n")
-    table = convergence_study(cfg, reference_n)
+    table = convergence_study(cfg, _number(config, "reference_n", int, None))
     table.write_csv(os.path.join(out_dir, "error_table.csv"))
     _write_json(
         os.path.join(out_dir, "convergence_meta.json"),
@@ -183,7 +198,7 @@ def _cmd_convergence(config, out_dir, threads) -> None:
 
 def _cmd_proximity(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
-    report = consensus_proximity(cfg, config.get("reference_n"))
+    report = consensus_proximity(cfg, _number(config, "reference_n", int, None))
     with open(os.path.join(out_dir, "proximity.csv"), "w", newline="") as fh:
         fh.write(report.csv_text())
     _write_json(

@@ -489,7 +489,7 @@ def volterra_residual(kernel: Kernel, traj: Trajectory) -> float:
 
 
 def _step_difference(bounds_a, values_a, bounds_b, values_b):
-    """Cell measures and values of f - g on the common refinement."""
+    """Cell measures and values of f - g; bounds are Partitions or arrays."""
     merged, (ia, ib) = common_refinement(bounds_a, bounds_b)
     diff = np.asarray(values_a, dtype=float)[ia] - np.asarray(values_b, dtype=float)[ib]
     return merged.measures, diff

@@ -44,6 +44,7 @@ from .kernels import (
 )
 
 MC_MIN_TRIALS = 30
+MC_MAX_THREADS = 64
 
 
 @dataclass
@@ -157,27 +158,21 @@ class _Reference:
         ):
             cf = BipartiteClosedForm(kernel.r, cfg.initial)
             self.kind = "closed_form"
-            self.n = None
-            self.boundaries = cf.partition.boundaries
-            self._values = np.array([cf.values_at(t) for t in times])
+            self.partition = cf.partition
+            self.values = np.array([cf.values_at(t) for t in times])
         else:
             if reference_n is None:
                 raise ValidationError(
                     "no closed form applies; a reference_n is required"
                 )
-            traj = solve_continuum(
-                kernel, cfg.initial, int(reference_n), times, method=cfg.method
-            )
-            self.kind = f"finite_n_{int(reference_n)}"
-            self.n = int(reference_n)
-            self.boundaries = Partition.uniform(int(reference_n)).boundaries
-            self._values = traj.states
-
-    def values_at(self, k: int) -> np.ndarray:
-        return self._values[k]
+            n = int(reference_n)
+            traj = solve_continuum(kernel, cfg.initial, n, times, method=cfg.method)
+            self.kind = f"finite_n_{n}"
+            self.partition = Partition.uniform(n)
+            self.values = traj.states
 
     def diameters(self) -> np.ndarray:
-        return self._values.max(axis=1) - self._values.min(axis=1)
+        return self.values.max(axis=1) - self.values.min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -222,9 +217,9 @@ def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> 
     rows = []
     for n in cfg.n_ladder:
         traj = solve_continuum(cfg.kernel, cfg.initial, n, times, method=cfg.method)
-        bounds = Partition.uniform(n).boundaries
+        part = Partition.uniform(n)
         sup_err = max(
-            step_l2_distance(bounds, traj.states[k], ref.boundaries, ref.values_at(k))
+            step_l2_distance(part, traj.states[k], ref.partition, ref.values[k])
             for k in range(times.size)
         )
         final = traj.states[-1]
@@ -384,10 +379,13 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
         raise ValidationError("Monte Carlo sampling requires a graphon kernel")
     if cfg.trials < MC_MIN_TRIALS:
         raise ValidationError(f"fraction estimates need at least {MC_MIN_TRIALS} trials")
+    if not 1 <= threads <= MC_MAX_THREADS:
+        raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
     times = np.array([0.0, cfg.horizon])
     ref_n = max(cfg.n_ladder)
     ref = solve_continuum(cfg.kernel, cfg.initial, ref_n, times, method=cfg.method)
-    ref_bounds = Partition.uniform(ref_n).boundaries
+    parts = {n: Partition.uniform(n) for n in cfg.n_ladder}
+    ref_part = parts[ref_n]
     ref_final = ref.states[-1]
     c_squared = cfg.c * cfg.c
 
@@ -399,10 +397,9 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
             graph, average_initial(cfg.initial, n), times, method=cfg.method
         )
         final = traj.states[-1]
-        bounds = Partition.uniform(n).boundaries
         exc = exceptional_measure(final, cfg.eps)
-        exceed = step_exceedance_measure(bounds, final, ref_bounds, ref_final, cfg.eps)
-        l2 = step_l2_distance(bounds, final, ref_bounds, ref_final)
+        exceed = step_exceedance_measure(parts[n], final, ref_part, ref_final, cfg.eps)
+        l2 = step_l2_distance(parts[n], final, ref_part, ref_final)
         return MCTrialRow(
             n=n,
             trial=trial,

@@ -5,6 +5,11 @@ step kernel agrees with the measure-theoretic definition (any separating
 set can be replaced by a union of cells).  Twin-sets group cells whose
 kernel rows are proportional; they are the structure behind closed-form
 limit predictions and behind the counterexamples where consensus fails.
+
+Both are classes of the transitive closure of a boolean relation between
+cells (nonzero support, pairwise proportionality).  Limit prediction and
+the per-component solve read `ComponentDecomposition.labels`, the
+component of each source cell.
 """
 
 from __future__ import annotations
@@ -27,26 +32,27 @@ PROPORTIONALITY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _closure(related: np.ndarray) -> np.ndarray:
+    """Class label per cell under the transitive closure of `related`.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
+    `related` is a symmetric boolean m x m relation.  Classes are numbered
+    in order of their smallest cell; each is grown by frontier passes.
+    """
+    labels = np.full(related.shape[0], -1)
+    while (free := np.flatnonzero(labels < 0)).size:
+        member = np.zeros(labels.size, dtype=bool)
+        member[free[0]] = True
+        frontier = member.copy()
+        while frontier.any():
+            frontier = related[frontier].any(axis=0) & ~member
+            member |= frontier
+        labels[member] = labels.max() + 1
+    return labels
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
-    def groups(self) -> list[list[int]]:
-        by_root: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            by_root.setdefault(self.find(i), []).append(i)
-        return [by_root[r] for r in sorted(by_root)]
+def _classes(labels: np.ndarray) -> list[list[int]]:
+    """Cells of each class, in label order, ascending within a class."""
+    return [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class Component:
 class ComponentDecomposition:
     source: StepKernel
     components: tuple[Component, ...]
-    permutation: tuple[int, ...]  # new cell p came from source cell permutation[p]
+    labels: np.ndarray  # component index of each source cell
 
     def reassembled(self) -> DirectSumKernel:
         """Direct sum of the components; equals the source up to cell order."""
@@ -120,18 +126,12 @@ def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDeco
     """Support-graph components of the step refinement, smallest cell first."""
     step = kernel.as_step()
     v = step.values
-    m = step.partition.size
-    uf = _UnionFind(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(v[i, j]) > zero_tol:
-                uf.union(i, j)
+    labels = _closure(np.abs(v) > zero_tol)
+    labels.setflags(write=False)
     measures = step.partition.measures
     components = []
-    permutation: list[int] = []
     offset = 0.0
-    for cells in uf.groups():
-        cells = sorted(cells)
+    for cells in _classes(labels):
         weight = float(measures[cells].sum())
         inner = np.concatenate([[0.0], np.cumsum(measures[cells]) / weight])
         inner[-1] = 1.0
@@ -139,9 +139,8 @@ def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDeco
         components.append(
             Component(tuple(cells), weight, (offset, offset + weight), sub)
         )
-        permutation.extend(cells)
         offset += weight
-    return ComponentDecomposition(step, tuple(components), tuple(permutation))
+    return ComponentDecomposition(step, tuple(components), labels)
 
 
 def is_connected(kernel: Kernel, zero_tol: float = 0.0) -> bool:
@@ -162,33 +161,27 @@ def find_maximal_twin_sets(
     Rows i and j pass the pairwise test when
     | v_i * ||v_j|| - sigma * v_j * ||v_i|| | <= prop_tol componentwise,
     with the sign sigma read off the dominant entry; zero rows (norm at
-    most prop_tol) form their own single set.  Maximal sets are the
-    transitive closure of the pairwise relation.
+    most prop_tol) form their own single set.  Each pair i < j is tested
+    with the dominant entry of row j, and a zero sign means no link.
+    Maximal sets are the transitive closure of the pairwise relation.
     """
     step = kernel.as_step()
     v = step.values
-    m = step.partition.size
     norms = np.linalg.norm(v, axis=1)
     zero = norms <= prop_tol
-    uf = _UnionFind(m)
-    zero_cells = np.nonzero(zero)[0]
-    for i in zero_cells[1:]:
-        uf.union(int(zero_cells[0]), int(i))
-    for i in range(m):
-        if zero[i]:
+    related = np.outer(zero, zero)
+    for j in range(1, len(v)):
+        if zero[j]:
             continue
-        for j in range(i + 1, m):
-            if zero[j]:
-                continue
-            p = int(np.argmax(np.abs(v[j])))
-            sigma = np.sign(v[i, p]) * np.sign(v[j, p])
-            if sigma == 0.0:
-                continue
-            if np.max(np.abs(v[i] * norms[j] - sigma * v[j] * norms[i])) <= prop_tol:
-                uf.union(i, j)
+        p = int(np.argmax(np.abs(v[j])))
+        sigma = np.sign(v[:j, p]) * np.sign(v[j, p])
+        # Column p alone rules out most rows; only the rest get the full test.
+        at_p = np.abs(v[:j, p] * norms[j] - sigma * v[j, p] * norms[:j])
+        rows = np.flatnonzero((at_p <= prop_tol) & (sigma != 0.0) & ~zero[:j])
+        dev = np.abs(v[rows] * norms[j] - sigma[rows, None] * v[j] * norms[rows, None])
+        related[j, rows] = dev.max(axis=1) <= prop_tol
     sets = []
-    for cells in uf.groups():
-        cells = sorted(cells)
+    for cells in _classes(_closure(related | related.T)):
         rep = cells[0]
         if zero[rep]:
             mult = [1.0] * len(cells)
@@ -239,17 +232,12 @@ def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
             "limit prediction requires a graphon (no negative values)"
         )
     decomp = connected_components(step)
-    comp_of_cell = np.empty(step.partition.size, dtype=int)
-    frozen = []
-    means = []
-    for ci, comp in enumerate(decomp.components):
-        comp_of_cell[list(comp.cells)] = ci
-        frozen.append(float(np.max(np.abs(comp.kernel.values))) == 0.0)
-        means.append(_component_mean(g, step, comp.cells))
+    frozen = np.array([not np.any(c.kernel.values) for c in decomp.components])
+    means = np.array([_component_mean(g, step, c.cells) for c in decomp.components])
     merged, (k_cells, g_cells) = common_refinement(step.partition, g.partition)
-    comp_idx = comp_of_cell[k_cells]
-    values = np.asarray(means)[comp_idx]
-    frozen_mask = np.asarray(frozen)[comp_idx]
+    comp_idx = decomp.labels[k_cells]
+    values = means[comp_idx]
+    frozen_mask = frozen[comp_idx]
     values[frozen_mask] = g.values[g_cells][frozen_mask]
     return InitialCondition(merged, values)
 
@@ -277,11 +265,8 @@ def decompose_solution(
             f"must be a multiple of 1/{n}"
         )
     decomp = connected_components(step)
-    comp_of_cell = np.empty(step.partition.size, dtype=int)
-    for ci, comp in enumerate(decomp.components):
-        comp_of_cell[list(comp.cells)] = ci
     mids = (np.arange(n) + 0.5) / n
-    comp_idx = comp_of_cell[step.partition.cell_of(mids)]
+    comp_idx = decomp.labels[step.partition.cell_of(mids)]
     u0 = average_initial(g, n)
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, n))

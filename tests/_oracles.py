@@ -153,7 +153,37 @@ def brute_twin_sets(values, prop_tol=1e-10):
             )
         )
 
-    adj = [[twins(i, j) for j in range(n)] for i in range(n)]
+    return _closure_groups([[twins(i, j) for j in range(n)] for i in range(n)])
+
+
+def pairwise_twin_sets(values, prop_tol=1e-10):
+    """The library's pairwise rule, one pair at a time, plus transitive closure.
+
+    Unlike brute_twin_sets, only pairs i < j are tested, with the dominant
+    entry of the later row j, and a zero sign means no link.  The two can
+    differ when rows with norms not far above prop_tol meet it.
+    """
+    m = np.asarray(values, dtype=float)
+    n = m.shape[0]
+    norms = np.linalg.norm(m, axis=1)
+    zero = norms <= prop_tol
+    adj = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if zero[i] or zero[j]:
+                link = bool(zero[i] and zero[j])
+            else:
+                p = int(np.argmax(np.abs(m[j])))
+                sigma = np.sign(m[i, p]) * np.sign(m[j, p])
+                dev = np.abs(m[i] * norms[j] - sigma * m[j] * norms[i])
+                link = bool(sigma != 0.0 and np.max(dev) <= prop_tol)
+            adj[i][j] = adj[j][i] = link
+    return _closure_groups(adj)
+
+
+def _closure_groups(adj):
+    """Classes reachable along `adj` (n x n nested lists), sorted, each sorted."""
+    n = len(adj)
     seen = [False] * n
     groups = []
     for start in range(n):

@@ -351,6 +351,29 @@ class TestFailureModes:
                 },
                 "malformed experiment config",
             ),
+            ("simulate", {**simulate_config(), "n": "x"}, "'n'"),
+            (
+                "discretize",
+                {"kernel": {"type": "constant", "c": 1.0}, "n": "x"},
+                "'n'",
+            ),
+            (
+                "convergence",
+                {
+                    "kernel": {"type": "constant", "c": 1.0},
+                    "initial": {"type": "balanced_blocks", "r": 0.5},
+                    "n_ladder": [6],
+                    "horizon": 2.0,
+                    "num_times": 5,
+                    "reference_n": "x",
+                },
+                "'reference_n'",
+            ),
+            (
+                "structure",
+                {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": "x"},
+                "'prop_tol'",
+            ),
         ],
     )
     def test_malformed_values_map_to_config_exit(self, tmp_path, command, cfg, fragment):
@@ -359,6 +382,21 @@ class TestFailureModes:
         rc = main([command, "--config", path, "--out", str(out)])
         err = self.check_error(out, rc, 2, "ValidationError")
         assert fragment in err["message"]
+
+    def test_zero_threads_rejected(self, tmp_path):
+        cfg = {
+            "kernel": {"type": "constant", "c": 0.8},
+            "initial": {"type": "balanced_blocks", "r": 0.5},
+            "n_ladder": [8],
+            "horizon": 6.0,
+            "trials": 30,
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["mc-random", "--config", path, "--out", str(out), "--threads", "0"])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "threads" in err["message"]
+        assert not (out / "mc.csv").exists()
 
     def test_stderr_carries_the_payload(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -154,6 +154,16 @@ class TestRandomConsensusMC:
         with pytest.raises(vl.ValidationError):
             vl.random_consensus_mc(self.mc_config(kernel=vl.BipartiteKernel(0.3)))
 
+    @pytest.mark.parametrize("threads", [0, vl.experiments.MC_MAX_THREADS + 1])
+    def test_thread_count_checked_before_any_solve(self, threads, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the thread count was checked")
+
+        monkeypatch.setattr(vl.experiments, "solve_continuum", no_solve)
+        monkeypatch.setattr(vl.experiments, "solve_finite", no_solve)
+        with pytest.raises(vl.ValidationError, match="threads"):
+            vl.random_consensus_mc(self.mc_config(), threads=threads)
+
     def test_deterministic_and_thread_invariant(self):
         a = vl.random_consensus_mc(self.mc_config())
         b = vl.random_consensus_mc(self.mc_config())

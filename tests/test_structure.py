@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import voterlim as vl
 
-from _oracles import brute_components, brute_twin_sets
+from _oracles import brute_components, brute_twin_sets, pairwise_twin_sets
 from conftest import random_initial, random_step_kernel
 
 
@@ -226,15 +226,52 @@ def test_structure_report_without_initial():
     assert rep["necessary_condition"] is None
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_components_and_twins_agree_with_oracles(seed):
+def planted_twin_kernel(r):
+    """Step kernel with planted twin sets: row blocks repeated through a
+    label map and scaled by outer(s, s), where s has zero and negative
+    entries.  Nonzero values have magnitude at least 0.5 * 0.25**2."""
+    m = int(r.integers(1, 9))
+    base = r.uniform(-1.0, 1.0, (4, 4))
+    base = (base + base.T) / 2
+    base[np.abs(base) < 0.5] = 0.0
+    label = r.integers(0, int(r.integers(1, 5)), m)
+    s = r.choice([-1.0, 1.0], m) * r.uniform(0.25, 1.0, m)
+    s[r.random(m) < 0.2] = 0.0
+    edges = np.cumsum(r.uniform(0.5, 1.5, m))
+    bounds = np.concatenate([[0.0], edges[:-1] / edges[-1], [1.0]])
+    return vl.StepKernel(bounds, base[np.ix_(label, label)] * np.outer(s, s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.5),
+    st.floats(1e-13, 1e-6),
+    st.floats(1e-13, 0.5),
+)
+def test_components_and_twins_agree_with_oracles(seed, zero_tol, prop_tol, loose_tol):
     r = np.random.default_rng(seed)
-    k = random_step_kernel(r, max_cells=6)
-    vals = k.values.copy()
+    sparse = random_step_kernel(r, max_cells=6)
+    vals = sparse.values.copy()
     vals[np.abs(vals) < 0.5] = 0.0
-    k = vl.StepKernel(k.partition.boundaries, vals)
-    got_c = sorted(list(c.cells) for c in vl.connected_components(k).components)
-    assert got_c == brute_components(k.values)
-    got_t = sorted(sorted(s.cells) for s in vl.find_maximal_twin_sets(k).sets)
-    assert got_t == brute_twin_sets(k.values)
+    sparse = vl.StepKernel(sparse.partition.boundaries, vals)
+    for k in (sparse, planted_twin_kernel(r)):
+        # The oracles return groups with ascending cells, sorted by smallest
+        # cell: the order the library promises, so no re-sorting here.
+        decomp = vl.connected_components(k, zero_tol)
+        assert [list(c.cells) for c in decomp.components] == brute_components(
+            k.values, zero_tol
+        )
+        for index, comp in enumerate(decomp.components):
+            assert all(decomp.labels[c] == index for c in comp.cells)
+        assert decomp.labels.shape == (k.values.shape[0],)
+        twins = vl.find_maximal_twin_sets(k, prop_tol).sets
+        assert [list(s.cells) for s in twins] == brute_twin_sets(k.values, prop_tol)
+        assert all(s.representative == s.cells[0] for s in twins)
+        # A loose tolerance reaches rows whose norms are not far above it,
+        # where only the library's own pairwise rule (i < j, no link on a
+        # zero sign) is the reference.
+        loose = vl.find_maximal_twin_sets(k, loose_tol).sets
+        assert [list(s.cells) for s in loose] == pairwise_twin_sets(
+            k.values, loose_tol
+        )
