@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    MC_MAX_THREADS,
     ExperimentConfig,
     consensus_proximity,
     convergence_study,
@@ -268,6 +269,8 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
     try:
+        if not 1 <= args.threads <= MC_MAX_THREADS:
+            raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
         config = _load_config(args.config)
         _HANDLERS[args.command](config, out_dir, args.threads)
     except KeyError as exc:

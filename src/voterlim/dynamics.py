@@ -2,9 +2,22 @@
 
 The finite model is the linear ODE du/dt = D u with D the graph's
 dynamics generator; the continuum model is reached by discretising a
-kernel first.  Two independent solvers (symmetric eigendecomposition and
-fixed-step RK4) plus a Volterra integral-equation residual keep each
-other honest.
+kernel first.  `solve_finite` records which of three paths ran in
+`metadata["solver_path"]`, with the number q of twin classes:
+
+- "twin_quotient" (method "expm", some weight rows bit-identical): an
+  exact q x q eigendecomposition of the class-mean dynamics plus a
+  closed-form decay of each vertex's deviation from its class mean.  A
+  step kernel with m cells discretised at a power-of-two n has
+  q <= 2m - 1; at other n, rows around a cell boundary can differ in
+  the last bit, which leaves q a little larger but still small.
+- "dense_eigh" (method "expm", all rows distinct, q = n): the n x n
+  symmetric eigendecomposition of the generator.
+- "rk" (q = n): fixed-step RK4 on the dense generator, an independent
+  cross-check.
+
+The Volterra integral-equation residual checks any trajectory without
+running a solver.
 """
 
 from __future__ import annotations
@@ -17,7 +30,13 @@ import math
 import numpy as np
 
 from .errors import SizeLimitError, SolverConvergenceError, ValidationError
-from .graphs import DEFAULT_N_MAX, WeightedGraph, discretize_kernel, laplacian
+from .graphs import (
+    DEFAULT_N_MAX,
+    WeightedGraph,
+    discretize_kernel,
+    laplacian,
+    twin_classes,
+)
 from .kernels import Kernel, Partition, common_refinement, overlap_matrix
 
 # Default tolerances; every consumer that overrides them records the value
@@ -184,12 +203,45 @@ def _validate_times(times) -> np.ndarray:
     return t
 
 
-def _solve_expm(D: np.ndarray, u0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # D is symmetric, so the matrix exponential reduces to eigenmodes.
-    eigvals, eigvecs = np.linalg.eigh(D)
-    coeffs = eigvecs.T @ u0
-    modes = np.exp(np.outer(times, eigvals))
-    return (modes * coeffs) @ eigvecs.T
+def _solve_expm(
+    graph: WeightedGraph, u0: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, str, int]:
+    """exp(t D) u0 on the grid, through the twin quotient when it is smaller.
+
+    Vertices with identical weight rows form q classes, so W = P B P^T
+    with P the n x q class-membership matrix and B the weights between
+    class heads.  With S = diag(class sizes) and d the class degrees
+    (row sums / n), D = P B P^T / n - diag(d[label]).  Splitting
+    u = P c + v, with c the class means and v summing to zero over each
+    class, gives two decoupled exact equations:
+
+    - dc/dt = (B S / n - diag(d)) c, which S^(1/2) turns into the
+      symmetric A = S^(1/2) B S^(1/2) / n - diag(d), solved by one
+      q x q eigendecomposition;
+    - dv/dt = -d[label] v, so v(t) = exp(-d[label] t) v(0).
+
+    Returns (states, solver_path, q).  When all rows differ (q = n) the
+    generator itself is diagonalised.
+    """
+    labels, heads = twin_classes(graph)
+    q = heads.size
+    if q == graph.n:
+        # D is symmetric, so the matrix exponential reduces to eigenmodes.
+        eigvals, eigvecs = np.linalg.eigh(laplacian(graph))
+        coeffs = eigvecs.T @ u0
+        modes = np.exp(np.outer(times, eigvals))
+        return (modes * coeffs) @ eigvecs.T, "dense_eigh", q
+    w = graph.weights
+    sizes = np.bincount(labels)
+    root = np.sqrt(sizes)
+    d = w[heads].sum(axis=1) / graph.n
+    a = root[:, None] * w[np.ix_(heads, heads)] * root / graph.n - np.diag(d)
+    means = np.bincount(labels, weights=u0) / sizes
+    eigvals, eigvecs = np.linalg.eigh(a)
+    coeffs = eigvecs.T @ (root * means)
+    class_means = (np.exp(np.outer(times, eigvals)) * coeffs) @ eigvecs.T / root
+    decay = np.exp(np.outer(times, -d[labels]))
+    return class_means[:, labels] + decay * (u0 - means[labels]), "twin_quotient", q
 
 
 def _rk4_pass(D: np.ndarray, u0: np.ndarray, times: np.ndarray, substeps) -> np.ndarray:
@@ -245,9 +297,11 @@ def solve_finite(
     """Solve du/dt = D u on the given time grid.
 
     `method` selects the solver: "expm" diagonalises the symmetric
-    generator exactly; "rk" runs classical fixed-step RK4 with the step
+    generator exactly, reduced to its twin classes when some weight rows
+    are identical; "rk" runs classical fixed-step RK4 with the step
     bounded by 0.1 / ||D||_1 and halved until two successive refinements
-    agree at the final time to within `rk_tol`.
+    agree at the final time to within `rk_tol`.  The metadata records the
+    path taken (`solver_path`) and the number of twin classes `q`.
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
@@ -257,14 +311,12 @@ def solve_finite(
         raise SizeLimitError(f"n={graph.n} exceeds n_max={n_max}")
     if method not in SOLVER_METHODS:
         raise ValidationError(f"method must be one of {SOLVER_METHODS}")
-    D = laplacian(graph)
     meta: dict = {"solver": method, "n": graph.n}
     if method == "expm":
-        states = _solve_expm(D, u, t)
+        states, meta["solver_path"], meta["q"] = _solve_expm(graph, u, t)
     else:
-        states, detail = _solve_rk(D, u, t, rk_tol, max_halvings)
-        meta.update(detail)
-        meta["rk_tol"] = rk_tol
+        states, detail = _solve_rk(laplacian(graph), u, t, rk_tol, max_halvings)
+        meta.update(detail, solver_path="rk", q=graph.n, rk_tol=rk_tol)
     states[0] = u  # t=0 is the given state, not a reconstruction of it
     if not np.all(np.isfinite(states)):
         raise SolverConvergenceError(

@@ -29,6 +29,11 @@ DEFAULT_N_MAX = 4096
 RNG_ALGORITHM = "philox4x64-10 (numpy.random.Philox)"
 
 
+def _check_size(n: int, n_max: int = DEFAULT_N_MAX) -> None:
+    if n > n_max:
+        raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={n_max}")
+
+
 class WeightedGraph:
     """Symmetric weight matrix on n vertices with entries in [-1, 1].
 
@@ -60,6 +65,7 @@ class WeightedGraph:
         try:
             data = json.loads(text)
             n = int(data["n"])
+            _check_size(n)
             w = np.asarray(data["weights"], dtype=float)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
@@ -87,6 +93,30 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     return d
 
 
+# Entries per row compared before whole rows in `twin_classes`.
+_TWIN_PROBE = 64
+
+
+def twin_classes(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of vertices whose weight rows are bit-for-bit identical.
+
+    Returns (labels, heads): labels[i] is the class of vertex i and
+    heads[k] the smallest vertex of class k, classes numbered in order of
+    their heads.  Rows are keyed by their bytes, so 0.0 and -0.0 count as
+    different entries.
+    """
+    w = graph.weights
+    # Rows whose first entries already differ are not twins; W-random
+    # graphs stop here without copying whole rows.
+    if len({row.tobytes() for row in w[:, :_TWIN_PROBE]}) == graph.n:
+        return np.arange(graph.n), np.arange(graph.n)
+    first: dict[bytes, int] = {}
+    labels = np.array(
+        [first.setdefault(row.tobytes(), len(first)) for row in w], dtype=np.intp
+    )
+    return labels, np.unique(labels, return_index=True)[1]
+
+
 def discretize_kernel(kernel: Kernel, n: int, n_max: int = DEFAULT_N_MAX) -> WeightedGraph:
     """Weighted graph of cell averages: beta_ij = n^2 * integral of W over I_i x I_j.
 
@@ -95,8 +125,7 @@ def discretize_kernel(kernel: Kernel, n: int, n_max: int = DEFAULT_N_MAX) -> Wei
     """
     if n < 1:
         raise ValidationError("discretisation needs n >= 1")
-    if n > n_max:
-        raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={n_max}")
+    _check_size(n, n_max)
     step = kernel.as_step()
     uniform = Partition.uniform(n)
     overlap = overlap_matrix(uniform, step.partition)
@@ -122,8 +151,7 @@ def sample_w_random(
     """
     if n < 1:
         raise ValidationError("sampling needs n >= 1")
-    if n > n_max:
-        raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={n_max}")
+    _check_size(n, n_max)
     if not kernel.is_graphon():
         raise ValidationError("sampling requires a graphon (values in [0, 1])")
     step = kernel.as_step()
@@ -151,6 +179,7 @@ def blow_up(graph: WeightedGraph, copies, scale=None) -> WeightedGraph:
     counts = [int(c) for c in copies]
     if len(counts) != graph.n or any(c < 1 for c in counts):
         raise ValidationError("copies must give a positive count per vertex")
+    _check_size(sum(counts))
     if scale is None:
         scale = [[1.0] * c for c in counts]
     scale = [list(map(float, s)) for s in scale]
@@ -183,6 +212,7 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
 
 def read_edge_list(path, n: int) -> WeightedGraph:
     """Inverse of `write_edge_list`; vertices without edges stay isolated."""
+    _check_size(n)
     w = np.zeros((n, n))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

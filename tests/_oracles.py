@@ -3,12 +3,16 @@
 Everything here is deliberately naive and avoids the library's own code
 paths: exact rational arithmetic instead of float partition algebra,
 O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series instead of
-eigendecomposition.  Slow is fine; these run on tiny inputs.
+eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
+exception is `dense_eigh_states`, the plain n x n eigendecomposition of
+the library's generator, which gates the solver's twin-quotient path.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from voterlim import laplacian
 
 
 def frac_overlap(bounds_a, bounds_b):
@@ -219,6 +223,30 @@ def taylor_expm(mat, t, terms=60):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def dense_eigh_states(graph, u0, times):
+    """exp(t D) u0 on the grid from the eigendecomposition of the n x n generator.
+
+    The same expression the solver evaluates for graphs without twins, so
+    on those the two agree bit for bit.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    eigvals, eigvecs = np.linalg.eigh(laplacian(graph))
+    coeffs = eigvecs.T @ u0
+    modes = np.exp(np.outer(times, eigvals))
+    states = (modes * coeffs) @ eigvecs.T
+    states[0] = u0
+    return states
+
+
+def row_equality_classes(weights):
+    """Vertices grouped by the exact bytes of their weight rows, each sorted."""
+    groups = {}
+    for i, row in enumerate(np.asarray(weights, dtype=float)):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return sorted(groups.values())
 
 
 def naive_volterra_residual(beta, times, states):

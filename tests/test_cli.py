@@ -13,6 +13,8 @@ import pytest
 import voterlim as vl
 from voterlim.cli import main
 
+from _oracles import row_equality_classes
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -48,6 +50,16 @@ class TestSimulate:
         assert meta["resolved"]["horizon_source"] == "config"
         assert meta["library_version"] == vl.__version__
         assert "final_diameter" in meta["summary"]
+
+    def test_meta_records_solver_path_and_classes(self, tmp_path):
+        # the two-block kernel at n = 12 has repeated weight rows
+        cfg = write_config(tmp_path, simulate_config())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        meta = read_json(out / "trajectory_meta.json")
+        graph = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 12)
+        assert meta["solver_path"] == "twin_quotient"
+        assert meta["q"] == len(row_equality_classes(graph.weights)) < 12
 
     def test_default_horizon_is_recorded(self, tmp_path):
         cfg = write_config(
@@ -397,6 +409,28 @@ class TestFailureModes:
         err = self.check_error(out, rc, 2, "ValidationError")
         assert "threads" in err["message"]
         assert not (out / "mc.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,threads",
+        [("simulate", "0"), ("simulate", "-5"), ("structure", "65"), ("mc-random", "65")],
+    )
+    def test_threads_validated_on_every_subcommand(self, tmp_path, command, threads):
+        # checked before any handler runs, so 65 never reaches a pool
+        path = write_config(tmp_path, simulate_config())
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out), "--threads", threads])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "threads" in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    def test_oversized_graph_json(self, tmp_path):
+        cfg = simulate_config()
+        del cfg["kernel"], cfg["n"]
+        cfg["graph"] = {"n": vl.DEFAULT_N_MAX + 1, "weights": [[0.0]]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", path, "--out", str(out)])
+        self.check_error(out, rc, 3, "SizeLimitError")
 
     def test_stderr_carries_the_payload(self, tmp_path, capsys):
         out = tmp_path / "out"

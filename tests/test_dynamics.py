@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
+from voterlim import graphs
 from voterlim.kernels import Partition
 
 from _oracles import (
     brute_exceptional,
     brute_step_exceedance,
+    dense_eigh_states,
     frac_step_integral,
     naive_volterra_residual,
+    row_equality_classes,
     taylor_expm,
 )
 from conftest import random_initial, random_step_kernel
@@ -161,6 +164,133 @@ class TestSolveFinite:
             vl.solve_finite(g, np.zeros(4), np.array([1.0, 2.0]))
         with pytest.raises(vl.ValidationError):
             vl.solve_finite(g, np.zeros(4), np.array([0.0, 2.0, 1.0]))
+
+
+def _classes(graph):
+    labels, heads = graphs.twin_classes(graph)
+    assert np.array_equal(labels[heads], np.arange(heads.size))
+    return sorted(np.nonzero(labels == k)[0].tolist() for k in range(heads.size))
+
+
+def _check_against_dense(graph, u0, times, nonneg):
+    """Solve, compare with the dense oracle and the exact row classes; return q."""
+    traj = vl.solve_finite(graph, u0, times)
+    want = dense_eigh_states(graph, u0, times)
+    scale = np.abs(u0).max() if nonneg else np.abs(want).max()
+    assert np.abs(traj.states - want).max() <= 1e-12 * scale
+    classes = row_equality_classes(graph.weights)
+    assert _classes(graph) == classes
+    q = len(classes)
+    assert traj.metadata["q"] == q
+    path = "dense_eigh" if q == graph.n else "twin_quotient"
+    assert traj.metadata["solver_path"] == path
+    return q
+
+
+def _random_weights(r, k, nonneg):
+    w = r.uniform(0.0 if nonneg else -1.0, 1.0, (k, k))
+    return (w + w.T) / 2
+
+
+class TestTwinQuotient:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.booleans(),
+        st.sampled_from([1, 2, 3, 8, 64, 256, 257, 300, 512]),
+    )
+    def test_step_kernels_match_dense(self, seed, m, nonneg, n):
+        r = np.random.default_rng(seed)
+        cuts = np.unique(r.uniform(0.05, 0.95, m - 1))
+        bounds = np.concatenate([[0.0], cuts, [1.0]])
+        kernel = vl.StepKernel(bounds, _random_weights(r, bounds.size - 1, nonneg))
+        graph = vl.discretize_kernel(kernel, n)
+        u0 = r.uniform(-1.0, 1.0, n)
+        times = np.linspace(0.0, float(r.uniform(0.5, 5.0)), 9)
+        q = _check_against_dense(graph, u0, times, nonneg)
+        if n & (n - 1) == 0:
+            assert q <= 2 * (bounds.size - 1) - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+    def test_blow_ups_match_dense(self, seed, k, nonneg):
+        r = np.random.default_rng(seed)
+        base = vl.WeightedGraph(_random_weights(r, k, nonneg))
+        graph = vl.blow_up(base, r.integers(1, 5, k))
+        u0 = r.uniform(-1.0, 1.0, graph.n)
+        q = _check_against_dense(graph, u0, np.linspace(0.0, 3.0, 7), nonneg)
+        assert q == k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 24))
+    def test_false_twins_in_simple_graphs_match_dense(self, seed, k):
+        r = np.random.default_rng(seed)
+        sample = vl.sample_w_random(vl.ConstantKernel(0.5), k, seed)
+        graph = vl.blow_up(sample, r.integers(1, 4, k))
+        assert graph.is_simple()
+        u0 = r.uniform(-1.0, 1.0, graph.n)
+        _check_against_dense(graph, u0, np.linspace(0.0, 3.0, 7), True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_twin_free_graphs_are_bit_identical_to_dense(self, seed, n):
+        r = np.random.default_rng(seed)
+        graph = vl.WeightedGraph(_random_weights(r, n, False))
+        assert len(row_equality_classes(graph.weights)) == n
+        u0 = r.uniform(-1.0, 1.0, n)
+        times = np.linspace(0.0, 2.0, 5)
+        traj = vl.solve_finite(graph, u0, times)
+        assert traj.metadata["solver_path"] == "dense_eigh"
+        assert np.array_equal(traj.states, dense_eigh_states(graph, u0, times))
+
+    def test_large_random_graphs_with_and_without_twins(self):
+        # a W-random graph has no twins; copying three of its vertices adds
+        # three classes with more than one member
+        sample = vl.sample_w_random(vl.ConstantKernel(0.5), 300, seed=7)
+        copies = np.ones(300, dtype=int)
+        copies[[3, 150, 299]] = [2, 3, 2]
+        for graph, q in ((sample, 300), (vl.blow_up(sample, copies), 300)):
+            u0 = np.random.default_rng(q).uniform(-1.0, 1.0, graph.n)
+            assert _check_against_dense(graph, u0, np.linspace(0.0, 3.0, 7), True) == q
+
+    def test_negative_zero_row_solves_correctly(self):
+        # rows 0 and 1 differ only by 0.0 against -0.0 in column 3; rows 2
+        # and 4 are twins, so the quotient path runs
+        w = np.array(
+            [
+                [0.5, 0.5, 0.3, 0.0, 0.3],
+                [0.5, 0.5, 0.3, -0.0, 0.3],
+                [0.3, 0.3, 0.2, 0.7, 0.2],
+                [0.0, -0.0, 0.7, 0.1, 0.7],
+                [0.3, 0.3, 0.2, 0.7, 0.2],
+            ]
+        )
+        graph = vl.WeightedGraph(w)
+        assert np.signbit(graph.weights[1, 3]) and not np.signbit(graph.weights[0, 3])
+        u0 = np.array([1.0, -1.0, 0.5, 0.25, -0.75])
+        assert _check_against_dense(graph, u0, np.linspace(0.0, 4.0, 9), True) == 4
+
+
+class TestSolverMetadata:
+    def test_kernel_run_takes_the_twin_quotient(self):
+        kernel = vl.StepKernel([0.0, 0.25, 0.5, 1.0], np.full((3, 3), 0.5) + np.eye(3) / 4)
+        g = vl.InitialCondition.from_cell_values([1.0, -0.5, 0.25, 0.0])
+        traj = vl.solve_continuum(kernel, g, 64, np.linspace(0.0, 2.0, 5))
+        assert traj.metadata["solver_path"] == "twin_quotient"
+        assert traj.metadata["q"] == 3
+        assert traj.metadata["n"] == 64
+
+    def test_random_graph_run_takes_the_dense_path(self):
+        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 64, seed=3)
+        assert len(row_equality_classes(graph.weights)) == 64
+        u0 = np.linspace(-1.0, 1.0, 64)
+        traj = vl.solve_finite(graph, u0, np.linspace(0.0, 2.0, 5))
+        assert traj.metadata["solver_path"] == "dense_eigh"
+        assert traj.metadata["q"] == 64
+        rk = vl.solve_finite(graph, u0, np.linspace(0.0, 2.0, 5), method="rk")
+        assert rk.metadata["solver_path"] == "rk"
+        assert rk.metadata["q"] == 64
 
 
 class TestClosedForm:

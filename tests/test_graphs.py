@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import voterlim as vl
+from voterlim import graphs
 
-from _oracles import frac_discretize
+from _oracles import frac_discretize, row_equality_classes
 from conftest import random_step_kernel
 
 # printed reference operator for the two-block +-1 kernel at r=1/3, n=6
@@ -205,6 +206,56 @@ class TestBlowUp:
             vl.blow_up(g, [2, 1], [[1.0], [1.0]])
         with pytest.raises(vl.ValidationError):
             vl.blow_up(g, [1, 1], [[-1.0], [1.0]])
+
+
+class TestTwinClasses:
+    def test_hand_case(self):
+        w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        labels, heads = graphs.twin_classes(vl.WeightedGraph(w))
+        assert labels.tolist() == [0, 1, 0]
+        assert heads.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("twins", [False, True])
+    def test_rows_equal_only_in_their_first_entries(self, twins):
+        # the zero block makes rows 0..79 agree on their first 80 entries,
+        # so only whole rows tell them apart
+        r = np.random.default_rng(3)
+        w = np.zeros((130, 130))
+        w[:80, 80:] = r.uniform(0.0, 1.0, (80, 50))
+        if twins:
+            w[1, 80:] = w[0, 80:]
+        w[80:, :80] = w[:80, 80:].T
+        w[80:, 80:] = 0.5
+        labels, heads = graphs.twin_classes(vl.WeightedGraph(w))
+        classes = sorted(np.nonzero(labels == k)[0].tolist() for k in range(heads.size))
+        assert classes == row_equality_classes(w)
+        assert len(classes) == (129 if twins else 130)
+
+
+class TestSizeGuards:
+    # each guard fires before the n x n array exists, so the oversized n
+    # here allocates nothing
+    def test_from_json(self):
+        text = vl.discretize_kernel(vl.ConstantKernel(1.0), 4).to_json()
+        assert vl.WeightedGraph.from_json(text).n == 4
+        for n in (vl.DEFAULT_N_MAX + 1, 10**9):
+            with pytest.raises(vl.SizeLimitError):
+                vl.WeightedGraph.from_json(json.dumps({"n": n, "weights": [[0.0]]}))
+
+    def test_read_edge_list(self, tmp_path):
+        p = tmp_path / "edges.csv"
+        vl.write_edge_list(vl.sample_w_random(vl.ConstantKernel(0.4), 5, seed=1), p)
+        assert vl.read_edge_list(p, 5).n == 5
+        for n in (vl.DEFAULT_N_MAX + 1, 10**9):
+            with pytest.raises(vl.SizeLimitError):
+                vl.read_edge_list(p, n)
+
+    def test_blow_up(self):
+        g = vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]])
+        assert vl.blow_up(g, [2, 3]).n == 5
+        for copies in ([vl.DEFAULT_N_MAX, 1], [10**9, 1]):
+            with pytest.raises(vl.SizeLimitError):
+                vl.blow_up(g, copies)
 
 
 class TestEdgeList:
