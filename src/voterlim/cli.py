@@ -54,18 +54,36 @@ EXIT_SOLVER = 4
 _REQUIRED = object()
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write(out_dir, name, payload) -> None:
+    """Write artifact `name` into out_dir: text as given, anything else as JSON.
+
+    JSON is streamed to the file with sorted keys, two-space indents and a
+    final newline.
+    """
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _read(path, what: str) -> str:
+    """Text of an input file; a file that cannot be read is a ValidationError."""
+    if not isinstance(path, str):  # an int would open a file descriptor
+        raise ValidationError(f"{what} path must be a string, not {path!r}")
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{what} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
+        data = json.loads(_read(path, "config"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -104,8 +122,7 @@ def _cmd_simulate(config, out_dir, threads) -> None:
     elif "graph" in config:
         gspec = config["graph"]
         if isinstance(gspec, dict) and "path" in gspec:
-            with open(gspec["path"]) as fh:
-                graph = WeightedGraph.from_json(fh.read())
+            graph = WeightedGraph.from_json(_read(gspec["path"], "graph"))
         else:
             graph = WeightedGraph.from_json(json.dumps(gspec))
         kernel, n = None, graph.n
@@ -141,24 +158,20 @@ def _cmd_simulate(config, out_dir, threads) -> None:
             },
         }
     )
-    write_trajectory(
-        traj,
-        os.path.join(out_dir, "trajectory.csv"),
-        os.path.join(out_dir, "trajectory_meta.json"),
-    )
+    write_trajectory(traj, os.path.join(out_dir, "trajectory.csv"))
+    _write(out_dir, "trajectory_meta.json", traj.metadata)
 
 
 def _cmd_discretize(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
     n = _number(config, "n", int)
     graph = discretize_kernel(kernel, n)
-    with open(os.path.join(out_dir, "graph.json"), "w") as fh:
-        fh.write(graph.to_json())
-        fh.write("\n")
+    _write(out_dir, "graph.json", graph.to_json() + "\n")
     if graph.is_simple():
         write_edge_list(graph, os.path.join(out_dir, "edges.csv"))
-    _write_json(
-        os.path.join(out_dir, "graph_meta.json"),
+    _write(
+        out_dir,
+        "graph_meta.json",
         {
             "kernel": kernel.spec(),
             "n": n,
@@ -174,9 +187,10 @@ def _cmd_structure(config, out_dir, threads) -> None:
     zero_tol = _number(config, "zero_tol", float, 0.0)
     prop_tol = _number(config, "prop_tol", float, PROPORTIONALITY_TOL)
     report = structure_report(kernel, initial, zero_tol=zero_tol, prop_tol=prop_tol)
-    _write_json(os.path.join(out_dir, "structure.json"), report)
-    _write_json(
-        os.path.join(out_dir, "structure_meta.json"),
+    _write(out_dir, "structure.json", report)
+    _write(
+        out_dir,
+        "structure_meta.json",
         {
             "kernel": kernel.spec(),
             "initial": initial.spec() if initial is not None else None,
@@ -190,9 +204,10 @@ def _cmd_structure(config, out_dir, threads) -> None:
 def _cmd_convergence(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
     table = convergence_study(cfg, _number(config, "reference_n", int, None))
-    table.write_csv(os.path.join(out_dir, "error_table.csv"))
-    _write_json(
-        os.path.join(out_dir, "convergence_meta.json"),
+    _write(out_dir, "error_table.csv", table.csv_text())
+    _write(
+        out_dir,
+        "convergence_meta.json",
         experiment_metadata(cfg, reference=table.reference),
     )
 
@@ -200,10 +215,10 @@ def _cmd_convergence(config, out_dir, threads) -> None:
 def _cmd_proximity(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
     report = consensus_proximity(cfg, _number(config, "reference_n", int, None))
-    with open(os.path.join(out_dir, "proximity.csv"), "w", newline="") as fh:
-        fh.write(report.csv_text())
-    _write_json(
-        os.path.join(out_dir, "proximity_meta.json"),
+    _write(out_dir, "proximity.csv", report.csv_text())
+    _write(
+        out_dir,
+        "proximity_meta.json",
         experiment_metadata(cfg, report=report.to_dict()),
     )
 
@@ -211,11 +226,8 @@ def _cmd_proximity(config, out_dir, threads) -> None:
 def _cmd_mc_random(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
     result = random_consensus_mc(cfg, threads=threads)
-    result.write_csv(os.path.join(out_dir, "mc.csv"))
-    _write_json(
-        os.path.join(out_dir, "mc_meta.json"),
-        experiment_metadata(cfg, **result.diagnostics()),
-    )
+    _write(out_dir, "mc.csv", result.csv_text())
+    _write(out_dir, "mc_meta.json", experiment_metadata(cfg, **result.diagnostics()))
 
 
 _HANDLERS = {
@@ -257,7 +269,7 @@ def _fail(out_dir, exc, code: int) -> int:
         }
     }
     try:
-        _write_json(os.path.join(out_dir, "error.json"), payload)
+        _write(out_dir, "error.json", payload)
     except OSError:
         pass
     print(json.dumps(payload), file=sys.stderr)

@@ -23,16 +23,16 @@ running a solver.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import math
 
 import numpy as np
 
-from .errors import SizeLimitError, SolverConvergenceError, ValidationError
+from .errors import SolverConvergenceError, ValidationError
 from .graphs import (
-    DEFAULT_N_MAX,
     WeightedGraph,
+    _check_size,
     discretize_kernel,
     laplacian,
     twin_classes,
@@ -196,6 +196,8 @@ def _validate_times(times) -> np.ndarray:
         raise ValidationError(f"malformed time grid: {exc}") from exc
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("time grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("time grid must be finite")
     if t[0] != 0.0:
         raise ValidationError("time grid must start at 0")
     if np.any(np.diff(t) <= 0.0):
@@ -292,7 +294,6 @@ def solve_finite(
     method: str = "expm",
     rk_tol: float = RK_TOL,
     max_halvings: int = RK_MAX_HALVINGS,
-    n_max: int = DEFAULT_N_MAX,
 ) -> Trajectory:
     """Solve du/dt = D u on the given time grid.
 
@@ -307,8 +308,7 @@ def solve_finite(
     u = np.asarray(u0, dtype=float)
     if u.shape != (graph.n,):
         raise ValidationError(f"state has {u.size} cells, graph has {graph.n}")
-    if graph.n > n_max:
-        raise SizeLimitError(f"n={graph.n} exceeds n_max={n_max}")
+    _check_size(graph.n)
     if method not in SOLVER_METHODS:
         raise ValidationError(f"method must be one of {SOLVER_METHODS}")
     meta: dict = {"solver": method, "n": graph.n}
@@ -348,17 +348,17 @@ def solve_continuum(
     return traj
 
 
-def default_horizon(kernel: Kernel | None = None, probe_n: int = 64) -> tuple[float, str]:
+def default_horizon(kernel: Kernel | None = None) -> tuple[float, str]:
     """Config default for the horizon: 10 / spectral gap when estimable, else 20.
 
-    The gap is the slowest strictly decaying rate of the generator at a
-    probe discretisation.  Kernels with divergent modes or no decaying
-    mode fall back to the flat default.  Returns (horizon, source) so
-    callers can echo the provenance into metadata.
+    The gap is the slowest strictly decaying rate of the generator of the
+    kernel discretised at n = 64.  Kernels with divergent modes or no
+    decaying mode fall back to the flat default.  Returns (horizon, source)
+    so callers can echo the provenance into metadata.
     """
     if kernel is None:
         return 20.0, "fallback"
-    d = laplacian(discretize_kernel(kernel, probe_n))
+    d = laplacian(discretize_kernel(kernel, 64))
     eigvals = np.linalg.eigvalsh(d)
     if eigvals[-1] > 1e-12:
         return 20.0, "fallback"
@@ -470,23 +470,18 @@ def detect_consensus(traj: Trajectory, eps: float):
     return float(traj.times[start])
 
 
-def limit_state(
-    traj: Trajectory, tail_fraction: float = 0.2, limit_tol: float = LIMIT_TOL
-) -> tuple[np.ndarray, bool]:
+def limit_state(traj: Trajectory) -> tuple[np.ndarray, bool]:
     """Final state plus a convergence flag from the trailing grid window.
 
     The flag is set when every cell's oscillation (max minus min) over the
-    trailing `tail_fraction` of grid times stays within `limit_tol`.
+    trailing fifth of the grid times stays within LIMIT_TOL.
     """
-    if not (0.0 < tail_fraction < 1.0):
-        raise ValidationError("tail_fraction must lie in (0, 1)")
     k = traj.times.size
     if k < 10:
         raise ValidationError("limit detection needs at least 10 grid times")
-    count = max(2, math.ceil(tail_fraction * k))
-    tail = traj.states[-count:]
+    tail = traj.states[-max(2, math.ceil(0.2 * k)):]
     osc = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    return traj.states[-1], osc <= limit_tol
+    return traj.states[-1], osc <= LIMIT_TOL
 
 
 def _phi_a(z: np.ndarray) -> np.ndarray:
@@ -560,17 +555,15 @@ def step_exceedance_measure(bounds_a, values_a, bounds_b, values_b, threshold: f
 
 
 def csv_text(header, rows) -> str:
-    """CSV text with newline line ends, written one row at a time.
+    """CSV text with newline line ends, the header first.
 
     Python floats print as their shortest round-trip repr, so equal data
     gives byte-identical text.  Rows must hold Python scalars (for arrays,
-    `ndarray.tolist()`); a generator of rows keeps memory flat.
+    `ndarray.tolist()`) whose text holds no comma, quote or newline, so
+    no field needs quoting.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    lines = itertools.chain([header], rows)
+    return "".join(",".join(map(str, row)) + "\n" for row in lines)
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:

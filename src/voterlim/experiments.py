@@ -77,7 +77,7 @@ class ExperimentConfig:
             raise ValidationError("n_ladder must be strictly increasing")
         self.n_ladder = ladder
         for name in ("horizon", "window", "eps", "c"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValidationError(f"{name} must be positive")
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
@@ -196,10 +196,6 @@ class ErrorTable:
                 for r in self.rows
             ],
         )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
 
 
 def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> ErrorTable:
@@ -340,10 +336,6 @@ class MCResult:
                 for r in self.rows
             ],
         )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
 
     def diagnostics(self) -> dict:
         return {

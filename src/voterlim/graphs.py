@@ -29,9 +29,9 @@ DEFAULT_N_MAX = 4096
 RNG_ALGORITHM = "philox4x64-10 (numpy.random.Philox)"
 
 
-def _check_size(n: int, n_max: int = DEFAULT_N_MAX) -> None:
-    if n > n_max:
-        raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={n_max}")
+def _check_size(n: int) -> None:
+    if n > DEFAULT_N_MAX:
+        raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={DEFAULT_N_MAX}")
 
 
 class WeightedGraph:
@@ -117,7 +117,7 @@ def twin_classes(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.unique(labels, return_index=True)[1]
 
 
-def discretize_kernel(kernel: Kernel, n: int, n_max: int = DEFAULT_N_MAX) -> WeightedGraph:
+def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
     """Weighted graph of cell averages: beta_ij = n^2 * integral of W over I_i x I_j.
 
     The integral is evaluated exactly through the kernel's step refinement
@@ -125,13 +125,11 @@ def discretize_kernel(kernel: Kernel, n: int, n_max: int = DEFAULT_N_MAX) -> Wei
     """
     if n < 1:
         raise ValidationError("discretisation needs n >= 1")
-    _check_size(n, n_max)
+    _check_size(n)
     step = kernel.as_step()
-    uniform = Partition.uniform(n)
-    overlap = overlap_matrix(uniform, step.partition)
-    beta = (n * n) * (overlap @ step.values @ overlap.T)
-    beta = (beta + beta.T) / 2.0
-    return WeightedGraph(beta)
+    overlap = overlap_matrix(Partition.uniform(n), step.partition)
+    # WeightedGraph symmetrises, absorbing the rounding asymmetry here.
+    return WeightedGraph((n * n) * (overlap @ step.values @ overlap.T))
 
 
 def pixel_kernel(graph: WeightedGraph) -> StepKernel:
@@ -139,9 +137,7 @@ def pixel_kernel(graph: WeightedGraph) -> StepKernel:
     return StepKernel(Partition.uniform(graph.n), graph.weights)
 
 
-def sample_w_random(
-    kernel: Kernel, n: int, seed: int, n_max: int = DEFAULT_N_MAX
-) -> WeightedGraph:
+def sample_w_random(kernel: Kernel, n: int, seed: int) -> WeightedGraph:
     """Random simple graph with edge probabilities read off the kernel.
 
     Edge (i, j), 1 <= i < j <= n, appears independently with probability
@@ -151,7 +147,7 @@ def sample_w_random(
     """
     if n < 1:
         raise ValidationError("sampling needs n >= 1")
-    _check_size(n, n_max)
+    _check_size(n)
     if not kernel.is_graphon():
         raise ValidationError("sampling requires a graphon (values in [0, 1])")
     step = kernel.as_step()

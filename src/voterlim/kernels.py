@@ -377,22 +377,20 @@ def scale_kernel(kernel: Kernel, factor: float) -> StepKernel:
     return kernel.as_step().scaled(factor)
 
 
-def l2_distance(k1: Kernel, k2: Kernel, resolution: int | None = None) -> float:
+def l2_distance(k1: Kernel, k2: Kernel) -> float:
     """L2([0,1]^2) distance between two kernels.
 
     Exact (common-refinement arithmetic) whenever both kernels provide a
-    step refinement, which covers every built-in family; `resolution` is
-    ignored on that path.  Otherwise falls back to midpoint quadrature on
-    an m x m uniform grid (m = resolution, default 256) whose bias is
-    O(1/m) for piecewise-constant integrands.
+    step refinement, which covers every built-in family.  Otherwise falls
+    back to midpoint quadrature on an m x m uniform grid
+    (m = DEFAULT_L2_RESOLUTION) whose bias is O(1/m) for piecewise-constant
+    integrands.
     """
     try:
         s1 = k1.as_step()
         s2 = k2.as_step()
     except UnsupportedVariantError:
-        m = DEFAULT_L2_RESOLUTION if resolution is None else int(resolution)
-        if m < 1:
-            raise ValidationError("resolution must be at least 1")
+        m = DEFAULT_L2_RESOLUTION
         mids = (np.arange(m) + 0.5) / m
         xg, yg = np.meshgrid(mids, mids, indexing="ij")
         diff = np.asarray(k1.evaluate(xg, yg), dtype=float) - np.asarray(

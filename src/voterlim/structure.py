@@ -202,21 +202,26 @@ def _component_mean(g: InitialCondition, step: StepKernel, cells) -> float:
     return total / weight
 
 
-def necessary_condition(
-    kernel: Kernel, g: InitialCondition, tol: float = MEAN_MATCH_TOL
+def _mean_check(
+    decomp: ComponentDecomposition, g: InitialCondition
 ) -> NecessaryConditionReport:
-    """Check the consensus prerequisite: equal initial means on all components.
-
-    Consensus forces the limit to be the conserved mean of each component,
-    so differing component means rule it out.  The converse fails, so a
-    satisfied report is necessary, not sufficient.
-    """
-    decomp = connected_components(kernel)
+    """The necessary condition evaluated on the components of `decomp`."""
     means = tuple(
         _component_mean(g, decomp.source, comp.cells) for comp in decomp.components
     )
     spread = float(max(means) - min(means)) if means else 0.0
-    return NecessaryConditionReport(spread <= tol, means, spread)
+    return NecessaryConditionReport(spread <= MEAN_MATCH_TOL, means, spread)
+
+
+def necessary_condition(kernel: Kernel, g: InitialCondition) -> NecessaryConditionReport:
+    """Check the consensus prerequisite: equal initial means on all components.
+
+    Consensus forces the limit to be the conserved mean of each component,
+    so differing component means rule it out.  The converse fails, so a
+    satisfied report is necessary, not sufficient.  Means agree when they
+    spread by at most MEAN_MATCH_TOL.
+    """
+    return _mean_check(connected_components(kernel), g)
 
 
 def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
@@ -242,14 +247,8 @@ def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
     return InitialCondition(merged, values)
 
 
-def decompose_solution(
-    kernel: Kernel,
-    g: InitialCondition,
-    n: int,
-    times,
-    method: str = "expm",
-) -> Trajectory:
-    """Solve per component and reassemble; must match the direct solve.
+def decompose_solution(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
+    """Solve per component ("expm") and reassemble; must match the direct solve.
 
     Each component is solved on its own rescaled kernel multiplied by the
     component weight (a block of width a interacts a-fold slower than the
@@ -276,10 +275,10 @@ def decompose_solution(
         n_c = idx.size
         a_c = n_c / n
         graph_c = discretize_kernel(comp.kernel.scaled(a_c), n_c)
-        traj_c = solve_finite(graph_c, u0[idx], times, method=method)
+        traj_c = solve_finite(graph_c, u0[idx], times)
         out[:, idx] = traj_c.states
         detail.append({"cells": int(n_c), "weight": a_c})
-    meta = {"solver": method, "n": n, "decomposition": detail}
+    meta = {"solver": "expm", "n": n, "decomposition": detail}
     try:
         meta["kernel"] = kernel.spec()
     except NotImplementedError:
@@ -318,5 +317,5 @@ def structure_report(
         "necessary_condition": None,
     }
     if g is not None:
-        report["necessary_condition"] = necessary_condition(kernel, g).to_dict()
+        report["necessary_condition"] = _mean_check(decomp, g).to_dict()
     return report

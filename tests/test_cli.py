@@ -170,6 +170,30 @@ class TestOtherCommands:
         assert report["necessary_condition"] is not None
         assert read_json(out / "structure_meta.json")["prop_tol"] == 1e-10
 
+    def test_structure_zero_tol_reaches_the_mean_check(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "kernel": {
+                    "type": "step",
+                    "boundaries": [0.0, 0.5, 1.0],
+                    "values": [[1.0, 1e-9], [1e-9, 1.0]],
+                },
+                "initial": {
+                    "type": "step",
+                    "boundaries": [0.0, 0.5, 1.0],
+                    "values": [1.0, -1.0],
+                },
+                "zero_tol": 1e-6,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["structure", "--config", cfg, "--out", str(out)]) == 0
+        report = read_json(out / "structure.json")
+        assert len(report["components"]) == 2
+        assert report["necessary_condition"]["component_means"] == [1.0, -1.0]
+        assert report["necessary_condition"]["satisfied"] is False
+
     def test_convergence_table(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -422,6 +446,52 @@ class TestFailureModes:
         err = self.check_error(out, rc, 2, "ValidationError")
         assert "threads" in err["message"]
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    def test_unreadable_config(self, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        for path in (tmp_path, bad):
+            out = tmp_path / "out"
+            rc = main(["simulate", "--config", str(path), "--out", str(out)])
+            err = self.check_error(out, rc, 2, "ValidationError")
+            assert str(path) in err["message"]
+
+    @pytest.mark.parametrize("graph_path", ["missing.json", "."])
+    def test_unreadable_graph_path(self, tmp_path, graph_path):
+        cfg = simulate_config()
+        del cfg["kernel"], cfg["n"]
+        cfg["graph"] = {"path": str(tmp_path / graph_path)}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert str(tmp_path / graph_path) in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("graph_path", [None, 0])
+    def test_graph_path_must_be_a_string(self, tmp_path, graph_path):
+        # 0 would otherwise be read as the file descriptor of stdin
+        cfg = simulate_config()
+        del cfg["kernel"], cfg["n"]
+        cfg["graph"] = {"path": graph_path}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "graph path" in err["message"]
+
+    @pytest.mark.parametrize("horizon", ["NaN", "1e400"])
+    def test_non_finite_horizon(self, tmp_path, horizon):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"kernel": {"type": "constant", "c": 0.8},'
+            ' "initial": {"type": "balanced_blocks", "r": 0.5},'
+            f' "n_ladder": [8], "trials": 30, "horizon": {horizon}}}'
+        )
+        out = tmp_path / "out"
+        rc = main(["mc-random", "--config", str(path), "--out", str(out)])
+        self.check_error(out, rc, 2, "ValidationError")
+        assert not (out / "mc.csv").exists()
 
     def test_oversized_graph_json(self, tmp_path):
         cfg = simulate_config()

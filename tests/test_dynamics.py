@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 import voterlim as vl
 from voterlim import graphs
+from voterlim.dynamics import csv_text
 from voterlim.kernels import Partition
 
 from _oracles import (
@@ -95,10 +99,13 @@ def test_default_horizon():
 
 
 class TestSolveFinite:
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         g = vl.discretize_kernel(vl.ConstantKernel(1.0), 5)
+        monkeypatch.setattr(graphs, "DEFAULT_N_MAX", 4)
         with pytest.raises(vl.SizeLimitError):
-            vl.solve_finite(g, np.zeros(5), np.array([0.0, 1.0]), n_max=3)
+            vl.solve_finite(g, np.zeros(5), np.array([0.0, 1.0]))
+        monkeypatch.setattr(graphs, "DEFAULT_N_MAX", 5)
+        assert vl.solve_finite(g, np.zeros(5), np.array([0.0, 1.0])).n == 5
 
     def test_initial_state_is_preserved(self, rng):
         g = vl.discretize_kernel(random_step_kernel(rng), 8)
@@ -164,6 +171,12 @@ class TestSolveFinite:
             vl.solve_finite(g, np.zeros(4), np.array([1.0, 2.0]))
         with pytest.raises(vl.ValidationError):
             vl.solve_finite(g, np.zeros(4), np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_times(self, bad):
+        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 4)
+        with pytest.raises(vl.ValidationError, match="finite"):
+            vl.solve_finite(g, np.zeros(4), np.array([0.0, bad]))
 
 
 def _classes(graph):
@@ -492,6 +505,21 @@ def test_step_exceedance_measure_matches_fraction_oracle(seed, n_a, n_b, uniform
 
 
 class TestTrajectoryIO:
+    def test_csv_text_matches_csv_writer(self):
+        header = ["n", "value", "flag"]
+        rows = [
+            (1, 0.1, 0),
+            (-7, -2.5e-17, 1),
+            (10**20, 1e300, -0.0),
+            (3, -1.2345678901234567, 6.02e23),
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert csv_text(header, rows) == buf.getvalue()
+        assert csv_text(header, iter(rows)) == buf.getvalue()
+
     def test_csv_is_deterministic(self):
         g = vl.InitialCondition.balanced_blocks(0.25)
         times = np.linspace(0, 2, 5)

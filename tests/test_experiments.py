@@ -80,13 +80,12 @@ class TestConvergenceStudy:
         with pytest.raises(vl.ValidationError):
             vl.convergence_study(cfg)
 
-    def test_csv_is_deterministic(self, tmp_path):
+    def test_csv_is_deterministic(self):
         cfg = bipartite_config()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        vl.convergence_study(cfg).write_csv(a)
-        vl.convergence_study(cfg).write_csv(b)
-        assert a.read_bytes() == b.read_bytes()
-        header = a.read_text().splitlines()[0]
+        a = vl.convergence_study(cfg).csv_text()
+        b = vl.convergence_study(cfg).csv_text()
+        assert a == b
+        header = a.splitlines()[0]
         assert header == "n,sup_l2_error,diameter_at_T,exceptional_measure"
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,10 +86,13 @@ class TestDiscretize:
             want = frac_discretize(k.partition.boundaries, k.values, n)
             assert np.abs(got - want).max() <= 1e-12
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         with pytest.raises(vl.SizeLimitError):
             vl.discretize_kernel(vl.ConstantKernel(1.0), vl.DEFAULT_N_MAX + 1)
-        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 10, n_max=10)
+        monkeypatch.setattr(graphs, "DEFAULT_N_MAX", 10)
+        with pytest.raises(vl.SizeLimitError):
+            vl.discretize_kernel(vl.ConstantKernel(1.0), 11)
+        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 10)
         assert g.n == 10
 
 
@@ -249,6 +253,18 @@ class TestSizeGuards:
         for n in (vl.DEFAULT_N_MAX + 1, 10**9):
             with pytest.raises(vl.SizeLimitError):
                 vl.read_edge_list(p, n)
+
+    def test_sample_w_random(self):
+        assert vl.sample_w_random(vl.ConstantKernel(0.5), 5, seed=0).n == 5
+        tracemalloc.start()
+        try:
+            for n in (vl.DEFAULT_N_MAX + 1, 10**9):
+                with pytest.raises(vl.SizeLimitError):
+                    vl.sample_w_random(vl.ConstantKernel(0.5), n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # far below one n x n row block
 
     def test_blow_up(self):
         g = vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]])

@@ -220,7 +220,7 @@ class TestL2Distance:
             def spec(self):
                 return {"type": "opaque"}
 
-        d = vl.l2_distance(Smooth(), vl.ConstantKernel(0.0), resolution=64)
+        d = vl.l2_distance(Smooth(), vl.ConstantKernel(0.0))
         assert d == pytest.approx(0.5, abs=1e-12)
 
 

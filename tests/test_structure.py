@@ -220,6 +220,19 @@ def test_structure_report_shape():
     json.dumps(rep)
 
 
+def test_structure_report_checks_means_on_its_components():
+    # zero_tol cuts the weak link, so the report sees two components
+    k = vl.StepKernel([0.0, 0.5, 1.0], [[1.0, 1e-9], [1e-9, 1.0]])
+    g = vl.InitialCondition([0.0, 0.5, 1.0], [1.0, -1.0])
+    rep = vl.structure_report(k, g, zero_tol=1e-6)
+    assert len(rep["components"]) == 2
+    assert rep["necessary_condition"]["component_means"] == [1.0, -1.0]
+    assert rep["necessary_condition"]["satisfied"] is False
+    # without a zero_tol the link counts and the means agree
+    assert vl.structure_report(k, g)["necessary_condition"]["satisfied"] is True
+    assert vl.necessary_condition(k, g).component_means == (0.0,)
+
+
 def test_structure_report_without_initial():
     rep = vl.structure_report(vl.ConstantKernel(1.0))
     assert rep["connected"] is True
