@@ -9,6 +9,7 @@ JSON that echoes each resolved default.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -318,6 +319,8 @@ class MCTrialRow:
     success: bool
     exceedance_fraction: float
     chebyshev_bound: float
+    solver_path: str
+    krylov_dim: int | None
 
 
 @dataclass(frozen=True)
@@ -344,6 +347,11 @@ class MCResult:
             "max_exceedance_minus_bound": max(
                 (r.exceedance_fraction - r.chebyshev_bound for r in self.rows),
                 default=0.0,
+            ),
+            "solver_paths": dict(Counter(r.solver_path for r in self.rows)),
+            "max_krylov_dim": max(
+                (r.krylov_dim for r in self.rows if r.krylov_dim is not None),
+                default=None,
             ),
             "trials": [
                 {
@@ -401,6 +409,8 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
             success=bool(exc < c_squared),
             exceedance_fraction=float(exceed),
             chebyshev_bound=float((l2 / cfg.eps) ** 2),
+            solver_path=traj.metadata["solver_path"],
+            krylov_dim=traj.metadata.get("krylov_dim"),
         )
 
     tasks = [(n, trial) for n in cfg.n_ladder for trial in range(cfg.trials)]

@@ -50,6 +50,7 @@ class TestSimulate:
         assert meta["resolved"]["horizon_source"] == "config"
         assert meta["library_version"] == vl.__version__
         assert "final_diameter" in meta["summary"]
+        assert meta["kernel"] == vl.BipartiteKernel(1 / 3).spec()
 
     def test_meta_records_solver_path_and_classes(self, tmp_path):
         # the two-block kernel at n = 12 has repeated weight rows
@@ -252,6 +253,32 @@ class TestOtherCommands:
         assert len(lines) == 1 + 2 * 30
         meta = read_json(out / "mc_meta.json")
         assert len(meta["success_fractions"]) == 2
+        # graphs this small need a Krylov space above n / 4 at T = 6, and
+        # some of them have false twins
+        assert meta["solver_paths"] == {"dense_eigh": 38, "twin_quotient": 22}
+        assert meta["max_krylov_dim"] is None
+        out2 = tmp_path / "out2"
+        rc = main(["mc-random", "--config", cfg, "--out", str(out2), "--threads", "2"])
+        assert rc == 0
+        assert (out / "mc.csv").read_bytes() == (out2 / "mc.csv").read_bytes()
+
+    def test_mc_random_records_the_krylov_trials(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "kernel": {"type": "constant", "c": 0.8},
+                "initial": {"type": "balanced_blocks", "r": 0.5},
+                "n_ladder": [8, 256],
+                "horizon": 6.0,
+                "trials": 30,
+                "base_seed": 11,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["mc-random", "--config", cfg, "--out", str(out)]) == 0
+        meta = read_json(out / "mc_meta.json")
+        assert meta["solver_paths"] == {"dense_eigh": 15, "twin_quotient": 15, "krylov": 30}
+        assert 1 < meta["max_krylov_dim"] <= 256 // 4
         out2 = tmp_path / "out2"
         rc = main(["mc-random", "--config", cfg, "--out", str(out2), "--threads", "2"])
         assert rc == 0
@@ -492,6 +519,20 @@ class TestFailureModes:
         rc = main(["mc-random", "--config", str(path), "--out", str(out)])
         self.check_error(out, rc, 2, "ValidationError")
         assert not (out / "mc.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["mc-random", "simulate"])
+    def test_infinite_horizon_is_refused_before_the_grid(self, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"kernel": {"type": "constant", "c": 0.8}, "n": 8,'
+            ' "initial": {"type": "balanced_blocks", "r": 0.5},'
+            ' "n_ladder": [8], "trials": 30, "horizon": 1e400}'
+        )
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert err["message"] == "time grid must be finite"
 
     def test_oversized_graph_json(self, tmp_path):
         cfg = simulate_config()

@@ -3,11 +3,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
-from voterlim import graphs
+from voterlim import dynamics, graphs
 from voterlim.dynamics import csv_text
 from voterlim.kernels import Partition
 
@@ -306,6 +306,127 @@ class TestSolverMetadata:
         assert rk.metadata["q"] == 64
 
 
+def _check_krylov(graph, u0, horizon, nonneg):
+    """Solve on [0, T] and compare with the dense oracle as `_check_against_dense`
+    does; check the mean and the path metadata.  Returns the metadata, or None
+    when the state leaves the float range, where the solver must refuse."""
+    times = np.array([0.0, horizon])
+    want = dense_eigh_states(graph, u0, times)
+    if not np.all(np.isfinite(want)):
+        with pytest.raises(vl.SolverConvergenceError):
+            vl.solve_finite(graph, u0, times)
+        return None
+    traj = vl.solve_finite(graph, u0, times)
+    scale = np.abs(u0).max() if nonneg else np.abs(want).max()
+    assert np.abs(traj.states - want).max() <= 1e-12 * scale
+    assert abs(traj.states[-1].mean() - u0.mean()) <= 1e-12 * scale
+    meta = traj.metadata
+    assert meta["q"] == graph.n
+    if meta["solver_path"] == "krylov":
+        assert 0 <= meta["krylov_dim"] <= graph.n // 4
+        assert meta["krylov_bound"] <= dynamics.KRYLOV_TOL
+    else:
+        assert meta["solver_path"] == "dense_eigh"
+        assert "krylov_dim" not in meta
+    return meta
+
+
+class TestKrylovPath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 64, 257, 512]),
+        st.sampled_from(["signed", "nonneg", "sampled"]),
+        st.floats(-3.0, 3.0),
+    )
+    def test_final_states_match_dense(self, seed, n, kind, log_t):
+        r = np.random.default_rng(seed)
+        if kind == "sampled":
+            kernel = random_step_kernel(r, max_cells=4, nonneg=True)
+            graph = vl.sample_w_random(kernel, n, seed)
+            assume(len(row_equality_classes(graph.weights)) == n)
+        else:
+            graph = vl.WeightedGraph(_random_weights(r, n, kind == "nonneg"))
+        horizon = 10.0**log_t
+        meta = _check_krylov(graph, r.uniform(-1.0, 1.0, n), horizon, kind != "signed")
+        if n >= 257 and horizon <= 10.0:
+            # weights in [-1, 1] keep the Gershgorin interval within [-2, 2], so
+            # rho tau <= T and the planned dimension stays below n / 4
+            assert meta["solver_path"] == "krylov"
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([64, 257, 512]),
+        st.sampled_from([1e-2, 1e-3, 1e-4]),
+        st.sampled_from([1.0, 10.0, 100.0, 1e3]),
+    )
+    def test_near_disconnected_two_block_graphons(self, seed, n, cross, horizon):
+        # the slow mode between the blocks must be resolved, not only the fast
+        # mixing inside them
+        kernel = vl.StepKernel([0.0, 0.5, 1.0], [[0.6, cross], [cross, 0.6]])
+        graph = vl.sample_w_random(kernel, n, seed)
+        r = np.random.default_rng(seed)
+        u0 = np.where(np.arange(n) < n // 2, 1.0, -1.0) + 0.1 * r.uniform(-1.0, 1.0, n)
+        _check_krylov(graph, u0, horizon, True)
+
+    @pytest.mark.parametrize(
+        "graph, u0",
+        [
+            (vl.WeightedGraph(np.ones((256, 256)) - np.eye(256)), np.linspace(-1.0, 1.0, 256)),
+            # no edges; distinct self-weights, which D cancels, keep rows apart
+            (vl.WeightedGraph(np.diag(np.linspace(0.0, 1.0, 256))), np.cos(np.arange(256))),
+            # two complete components and a start constant on each
+            (
+                vl.WeightedGraph(np.kron(np.eye(2), np.ones((128, 128)) - np.eye(128))),
+                np.repeat([0.7, -0.2], 128),
+            ),
+        ],
+        ids=["complete", "empty", "disconnected"],
+    )
+    @pytest.mark.parametrize("horizon", [1.0, 10.0])
+    def test_invariant_start_breaks_down_at_step_one(self, graph, u0, horizon):
+        meta = _check_krylov(graph, u0, horizon, True)
+        assert meta["solver_path"] == "krylov"
+        assert meta["krylov_dim"] == 1
+
+    @pytest.mark.parametrize("weak", [1e-6, 1e-8])
+    def test_weak_bridge_is_not_a_breakdown(self, weak):
+        # one weak edge joins the two components: the first Lanczos residual
+        # is tiny but not rounding, and stopping there would miss the bridge
+        w = np.kron(np.eye(2), np.ones((128, 128)) - np.eye(128))
+        w[0, 128] = w[128, 0] = weak
+        u0 = np.repeat([0.7, -0.2], 128)
+        meta = _check_krylov(vl.WeightedGraph(w), u0, 10.0, True)
+        assert meta["solver_path"] == "krylov"
+        assert meta["krylov_dim"] > 1
+
+    @pytest.mark.parametrize("c", [0.25, 0.1, -3.7])
+    def test_constant_start_stays_put(self, c):
+        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 256, seed=1)
+        meta = _check_krylov(graph, np.full(256, c), 10.0, True)
+        assert meta["solver_path"] == "krylov"
+        assert meta["krylov_dim"] <= 1
+
+    @pytest.mark.parametrize("n, horizon", [(1, 1.0), (2, 1.0), (3, 1.0), (64, 1e3)])
+    def test_large_krylov_dimension_takes_the_dense_path(self, n, horizon):
+        r = np.random.default_rng(n)
+        graph = vl.WeightedGraph(_random_weights(r, n, True))
+        u0 = r.uniform(-1.0, 1.0, n)
+        times = np.array([0.0, horizon])
+        traj = vl.solve_finite(graph, u0, times)
+        assert traj.metadata["solver_path"] == "dense_eigh"
+        assert np.array_equal(traj.states, dense_eigh_states(graph, u0, times))
+
+    def test_random_graph_final_state_takes_the_krylov_path(self):
+        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 512, seed=3)
+        u0 = np.linspace(-1.0, 1.0, 512)
+        meta = _check_krylov(graph, u0, 10.0, True)
+        assert meta["solver_path"] == "krylov"
+        assert meta["n"] == 512
+        assert 1 < meta["krylov_dim"] <= 128
+
+
 class TestClosedForm:
     def test_pointwise_formula(self):
         r = 1 / 3
@@ -533,12 +654,10 @@ class TestTrajectoryIO:
             vl.BipartiteKernel(1 / 3), g, 9, np.linspace(0, 1.3, 4)
         )
         csv_path = tmp_path / "traj.csv"
-        meta_path = tmp_path / "traj_meta.json"
-        vl.write_trajectory(traj, csv_path, meta_path)
-        back = vl.read_trajectory(csv_path, meta_path)
+        vl.write_trajectory(traj, csv_path)
+        back = vl.read_trajectory(csv_path)
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.states, traj.states)
-        assert back.metadata["kernel"] == traj.metadata["kernel"]
 
     def test_header_names_cells(self):
         g = vl.InitialCondition.constant(0.0)
