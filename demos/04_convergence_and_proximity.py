@@ -15,7 +15,7 @@ base = {
     "initial": {"type": "balanced_blocks", "r": 1 / 3},
 }
 
-# The two-block kernel with a block-balanced start has a closed form,
+# Without a reference_n the reference is the exact continuum solution,
 # so no reference size needs to be chosen.
 cfg = vl.ExperimentConfig.from_dict(
     dict(base, n_ladder=[8, 16, 32, 64, 128, 256], horizon=10.0, num_times=101)

@@ -1,9 +1,12 @@
 """Voter/consensus dynamics: solvers, reference solutions and diagnostics.
 
 The finite model is the linear ODE du/dt = D u with D the graph's
-dynamics generator; the continuum model is reached by discretising a
-kernel first.  `solve_finite` records which of four paths ran in
-`metadata["solver_path"]`, with the number q of twin classes:
+dynamics generator.  The continuum model is solved exactly from a step
+start by `solve_exact`, which shares its class-mean core `_class_flow`
+with the twin quotient below, and at resolution n by `solve_continuum`,
+which discretises the kernel first.  `solve_finite` records which of
+four paths ran in `metadata["solver_path"]`, with the number q of twin
+classes:
 
 - "twin_quotient" (method "expm", some weight rows bit-identical): an
   exact q x q eigendecomposition of the class-mean dynamics plus a
@@ -292,6 +295,20 @@ def _solve_krylov(
     }
 
 
+def _class_flow(b, d, sizes, scale, means, times) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, class means per time) of dc/dt = (B S / scale - diag(d)) c.
+
+    B holds the weights between q classes, S = diag(sizes) (vertex counts
+    with scale n, or cell measures with scale 1) and d the class degrees.
+    One q x q eigendecomposition of A = S^(1/2) B S^(1/2) / scale - diag(d).
+    """
+    root = np.sqrt(sizes)
+    a = root[:, None] * b * root / scale - np.diag(d)
+    eigvals, eigvecs = np.linalg.eigh(a)
+    coeffs = eigvecs.T @ (root * means)
+    return eigvals, (np.exp(np.outer(times, eigvals)) * coeffs) @ eigvecs.T / root
+
+
 def _solve_expm(
     graph: WeightedGraph, u0: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, dict]:
@@ -299,15 +316,12 @@ def _solve_expm(
 
     Vertices with identical weight rows form q classes, so W = P B P^T
     with P the n x q class-membership matrix and B the weights between
-    class heads.  With S = diag(class sizes) and d the class degrees
-    (row sums / n), D = P B P^T / n - diag(d[label]).  Splitting
-    u = P c + v, with c the class means and v summing to zero over each
-    class, gives two decoupled exact equations:
-
-    - dc/dt = (B S / n - diag(d)) c, which S^(1/2) turns into the
-      symmetric A = S^(1/2) B S^(1/2) / n - diag(d), solved by one
-      q x q eigendecomposition;
-    - dv/dt = -d[label] v, so v(t) = exp(-d[label] t) v(0).
+    class heads.  With d the class degrees (row sums / n),
+    D = P B P^T / n - diag(d[label]).  Splitting u = P c + v, with c the
+    class means and v summing to zero over each class, gives two
+    decoupled exact equations: the class-mean flow of `_class_flow` with
+    the class sizes and scale n, and dv/dt = -d[label] v, so
+    v(t) = exp(-d[label] t) v(0).
 
     Returns (states, metadata of the path).  When all rows differ (q = n)
     and only u(T) is asked for, `_solve_krylov` runs; otherwise the
@@ -327,13 +341,10 @@ def _solve_expm(
         return (modes * coeffs) @ eigvecs.T, {"solver_path": "dense_eigh", "q": q}
     w = graph.weights
     sizes = np.bincount(labels)
-    root = np.sqrt(sizes)
     d = w[heads].sum(axis=1) / graph.n
-    a = root[:, None] * w[np.ix_(heads, heads)] * root / graph.n - np.diag(d)
     means = np.bincount(labels, weights=u0) / sizes
-    eigvals, eigvecs = np.linalg.eigh(a)
-    coeffs = eigvecs.T @ (root * means)
-    class_means = (np.exp(np.outer(times, eigvals)) * coeffs) @ eigvecs.T / root
+    b = w[np.ix_(heads, heads)]
+    _, class_means = _class_flow(b, d, sizes, graph.n, means, times)
     decay = np.exp(np.outer(times, -d[labels]))
     states = class_means[:, labels] + decay * (u0 - means[labels])
     return states, {"solver_path": "twin_quotient", "q": q}
@@ -414,11 +425,15 @@ def solve_finite(
         detail.update(solver_path="rk", q=graph.n, rk_tol=rk_tol)
     meta.update(detail)
     states[0] = u  # t=0 is the given state, not a reconstruction of it
+    _require_finite(states)
+    return Trajectory(t, states, meta)
+
+
+def _require_finite(states: np.ndarray) -> None:
     if not np.all(np.isfinite(states)):
         raise SolverConvergenceError(
             "trajectory left the representable range; shorten the horizon"
         )
-    return Trajectory(t, states, meta)
 
 
 def solve_continuum(
@@ -444,19 +459,45 @@ def solve_continuum(
     return traj
 
 
+def solve_exact(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, np.ndarray]:
+    """Exact continuum solution from g: (partition, cell values per time).
+
+    u(., t) is a step function on the common refinement of the kernel and
+    g partitions.  Its kernel-cell means follow `_class_flow`, and its
+    deviation from them decays at each kernel cell's degree, as in the
+    twin quotient of `solve_finite`.
+    """
+    t = _validate_times(times)
+    step = kernel.as_step()
+    part, (cells, g_cells) = common_refinement(step.partition, g.partition)
+    sizes = step.partition.measures
+    d = step.values @ sizes
+    u0 = g.values[g_cells]
+    means = np.bincount(cells, weights=part.measures * u0, minlength=sizes.size) / sizes
+    _, class_means = _class_flow(step.values, d, sizes, 1.0, means, t)
+    values = class_means[:, cells] + np.exp(np.outer(t, -d[cells])) * (u0 - means[cells])
+    values[0] = u0
+    _require_finite(values)
+    return part, values
+
+
 def default_horizon(kernel: Kernel | None = None) -> tuple[float, str]:
     """Config default for the horizon: 10 / spectral gap when estimable, else 20.
 
-    The gap is the slowest strictly decaying rate of the generator of the
-    kernel discretised at n = 64.  Kernels with divergent modes or no
-    decaying mode fall back to the flat default.  Returns (horizon, source)
-    so callers can echo the provenance into metadata.
+    The gap is the slowest strictly decaying rate of the continuum
+    generator: its spectrum is the `_class_flow` eigenvalues over the
+    kernel cells plus {-d_k}.  Kernels with divergent modes or no decaying
+    mode fall back to the flat default.  Returns (horizon, source).
     """
     if kernel is None:
         return 20.0, "fallback"
-    d = laplacian(discretize_kernel(kernel, 64))
-    eigvals = np.linalg.eigvalsh(d)
-    if eigvals[-1] > 1e-12:
+    step = kernel.as_step()
+    sizes = step.partition.measures
+    d = step.values @ sizes
+    # spectrum only: the empty grid evolves no means
+    quotient, _ = _class_flow(step.values, d, sizes, 1.0, np.zeros_like(d), np.empty(0))
+    eigvals = np.concatenate([quotient, -d])
+    if eigvals.max() > 1e-12:
         return 20.0, "fallback"
     decaying = eigvals[eigvals < -1e-12]
     if decaying.size == 0:
@@ -518,10 +559,6 @@ class BipartiteClosedForm:
         c = self.partition.cell_of(x)
         out = self.base[c] * np.exp(-self.rates[c] * np.asarray(t, dtype=float))
         return float(out) if out.ndim == 0 else out
-
-    def diameter(self, t: float) -> float:
-        v = self.values_at(t)
-        return float(v.max() - v.min())
 
 
 def closed_form_bipartite(r: float, g: InitialCondition, x, t):

@@ -19,7 +19,6 @@ from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
-    BipartiteClosedForm,
     InitialCondition,
     SOLVER_METHODS,
     Trajectory,
@@ -30,19 +29,14 @@ from .dynamics import (
     make_initial,
     resolve_time_grid,
     solve_continuum,
+    solve_exact,
     solve_finite,
     step_exceedance_measure,
     step_l2_distance,
 )
 from .errors import ValidationError
 from .graphs import RNG_ALGORITHM, sample_w_random
-from .kernels import (
-    BipartiteKernel,
-    Kernel,
-    Partition,
-    common_refinement,
-    make_kernel,
-)
+from .kernels import Kernel, Partition, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
 MC_MAX_THREADS = 64
@@ -149,31 +143,16 @@ def experiment_metadata(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-class _Reference:
-    """Common view of the comparison solution: closed form or large-n solve."""
-
-    def __init__(self, cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
-        kernel = cfg.kernel
-        if isinstance(kernel, BipartiteKernel) and cfg.initial.has_balanced_blocks(
-            kernel.r
-        ):
-            cf = BipartiteClosedForm(kernel.r, cfg.initial)
-            self.kind = "closed_form"
-            self.partition = cf.partition
-            self.values = np.array([cf.values_at(t) for t in times])
-        else:
-            if reference_n is None:
-                raise ValidationError(
-                    "no closed form applies; a reference_n is required"
-                )
-            n = int(reference_n)
-            traj = solve_continuum(kernel, cfg.initial, n, times, method=cfg.method)
-            self.kind = f"finite_n_{n}"
-            self.partition = Partition.uniform(n)
-            self.values = traj.states
-
-    def diameters(self) -> np.ndarray:
-        return self.values.max(axis=1) - self.values.min(axis=1)
+def _reference(cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
+    """(label, partition, values per time) of `solve_exact`, or of a solve at
+    `reference_n`, which must be at least 4x the largest ladder n."""
+    if reference_n is None:
+        return ("exact", *solve_exact(cfg.kernel, cfg.initial, times))
+    n = int(reference_n)
+    if n < 4 * max(cfg.n_ladder):
+        raise ValidationError("reference_n must be at least 4x the largest ladder n")
+    traj = solve_continuum(cfg.kernel, cfg.initial, n, times, method=cfg.method)
+    return f"finite_n_{n}", Partition.uniform(n), traj.states
 
 
 @dataclass(frozen=True)
@@ -202,21 +181,19 @@ class ErrorTable:
 def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> ErrorTable:
     """Sup-over-time L2 error of each ladder size against the reference.
 
-    The reference is the closed form when the kernel is the two-block
-    family and the start is block-balanced; otherwise a solve at
-    `reference_n`, which must be at least 4x the largest ladder entry.
+    The reference is the exact continuum solution (`solve_exact`, label
+    "exact"), or with `reference_n` a solve at that resolution (label
+    "finite_n_N"), which must be at least 4x the largest ladder entry.
     Rows are reported raw, even when the error column is not monotone.
     """
     times = cfg.times()
-    if reference_n is not None and reference_n < 4 * max(cfg.n_ladder):
-        raise ValidationError("reference_n must be at least 4x the largest ladder n")
-    ref = _Reference(cfg, times, reference_n)
+    label, ref_part, ref_values = _reference(cfg, times, reference_n)
     rows = []
     for n in cfg.n_ladder:
         traj = solve_continuum(cfg.kernel, cfg.initial, n, times, method=cfg.method)
         part = Partition.uniform(n)
         sup_err = max(
-            step_l2_distance(part, traj.states[k], ref.partition, ref.values[k])
+            step_l2_distance(part, traj.states[k], ref_part, ref_values[k])
             for k in range(times.size)
         )
         final = traj.states[-1]
@@ -228,7 +205,7 @@ def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> 
                 exceptional_measure(final, cfg.eps),
             )
         )
-    return ErrorTable(tuple(rows), ref.kind)
+    return ErrorTable(tuple(rows), label)
 
 
 @dataclass(frozen=True)
@@ -278,24 +255,23 @@ def consensus_proximity(
 ) -> ProximityReport:
     """Measure how much mass stays outside an eps window after consensus.
 
-    T is the first grid time the reference diameter is at most eps/3
-    (the eps/3 margin leaves triangle-inequality headroom for the finite
-    solves to differ from the reference); for each
-    ladder n the report carries the max exceptional measure at eps over
-    grid times in [T, T + window].
+    T is the first grid time the diameter of the reference (as in
+    `convergence_study`) is at most eps/3 (the eps/3 margin leaves
+    triangle-inequality headroom for the finite solves to differ from
+    the reference); for each ladder n the report carries the max
+    exceptional measure at eps over grid times in [T, T + window].
     """
     times = cfg.times()
-    ref = _Reference(cfg, times, reference_n)
-    diam = ref.diameters()
-    hit = np.nonzero(diam <= cfg.eps / 3.0)[0]
+    label, _, ref_values = _reference(cfg, times, reference_n)
+    hit = np.nonzero(np.ptp(ref_values, axis=1) <= cfg.eps / 3.0)[0]
     if hit.size == 0:
         return ProximityReport(
-            "consensus-not-reached-in-horizon", None, cfg.eps, cfg.window, ref.kind, ()
+            "consensus-not-reached-in-horizon", None, cfg.eps, cfg.window, label, ()
         )
     t_eps = float(times[hit[0]])
     if t_eps + cfg.window > cfg.horizon + 1e-12:
         return ProximityReport(
-            "window-exceeds-horizon", t_eps, cfg.eps, cfg.window, ref.kind, ()
+            "window-exceeds-horizon", t_eps, cfg.eps, cfg.window, label, ()
         )
     in_window = (times >= t_eps) & (times <= t_eps + cfg.window + 1e-12)
     rows = []
@@ -306,7 +282,7 @@ def consensus_proximity(
             for k in np.nonzero(in_window)[0]
         )
         rows.append(ProximityRow(n, float(worst)))
-    return ProximityReport("ok", t_eps, cfg.eps, cfg.window, ref.kind, tuple(rows))
+    return ProximityReport("ok", t_eps, cfg.eps, cfg.window, label, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -371,8 +347,8 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
     Trial j of every ladder size uses seed base_seed + j, so any subset
     of trials can be reproduced independently.  A trial succeeds when
     the exceptional measure at eps of the final state stays below c^2.
-    Each trial also records the measure where it deviates from the
-    deterministic reference solve by more than eps, next to the
+    Each trial also records the measure where it deviates from the exact
+    continuum solution (`solve_exact`) by more than eps, next to the
     Chebyshev bound (L2 distance / eps)^2 that must dominate it.
     """
     if not cfg.kernel.is_graphon():
@@ -382,11 +358,9 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
     if not 1 <= threads <= MC_MAX_THREADS:
         raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
     times = np.array([0.0, cfg.horizon])
-    ref_n = max(cfg.n_ladder)
-    ref = solve_continuum(cfg.kernel, cfg.initial, ref_n, times, method=cfg.method)
+    label, ref_part, ref_values = _reference(cfg, times)
+    ref_final = ref_values[-1]
     parts = {n: Partition.uniform(n) for n in cfg.n_ladder}
-    ref_part = parts[ref_n]
-    ref_final = ref.states[-1]
     c_squared = cfg.c * cfg.c
 
     def one_trial(task) -> MCTrialRow:
@@ -423,7 +397,7 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
         (n, sum(r.success for r in rows if r.n == n) / cfg.trials)
         for n in cfg.n_ladder
     )
-    return MCResult(rows, fractions, f"finite_n_{ref_n}")
+    return MCResult(rows, fractions, label)
 
 
 def randcond_evaluate(kernel: Kernel, traj: Trajectory, variant: str = "literal") -> float:

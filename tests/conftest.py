@@ -24,3 +24,20 @@ def random_step_kernel(rng, max_cells=8, nonneg=False, low=None):
 def random_initial(rng, n_cells=6, amp=1.0):
     vals = rng.uniform(-amp, amp, n_cells)
     return vl.InitialCondition.from_cell_values(vals)
+
+
+def closed_form_errors(cfg):
+    """Sup-over-time L2 error of each ladder solve against `BipartiteClosedForm`."""
+    cf = vl.BipartiteClosedForm(cfg.kernel.r, cfg.initial)
+    times = cfg.times()
+    errors = []
+    for n in cfg.n_ladder:
+        states = vl.solve_continuum(cfg.kernel, cfg.initial, n, times).states
+        part = vl.Partition.uniform(n)
+        errors.append(
+            max(
+                vl.step_l2_distance(part, s, cf.partition, cf.values_at(t))
+                for s, t in zip(states, times)
+            )
+        )
+    return errors

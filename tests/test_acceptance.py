@@ -13,6 +13,8 @@ import pytest
 
 import voterlim as vl
 
+from conftest import closed_form_errors
+
 
 @contextmanager
 def criterion(num, name, budget=None):
@@ -169,9 +171,10 @@ def test_criterion_05_convergence_ladder():
             }
         )
         table = vl.convergence_study(cfg)
-        assert table.reference == "closed_form"
+        assert table.reference == "exact"
         errs = [row.sup_l2_error for row in table.rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
+        assert np.allclose(errs, closed_form_errors(cfg), rtol=0.0, atol=1e-14)
 
 
 def test_criterion_06_proximity_window():

@@ -14,6 +14,7 @@ import voterlim as vl
 from voterlim.cli import main
 
 from _oracles import row_equality_classes
+from conftest import closed_form_errors
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -212,7 +213,10 @@ class TestOtherCommands:
         assert lines[0] == "n,sup_l2_error,diameter_at_T,exceptional_measure"
         assert len(lines) == 3
         meta = read_json(out / "convergence_meta.json")
-        assert meta["reference"] == "closed_form"
+        assert meta["reference"] == "exact"
+        errs = [float(line.split(",")[1]) for line in lines[1:]]
+        want = closed_form_errors(vl.ExperimentConfig.from_dict(read_json(cfg)))
+        assert np.allclose(errs, want, rtol=0.0, atol=1e-14)
 
     def test_proximity_report(self, tmp_path):
         cfg = write_config(
@@ -365,6 +369,20 @@ class TestFailureModes:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", path, "--out", str(out)])
+        self.check_error(out, rc, 4, "SolverConvergenceError")
+
+    def test_exact_reference_overflow_maps_to_solver_exit(self, tmp_path):
+        # W = -1 grows deviations like e^t; no reference_n, so the exact
+        # continuum solve is the reference and must refuse the overflow
+        cfg = {
+            "kernel": {"type": "constant", "c": -1.0},
+            "initial": {"type": "balanced_blocks", "r": 0.5},
+            "n_ladder": [8],
+            "horizon": 1e3,
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["convergence", "--config", path, "--out", str(out)])
         self.check_error(out, rc, 4, "SolverConvergenceError")
 
     def test_experiment_validation_maps_to_config_exit(self, tmp_path):

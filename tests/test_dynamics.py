@@ -474,6 +474,146 @@ class TestClosedForm:
             vl.BipartiteClosedForm(1 / 3, g)
 
 
+def _aligned_bounds(r, n, cells, min_width=1):
+    """Boundaries k/n of `cells` cells, each at least `min_width`/n wide."""
+    slack = n - cells * (min_width - 1)
+    cuts = np.sort(r.choice(np.arange(1, slack), cells - 1, replace=False))
+    ks = cuts + (min_width - 1) * np.arange(1, cells)
+    return np.concatenate([[0], ks, [n]]) / n
+
+
+def _exact_on_grid(part, values, n):
+    """Exact cell values read on the uniform n-partition."""
+    return values[:, part.cell_of(Partition.uniform(n).midpoints())]
+
+
+class TestExactSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 8, 24, 64, 100, 128]),
+        st.booleans(),
+        st.floats(0.5, 12.0),
+    )
+    def test_aligned_discretisation_is_exact(self, seed, n, nonneg, horizon):
+        # kernel and g boundaries on the grid: the finite solve at n is
+        # the continuum solution, cell by cell
+        r = np.random.default_rng(seed)
+        m = int(r.integers(1, min(n, 6) + 1))
+        kernel = vl.StepKernel(_aligned_bounds(r, n, m), _random_weights(r, m, nonneg))
+        p = int(r.integers(1, min(n, 8) + 1))
+        g = vl.InitialCondition(_aligned_bounds(r, n, p), r.uniform(-1.0, 1.0, p))
+        times = np.linspace(0.0, horizon, 9)
+        part, values = vl.solve_exact(kernel, g, times)
+        traj = vl.solve_continuum(kernel, g, n, times)
+        degrees = kernel.values @ kernel.partition.measures
+        spectrum_top = max(
+            np.linalg.eigvalsh(vl.laplacian(vl.discretize_kernel(kernel, n))).max(),
+            (-degrees).max(),
+        )
+        growth = np.exp(horizon * max(0.0, spectrum_top))
+        tol = 1e-12 * max(1.0, np.abs(values).max()) * growth
+        assert np.abs(traj.states - _exact_on_grid(part, values, n)).max() <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    def test_direct_sum_blocks_solve_alone(self, seed, k):
+        # on block i of a direct sum, u(e_i + a_i y, t) solves the part
+        # kernel scaled by a_i from the rescaled restriction of g
+        r = np.random.default_rng(seed)
+        weights = r.uniform(0.2, 1.0, k)
+        weights /= weights.sum()
+        parts = [
+            random_step_kernel(r, max_cells=4, nonneg=bool(r.integers(2))) for _ in range(k)
+        ]
+        kernel = vl.direct_sum(list(zip(weights, parts)))
+        edges = np.concatenate([[0.0], np.cumsum(weights)])
+        edges[-1] = 1.0
+        local = [random_initial(r, n_cells=int(r.integers(1, 5))) for _ in range(k)]
+        bounds = [
+            e + a * h.partition.boundaries[:-1] for e, a, h in zip(edges, weights, local)
+        ]
+        g = vl.InitialCondition(
+            np.concatenate(bounds + [[1.0]]), np.concatenate([h.values for h in local])
+        )
+        times = np.linspace(0.0, 3.0, 7)
+        part, values = vl.solve_exact(kernel, g, times)
+        scale = max(1.0, np.abs(values).max())
+        for e, a, step, h in zip(edges, weights, parts, local):
+            block_part, block_values = vl.solve_exact(step.scaled(a), h, times)
+            x = np.minimum(e + a * block_part.midpoints(), 1.0)
+            got = values[:, part.cell_of(x)]
+            assert np.abs(got - block_values).max() <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_graphon_limit_is_the_predicted_consensus(self, seed, k):
+        # components relax to their mean of g; all-zero ones stay frozen
+        r = np.random.default_rng(seed)
+        weights = r.uniform(0.2, 1.0, k)
+        weights /= weights.sum()
+        parts = [
+            random_step_kernel(r, max_cells=4, nonneg=True, low=0.05)
+            if r.integers(3) else vl.ConstantKernel(0.0)
+            for _ in range(k)
+        ]
+        kernel = vl.direct_sum(list(zip(weights, parts)))
+        g = random_initial(r, n_cells=int(r.integers(1, 9)))
+        horizon = 50.0 * vl.default_horizon(kernel)[0]
+        part, values = vl.solve_exact(kernel, g, [0.0, horizon])
+        limit = vl.predict_limit(kernel, g)
+        dist = vl.step_l2_distance(part, values[-1], limit.partition, limit.values)
+        assert dist <= 1e-12 * max(1.0, g.inf_norm())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.01, 0.49), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_two_block_kernel_matches_closed_form(self, r, left, right):
+        g = vl.InitialCondition.balanced_blocks(r, left_amp=left, right_amp=right)
+        times = np.linspace(0.0, 5.0, 11)
+        part, values = vl.solve_exact(vl.BipartiteKernel(r), g, times)
+        cf = vl.BipartiteClosedForm(r, g)
+        assert part == cf.partition
+        for k, t in enumerate(times):
+            assert np.abs(values[k] - cf.values_at(t)).max() <= 1e-15
+        assert np.abs(values @ part.measures - g.mean()).max() <= 1e-15
+
+    def test_mean_is_conserved_on_random_kernels(self, rng):
+        for _ in range(20):
+            kernel = random_step_kernel(rng)
+            g = random_initial(rng, n_cells=int(rng.integers(1, 9)))
+            part, values = vl.solve_exact(kernel, g, np.linspace(0.0, 4.0, 9))
+            scale = max(1.0, np.abs(values).max())
+            assert np.abs(values @ part.measures - g.mean()).max() <= 1e-14 * scale
+            assert np.array_equal(values[0], g.evaluate(part.midpoints()))
+
+    def test_overflow_is_a_solver_error(self):
+        # W = -1: deviations from the mean grow like e^t
+        g = vl.InitialCondition.balanced_blocks(0.5)
+        with pytest.raises(vl.SolverConvergenceError):
+            vl.solve_exact(vl.ConstantKernel(-1.0), g, np.linspace(0.0, 1e3, 11))
+
+    def test_time_grid_is_validated(self):
+        g = vl.InitialCondition.constant(0.5)
+        with pytest.raises(vl.ValidationError):
+            vl.solve_exact(vl.ConstantKernel(1.0), g, [1.0, 2.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.booleans())
+    def test_default_horizon_matches_the_n64_spectrum(self, seed, m, nonneg):
+        # cells of at least two 1/64-cells put every -d_k in the n = 64
+        # spectrum, so the dense probe sees the continuum spectrum
+        r = np.random.default_rng(seed)
+        kernel = vl.StepKernel(_aligned_bounds(r, 64, m, 2), _random_weights(r, m, nonneg))
+        eigvals = np.linalg.eigvalsh(vl.laplacian(vl.discretize_kernel(kernel, 64)))
+        decaying = eigvals[eigvals < -1e-12]
+        horizon, source = vl.default_horizon(kernel)
+        if eigvals[-1] > 1e-12 or decaying.size == 0:
+            assert (horizon, source) == (20.0, "fallback")
+        else:
+            assert source == "spectral_gap"
+            assert horizon == pytest.approx(10.0 / -decaying.max(), rel=1e-12, abs=0.0)
+
+
 def test_small_worlds_rescaling(rng):
     """Mixing toward uniform rewiring only adds a uniform e^{-pt} damping."""
     base = vl.StepKernel([0, 0.5, 1], [[1.0, 0.25], [0.25, 0.6]])

@@ -3,6 +3,8 @@ import pytest
 
 import voterlim as vl
 
+from conftest import closed_form_errors
+
 
 def bipartite_config(**over):
     base = dict(
@@ -59,7 +61,8 @@ class TestConvergenceStudy:
         table = vl.convergence_study(cfg)
         errs = [row.sup_l2_error for row in table.rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
-        assert table.reference == "closed_form"
+        assert table.reference == "exact"
+        assert np.allclose(errs, closed_form_errors(cfg), rtol=0.0, atol=1e-14)
 
     def test_aligned_ladder_is_exact(self):
         cfg = bipartite_config(n_ladder=[6, 12, 24])
@@ -75,9 +78,15 @@ class TestConvergenceStudy:
         table = vl.convergence_study(cfg, reference_n=96)
         assert table.reference == "finite_n_96"
 
-    def test_reference_needed_without_closed_form(self):
+    def test_exact_reference_without_closed_form(self):
         cfg = bipartite_config(kernel=vl.ConstantKernel(1.0))
-        with pytest.raises(vl.ValidationError):
+        table = vl.convergence_study(cfg)
+        assert table.reference == "exact"
+        assert max(row.sup_l2_error for row in table.rows) <= 1e-12
+
+    def test_exact_reference_overflow_is_a_solver_error(self):
+        cfg = bipartite_config(kernel=vl.ConstantKernel(-1.0), horizon=1e3)
+        with pytest.raises(vl.SolverConvergenceError):
             vl.convergence_study(cfg)
 
     def test_csv_is_deterministic(self):
@@ -112,6 +121,12 @@ class TestConsensusProximity:
         assert rep.status == "consensus-not-reached-in-horizon"
         assert rep.t_eps is None
         assert len(rep.rows) == 0
+
+    def test_finite_reference_requires_margin(self):
+        cfg = bipartite_config(n_ladder=[64])
+        with pytest.raises(vl.ValidationError, match="reference_n"):
+            vl.consensus_proximity(cfg, reference_n=5)
+        assert vl.consensus_proximity(cfg, reference_n=256).reference == "finite_n_256"
 
     def test_window_must_fit(self):
         cfg = bipartite_config(horizon=18.0, num_times=181, eps=0.01, window=5.0)
@@ -159,6 +174,7 @@ class TestRandomConsensusMC:
             raise AssertionError("solved before the thread count was checked")
 
         monkeypatch.setattr(vl.experiments, "solve_continuum", no_solve)
+        monkeypatch.setattr(vl.experiments, "solve_exact", no_solve)
         monkeypatch.setattr(vl.experiments, "solve_finite", no_solve)
         with pytest.raises(vl.ValidationError, match="threads"):
             vl.random_consensus_mc(self.mc_config(), threads=threads)
@@ -185,6 +201,7 @@ class TestRandomConsensusMC:
 
     def test_chebyshev_bound_holds_per_trial(self):
         res = vl.random_consensus_mc(self.mc_config())
+        assert res.reference == "exact"
         for row in res.rows:
             assert row.exceedance_fraction <= row.chebyshev_bound + 1e-12
 
