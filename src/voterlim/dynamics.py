@@ -41,6 +41,7 @@ from .errors import SolverConvergenceError, ValidationError
 from .graphs import (
     WeightedGraph,
     _check_size,
+    byte_classes,
     discretize_kernel,
     laplacian,
     twin_classes,
@@ -345,9 +346,20 @@ def _solve_expm(
     means = np.bincount(labels, weights=u0) / sizes
     b = w[np.ix_(heads, heads)]
     _, class_means = _class_flow(b, d, sizes, graph.n, means, times)
-    decay = np.exp(np.outer(times, -d[labels]))
-    states = class_means[:, labels] + decay * (u0 - means[labels])
+    deviation = u0 - means[labels]
+    states = class_means[:, labels] + _decay(times, d[labels], deviation)
     return states, {"solver_path": "twin_quotient", "q": q}
+
+
+def _decay(times, rates, deviation) -> np.ndarray:
+    """exp(-rates t) * deviation on the grid, exactly deviation where it is 0.
+
+    A zero deviation stays zero even where exp(-rates t) overflows, so a
+    start constant on each class is not turned into inf * 0 = NaN; the
+    other entries, and the signed zeros, keep the bits of the plain product.
+    """
+    rates = np.where(deviation == 0.0, 0.0, rates)
+    return np.exp(np.outer(times, -rates)) * deviation
 
 
 def _rk4_pass(D: np.ndarray, u0: np.ndarray, times: np.ndarray, substeps) -> np.ndarray:
@@ -475,7 +487,7 @@ def solve_exact(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, 
     u0 = g.values[g_cells]
     means = np.bincount(cells, weights=part.measures * u0, minlength=sizes.size) / sizes
     _, class_means = _class_flow(step.values, d, sizes, 1.0, means, t)
-    values = class_means[:, cells] + np.exp(np.outer(t, -d[cells])) * (u0 - means[cells])
+    values = class_means[:, cells] + _decay(t, d[cells], u0 - means[cells])
     values[0] = u0
     _require_finite(values)
     return part, values
@@ -704,11 +716,26 @@ def csv_text(header, rows) -> str:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    """Render a trajectory as CSV with header t,cell_0,...,cell_{n-1}."""
-    return csv_text(
-        ["t"] + [f"cell_{i}" for i in range(traj.n)],
-        ([t, *row.tolist()] for t, row in zip(traj.times.tolist(), traj.states)),
-    )
+    """Render a trajectory as CSV with header t,cell_0,...,cell_{n-1}.
+
+    Formatting floats is most of the cost, and trajectories repeat whole
+    columns: vertices of one twin class with one start value evolve
+    bit-identically, so a step kernel at n = 2048 gives a few dozen
+    distinct columns.  Columns are keyed by their bytes, each row formats
+    its distinct columns once, and its fields are picked from those
+    strings through the column labels.  Bytes keep 0.0 and -0.0 apart, so
+    the text is the one that formatting every value gives.  Rows are
+    built one at a time, so no n x T set of strings is ever alive.
+    """
+    labels, heads = byte_classes(traj.states.T)
+    labels = labels.tolist()
+
+    def rows():
+        for t, distinct in zip(traj.times.tolist(), traj.states[:, heads]):
+            texts = list(map(str, distinct.tolist()))
+            yield [t, *map(texts.__getitem__, labels)]
+
+    return csv_text(["t"] + [f"cell_{i}" for i in range(traj.n)], rows())
 
 
 def write_trajectory(traj: Trajectory, csv_path) -> None:

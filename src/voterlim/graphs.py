@@ -110,9 +110,19 @@ def twin_classes(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     # graphs stop here without copying whole rows.
     if len({row.tobytes() for row in w[:, :_TWIN_PROBE]}) == graph.n:
         return np.arange(graph.n), np.arange(graph.n)
+    return byte_classes(w)
+
+
+def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of bit-for-bit identical rows of a 2-D array: (labels, heads).
+
+    labels[i] is the class of row i and heads[k] the first row of class k,
+    classes numbered in order of their heads.
+    """
+    rows = np.ascontiguousarray(rows)
     first: dict[bytes, int] = {}
     labels = np.array(
-        [first.setdefault(row.tobytes(), len(first)) for row in w], dtype=np.intp
+        [first.setdefault(row.tobytes(), len(first)) for row in rows], dtype=np.intp
     )
     return labels, np.unique(labels, return_index=True)[1]
 
@@ -128,8 +138,10 @@ def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
     _check_size(n)
     step = kernel.as_step()
     overlap = overlap_matrix(Partition.uniform(n), step.partition)
+    beta = overlap @ step.values @ overlap.T
+    beta *= n * n  # in place: one n x n array fewer, the same bits
     # WeightedGraph symmetrises, absorbing the rounding asymmetry here.
-    return WeightedGraph((n * n) * (overlap @ step.values @ overlap.T))
+    return WeightedGraph(beta)
 
 
 def pixel_kernel(graph: WeightedGraph) -> StepKernel:
@@ -155,10 +167,10 @@ def sample_w_random(kernel: Kernel, n: int, seed: int) -> WeightedGraph:
     cells = step.partition.cell_of(grid)
     probs = step.values[np.ix_(cells, cells)]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    iu, ju = np.triu_indices(n, k=1)  # row-major over i < j
-    draws = rng.random(iu.size)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # masks read row-major
+    draws = rng.random(n * (n - 1) // 2)
     adj = np.zeros((n, n))
-    adj[iu, ju] = (draws < probs[iu, ju]).astype(float)
+    adj[upper] = draws < probs[upper]
     adj += adj.T
     return WeightedGraph(adj)
 

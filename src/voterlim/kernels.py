@@ -19,6 +19,9 @@ from .errors import DomainError, UnsupportedVariantError, ValidationError
 SYMMETRY_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 
+# Rows per strip when `symmetric_unit_matrix` validates a matrix.
+_STRIP = 128
+
 # Default cell count for the quadrature fallback of l2_distance.
 DEFAULT_L2_RESOLUTION = 256
 
@@ -97,23 +100,47 @@ def common_refinement(*partitions):
 
 
 def symmetric_unit_matrix(values, what: str) -> np.ndarray:
-    """Read-only copy of a finite symmetric matrix with entries in [-1, 1].
+    """Read-only copy of a finite symmetric square matrix with entries in [-1, 1].
 
     Asymmetry and range excess up to SYMMETRY_TOL are float dust from
     exact integrals and are absorbed; larger ones raise ValidationError
-    naming `what`.
+    naming `what`.  The result is (v + v^T) / 2 clipped to [-1, 1].
+
+    The one strided pass is the transposed copy that becomes the result.
+    Asymmetry, the symmetrised sum and its range are then taken in row
+    strips of _STRIP rows against that copy, so the only n x n array
+    besides the input is the result.  At n = 2048 each whole-matrix
+    temporary costs 32 MB, and every discretisation, W-random sample and
+    `volterra_residual` call validates a matrix.  Non-finite input makes
+    the sum non-finite, so `isfinite` over the input runs only to tell it
+    apart from a sum that overflowed.
     """
     v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
+    out = v.T.copy()
+    gap = 0.0
+    lo, hi = np.inf, -np.inf
+    buf = np.empty((min(_STRIP, v.shape[0]), v.shape[1]))
+    # inf - inf and overflowing sums are judged below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, v.shape[0], _STRIP):
+            rows = v[start:start + _STRIP]
+            strip = out[start:start + _STRIP]
+            diff = buf[: rows.shape[0]]
+            np.abs(np.subtract(rows, strip, out=diff), out=diff)
+            gap = max(gap, float(diff.max()))
+            np.add(rows, strip, out=strip)
+            strip /= 2.0
+            # np.minimum and np.maximum keep a NaN that min and max would drop
+            lo, hi = np.minimum(lo, strip.min()), np.maximum(hi, strip.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)) and not np.all(np.isfinite(v)):
         raise ValidationError(f"{what} must be finite")
-    if np.max(np.abs(v - v.T), initial=0.0) > SYMMETRY_TOL:
+    if gap > SYMMETRY_TOL:
         raise ValidationError(f"{what} must be symmetric")
-    v = (v + v.T) / 2.0
-    if np.max(np.abs(v)) > 1.0 + SYMMETRY_TOL:
+    if max(-lo, hi) > 1.0 + SYMMETRY_TOL:
         raise ValidationError(f"{what} must lie in [-1, 1]")
-    np.clip(v, -1.0, 1.0, out=v)
-    v.setflags(write=False)
-    return v
+    np.clip(out, -1.0, 1.0, out=out)
+    out.setflags(write=False)
+    return out
 
 
 def overlap_matrix(part_a: Partition, part_b: Partition) -> np.ndarray:

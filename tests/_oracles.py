@@ -6,13 +6,19 @@ O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series instead of
 eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
 exception is `dense_eigh_states`, the plain n x n eigendecomposition of
 the library's generator, which gates the solver's twin-quotient path.
+The last three are the plain whole-array expressions that the library's
+validator, W-random sampler and trajectory writer were rewritten from;
+the rewrites must match them bit for bit and byte for byte.
 """
 
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
 
-from voterlim import laplacian
+from voterlim import ValidationError, laplacian
+from voterlim.kernels import SYMMETRY_TOL
 
 
 def frac_overlap(bounds_a, bounds_b):
@@ -265,3 +271,41 @@ def naive_volterra_residual(beta, times, states):
             direct = direct + np.trapezoid(integrand, times[: k + 1], axis=0)
         worst = max(worst, float(np.max(np.abs(states[k] - direct))))
     return worst
+
+
+def whole_matrix_symmetric_unit(values, what):
+    """Validate and symmetrise with whole-matrix temporaries, checks in order."""
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} must be finite")
+    if np.max(np.abs(v - v.T), initial=0.0) > SYMMETRY_TOL:
+        raise ValidationError(f"{what} must be symmetric")
+    v = (v + v.T) / 2.0
+    if np.max(np.abs(v)) > 1.0 + SYMMETRY_TOL:
+        raise ValidationError(f"{what} must lie in [-1, 1]")
+    np.clip(v, -1.0, 1.0, out=v)
+    return v
+
+
+def index_scatter_w_random(kernel, n, seed):
+    """W-random adjacency drawn through triu_indices and a fancy scatter."""
+    step = kernel.as_step()
+    cells = step.partition.cell_of(np.arange(1, n + 1) / n)
+    probs = step.values[np.ix_(cells, cells)]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    iu, ju = np.triu_indices(n, k=1)
+    draws = rng.random(iu.size)
+    adj = np.zeros((n, n))
+    adj[iu, ju] = (draws < probs[iu, ju]).astype(float)
+    adj += adj.T
+    return adj
+
+
+def row_by_row_trajectory_csv(times, states):
+    """Trajectory CSV from csv.writer, every value formatted where it stands."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"cell_{i}" for i in range(states.shape[1])])
+    for t, row in zip(times.tolist(), states):
+        writer.writerow([t, *row.tolist()])
+    return buf.getvalue()

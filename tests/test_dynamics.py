@@ -17,6 +17,7 @@ from _oracles import (
     dense_eigh_states,
     frac_step_integral,
     naive_volterra_residual,
+    row_by_row_trajectory_csv,
     row_equality_classes,
     taylor_expm,
 )
@@ -597,6 +598,28 @@ class TestExactSolve:
         with pytest.raises(vl.ValidationError):
             vl.solve_exact(vl.ConstantKernel(1.0), g, [1.0, 2.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_class_constant_start_stays_put_where_decay_overflows(self):
+        # W = -1: exp(-d t) = e^1000 overflows, but every deviation is 0
+        kernel = vl.ConstantKernel(-1.0)
+        g = vl.InitialCondition.constant(0.3)
+        _, values = vl.solve_exact(kernel, g, [0.0, 1e3])
+        assert np.all(values == 0.3)
+        traj = vl.solve_continuum(kernel, g, 8, [0.0, 1e3])
+        assert traj.metadata["solver_path"] == "twin_quotient"
+        # the class mean itself moves by rounding only
+        assert traj.states.ravel() == pytest.approx(np.full(16, 0.3), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6))
+    def test_decay_keeps_the_bits_of_the_plain_product(self, seed, n, k):
+        r = np.random.default_rng(seed)
+        times = np.concatenate([[0.0], np.cumsum(r.uniform(0.1, 3.0, k))])
+        rates = r.uniform(-2.0, 2.0, n)
+        deviation = r.choice([0.0, -0.0, 1e-300, -0.5, 0.25], n) * r.uniform(0.5, 2.0, n)
+        plain = np.exp(np.outer(times, -rates)) * deviation
+        assert dynamics._decay(times, rates, deviation).tobytes() == plain.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.booleans())
     def test_default_horizon_matches_the_n64_spectrum(self, seed, m, nonneg):
@@ -798,6 +821,38 @@ class TestTrajectoryIO:
         back = vl.read_trajectory(csv_path)
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.states, traj.states)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 8),
+        st.sampled_from(["twin", "twin_free", "palette"]),
+    )
+    def test_csv_text_matches_row_by_row_oracle(self, seed, n, num_times, kind):
+        r = np.random.default_rng(seed)
+        times = np.concatenate([[0.0], np.cumsum(r.uniform(1e-3, 5.0, num_times - 1))])
+        if kind == "twin":
+            kernel = random_step_kernel(r, max_cells=4)
+            g = random_initial(r, n_cells=int(r.integers(1, 5)))
+            states = vl.solve_continuum(kernel, g, n, times).states
+        elif kind == "twin_free":
+            states = r.uniform(-1.0, 1.0, (num_times, n))
+        else:
+            # repeated columns, columns that differ only in the sign of a
+            # zero, and floats that print with an exponent
+            special = [0.0, -0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324, 1e16, 0.1]
+            palette = r.choice(special, (num_times, 3))
+            palette[:, 2] = np.where(palette[:, 0] == 0.0, -palette[:, 0], palette[:, 0])
+            states = palette[:, r.integers(0, 3, n)]
+        traj = vl.Trajectory(times, states)
+        assert vl.trajectory_csv_text(traj) == row_by_row_trajectory_csv(times, traj.states)
+
+    def test_csv_text_keeps_the_sign_of_zero_columns(self):
+        traj = vl.Trajectory([0.0], [[0.0, -0.0, 0.0, -0.0]])
+        assert vl.trajectory_csv_text(traj) == (
+            "t,cell_0,cell_1,cell_2,cell_3\n0.0,0.0,-0.0,0.0,-0.0\n"
+        )
 
     def test_header_names_cells(self):
         g = vl.InitialCondition.constant(0.0)

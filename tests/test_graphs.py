@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voterlim as vl
 from voterlim import graphs
 
-from _oracles import frac_discretize, row_equality_classes
+from _oracles import frac_discretize, index_scatter_w_random, row_equality_classes
 from conftest import random_step_kernel
 
 # printed reference operator for the two-block +-1 kernel at r=1/3, n=6
@@ -168,6 +170,13 @@ class TestWRandom:
 
     def test_rng_algorithm_recorded(self):
         assert "philox" in vl.RNG_ALGORITHM.lower()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 64, 257]), st.integers(0, 2**32 - 1), st.integers(0, 2**63))
+    def test_matches_index_scatter_oracle(self, n, kernel_seed, seed):
+        kernel = random_step_kernel(np.random.default_rng(kernel_seed), nonneg=True)
+        got = vl.sample_w_random(kernel, n, seed).weights
+        assert got.tobytes() == index_scatter_w_random(kernel, n, seed).tobytes()
 
 
 class TestBlowUp:

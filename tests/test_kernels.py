@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
-from voterlim.kernels import Partition, overlap_matrix
+from voterlim.kernels import (
+    SYMMETRY_TOL,
+    Partition,
+    overlap_matrix,
+    symmetric_unit_matrix,
+)
 
-from _oracles import brute_step_l2, frac_overlap
+from _oracles import brute_step_l2, frac_overlap, whole_matrix_symmetric_unit
 from conftest import random_step_kernel
 
 
@@ -255,6 +260,95 @@ def test_l2_distance_matches_fraction_oracle(seed):
         ga.partition.boundaries, ga.values, gb.partition.boundaries, gb.values
     )
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def _validated(validate, v):
+    """(result or None, error message or None) of one validator call."""
+    try:
+        return validate(v, "weights"), None
+    except vl.ValidationError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 127, 128, 129, 300]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([None, 0.5, 0.999, 1.001, 2.0]),
+    st.sampled_from([None, 1.0 + SYMMETRY_TOL, -(1.0 + SYMMETRY_TOL), 1.0 + 2 * SYMMETRY_TOL]),
+    st.booleans(),
+)
+def test_symmetric_unit_matrix_matches_whole_matrix_oracle(
+    n, seed, signed_zeros, asymmetry, edge, fortran
+):
+    r = np.random.default_rng(seed)
+    a = r.uniform(-1.0, 1.0, (n, n))
+    v = np.triu(a) + np.triu(a, 1).T
+    if signed_zeros:
+        # zero pairs whose two signs are drawn independently
+        zeros = r.random((n, n)) < 0.2
+        zeros |= zeros.T
+        v[zeros] = 0.0
+        v[zeros & (r.random((n, n)) < 0.5)] = -0.0
+    if edge is not None:
+        for i, j in r.integers(0, n, (3, 2)):
+            v[i, j] = v[j, i] = edge
+    if asymmetry is not None:
+        for i, j in r.integers(0, n, (3, 2)):
+            v[i, j] = v[j, i] + asymmetry * SYMMETRY_TOL
+    if fortran:
+        v = np.asfortranarray(v)
+    before = v.tobytes()
+    got, got_err = _validated(symmetric_unit_matrix, v)
+    want, want_err = _validated(whole_matrix_symmetric_unit, v)
+    assert got_err == want_err
+    assert v.tobytes() == before
+    if want is not None:
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert not got.flags.writeable
+
+
+class TestSymmetricUnitMatrix:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "i, j, a, b, message",
+        [
+            (1, 1, np.nan, np.nan, "weights must be finite"),
+            (0, 2, np.nan, 0.5, "weights must be finite"),
+            (0, 2, np.inf, -np.inf, "weights must be finite"),
+            (1, 2, np.inf, 1.0, "weights must be finite"),
+            # the sum overflows, yet the entries are finite and symmetric
+            (0, 2, 1e308, 1e308, "weights must lie in [-1, 1]"),
+            (0, 2, 1e308, -1e308, "weights must be symmetric"),
+            (0, 2, 0.5, 0.5 + 2 * SYMMETRY_TOL, "weights must be symmetric"),
+        ],
+    )
+    def test_messages(self, i, j, a, b, message):
+        v = np.zeros((3, 3))
+        v[i, j], v[j, i] = a, b
+        with pytest.raises(vl.ValidationError) as info:
+            symmetric_unit_matrix(v, "weights")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [(0, 0), (5, 200), (299, 299)])
+    def test_non_finite_entry_in_any_strip(self, value, i, j):
+        v = np.zeros((300, 300))
+        v[i, j] = value
+        with pytest.raises(vl.ValidationError, match="must be finite"):
+            symmetric_unit_matrix(v, "weights")
+
+    def test_result_is_read_only_and_input_untouched(self):
+        v = np.array([[0.0, 0.25], [0.25 + SYMMETRY_TOL / 2, 1.0 + SYMMETRY_TOL]])
+        before = v.copy()
+        out = symmetric_unit_matrix(v, "weights")
+        assert np.array_equal(v, before)
+        assert v.flags.writeable
+        assert not out.flags.writeable
+        assert out is not v
+        assert out[1, 1] == 1.0
+        assert out[0, 1] == out[1, 0]
 
 
 class TestMakeKernel:
