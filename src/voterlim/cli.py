@@ -1,8 +1,8 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 2 config or validation problem, 3 size guard,
-4 numerical non-convergence.  Failures leave a machine-readable
-error.json in the output directory.
+4 the solution left the representable range.  Failures leave a
+machine-readable error.json in the output directory.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
     average_initial,
+    check_method,
     consensus_diameter,
     detect_consensus,
     make_initial,
@@ -106,14 +107,9 @@ def _number(config, key, kind, default=_REQUIRED):
 
 
 def _cmd_simulate(config, out_dir, threads) -> None:
+    check_method(config)
     initial = make_initial(config["initial"])
-    method = config.get("method", "expm")
     eps = _number(config, "eps", float, CONSENSUS_EPS)
-    solver_opts = {}
-    if "rk_tol" in config:
-        solver_opts["rk_tol"] = _number(config, "rk_tol", float)
-    if "max_halvings" in config:
-        solver_opts["max_halvings"] = _number(config, "max_halvings", int)
     if "kernel" in config:
         kernel = make_kernel(config["kernel"])
         if "n" not in config:
@@ -135,17 +131,14 @@ def _cmd_simulate(config, out_dir, threads) -> None:
         config.get("times"),
     )
     if kernel is None:
-        traj = solve_finite(
-            graph, average_initial(initial, n), times, method=method, **solver_opts
-        )
+        traj = solve_finite(graph, average_initial(initial, n), times)
         traj.metadata["initial"] = initial.spec()
     else:
-        traj = solve_continuum(kernel, initial, n, times, method=method, **solver_opts)
+        traj = solve_continuum(kernel, initial, n, times)
     traj.metadata.update(
         {
             "library_version": __version__,
             "resolved": {
-                "method": method,
                 "n": n,
                 "horizon": horizon,
                 "horizon_source": source,

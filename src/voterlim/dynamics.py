@@ -4,26 +4,24 @@ The finite model is the linear ODE du/dt = D u with D the graph's
 dynamics generator.  The continuum model is solved exactly from a step
 start by `solve_exact`, which shares its class-mean core `_class_flow`
 with the twin quotient below, and at resolution n by `solve_continuum`,
-which discretises the kernel first.  `solve_finite` records which of
-four paths ran in `metadata["solver_path"]`, with the number q of twin
-classes:
+which discretises the kernel first.  `solve_finite` computes exp(t D) u0
+exactly and records which of three paths ran in
+`metadata["solver_path"]`, with the number q of twin classes:
 
-- "twin_quotient" (method "expm", some weight rows bit-identical): an
-  exact q x q eigendecomposition of the class-mean dynamics plus a
-  closed-form decay of each vertex's deviation from its class mean.  A
-  step kernel with m cells discretised at a power-of-two n has
-  q <= 2m - 1; at other n, rows around a cell boundary can differ in
-  the last bit, which leaves q a little larger but still small.
-- "krylov" (method "expm", q = n, grid [0, T]): Lanczos with full
-  reorthogonalisation builds exp(T D) u0 from matrix-vector products
-  with the weights, in a Krylov dimension fixed beforehand by the
-  Hochbruck-Lubich a-priori error bound.  It runs when that dimension is
-  at most n / 4; the dense path below is faster beyond that.
-- "dense_eigh" (method "expm", all rows distinct, q = n, longer grids or
-  Krylov dimension above n / 4): the n x n symmetric eigendecomposition
-  of the generator.
-- "rk" (q = n): fixed-step RK4 on the dense generator, an independent
-  cross-check.
+- "twin_quotient" (some weight rows bit-identical): an exact q x q
+  eigendecomposition of the class-mean dynamics plus a closed-form decay
+  of each vertex's deviation from its class mean.  A step kernel with m
+  cells discretised at a power-of-two n has q <= 2m - 1; at other n, rows
+  around a cell boundary can differ in the last bit, which leaves q a
+  little larger but still small.
+- "krylov" (q = n, grid [0, T]): Lanczos with full reorthogonalisation
+  builds exp(T D) u0 from matrix-vector products with the weights, in a
+  Krylov dimension fixed beforehand by the Hochbruck-Lubich a-priori
+  error bound.  It runs when that dimension is at most n / 4; the dense
+  path below is faster beyond that.
+- "dense_eigh" (all rows distinct, q = n, longer grids or Krylov
+  dimension above n / 4): the n x n symmetric eigendecomposition of the
+  generator.
 
 The Volterra integral-equation residual checks any trajectory without
 running a solver.
@@ -50,15 +48,11 @@ from .kernels import Kernel, Partition, common_refinement, overlap_matrix
 
 # Default tolerances; every consumer that overrides them records the value
 # it used in its output metadata.
-RK_TOL = 1e-9
-RK_MAX_HALVINGS = 12
 LIMIT_TOL = 1e-8
 CONSENSUS_EPS = 1e-3
 ZERO_MEAN_TOL = 1e-12
 KRYLOV_TOL = 1e-16
 DEFAULT_NUM_TIMES = 201
-
-SOLVER_METHODS = ("expm", "rk")
 
 
 class InitialCondition:
@@ -362,83 +356,40 @@ def _decay(times, rates, deviation) -> np.ndarray:
     return np.exp(np.outer(times, -rates)) * deviation
 
 
-def _rk4_pass(D: np.ndarray, u0: np.ndarray, times: np.ndarray, substeps) -> np.ndarray:
-    states = np.empty((times.size, u0.size))
-    states[0] = u = u0.copy()
-    for k in range(times.size - 1):
-        h = (times[k + 1] - times[k]) / substeps[k]
-        for _ in range(substeps[k]):
-            k1 = D @ u
-            k2 = D @ (u + 0.5 * h * k1)
-            k3 = D @ (u + 0.5 * h * k2)
-            k4 = D @ (u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = u
-    return states
+def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
+    """Solve du/dt = D u exactly on the given time grid.
 
-
-def _solve_rk(
-    D: np.ndarray,
-    u0: np.ndarray,
-    times: np.ndarray,
-    rk_tol: float,
-    max_halvings: int,
-) -> tuple[np.ndarray, dict]:
-    norm1 = float(np.max(np.abs(D).sum(axis=0), initial=0.0))
-    deltas = np.diff(times)
-    if norm1 > 0.0:
-        h_max = 0.1 / norm1  # keeps h * ||D||_1 <= 0.1
-        base = np.maximum(np.ceil(deltas / h_max).astype(int), 1)
-    else:
-        base = np.ones(deltas.size, dtype=int)
-    prev_final = None
-    for halving in range(max_halvings + 1):
-        states = _rk4_pass(D, u0, times, base * (2**halving))
-        final = states[-1]
-        if prev_final is not None and np.max(np.abs(final - prev_final)) < rk_tol:
-            return states, {"halvings": halving, "substeps": int((base * 2**halving).sum())}
-        prev_final = final
-    raise SolverConvergenceError(
-        f"RK4 grid refinement did not meet {rk_tol:g} within {max_halvings} halvings"
-    )
-
-
-def solve_finite(
-    graph: WeightedGraph,
-    u0,
-    times,
-    method: str = "expm",
-    rk_tol: float = RK_TOL,
-    max_halvings: int = RK_MAX_HALVINGS,
-) -> Trajectory:
-    """Solve du/dt = D u on the given time grid.
-
-    `method` selects the solver: "expm" diagonalises the symmetric
-    generator exactly, reduced to its twin classes when some weight rows
-    are identical, or builds u(T) alone by Lanczos when the grid is
-    [0, T]; "rk" runs classical fixed-step RK4 with the step
-    bounded by 0.1 / ||D||_1 and halved until two successive refinements
-    agree at the final time to within `rk_tol`.  The metadata records the
-    path taken (`solver_path`) and the number of twin classes `q`, plus
-    `krylov_dim` and the a-priori `krylov_bound` on the Krylov path.
+    The symmetric generator is diagonalised, reduced to its twin classes
+    when some weight rows are identical, or u(T) alone is built by
+    Lanczos when the grid is [0, T].  The metadata records the path taken
+    (`solver_path`) and the number of twin classes `q`, plus `krylov_dim`
+    and the a-priori `krylov_bound` on the Krylov path.
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
     if u.shape != (graph.n,):
         raise ValidationError(f"state has {u.size} cells, graph has {graph.n}")
     _check_size(graph.n)
-    if method not in SOLVER_METHODS:
-        raise ValidationError(f"method must be one of {SOLVER_METHODS}")
-    meta: dict = {"solver": method, "n": graph.n}
-    if method == "expm":
+    # overflow is judged by _require_finite, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
         states, detail = _solve_expm(graph, u, t)
-    else:
-        states, detail = _solve_rk(laplacian(graph), u, t, rk_tol, max_halvings)
-        detail.update(solver_path="rk", q=graph.n, rk_tol=rk_tol)
-    meta.update(detail)
     states[0] = u  # t=0 is the given state, not a reconstruction of it
     _require_finite(states)
-    return Trajectory(t, states, meta)
+    return Trajectory(t, states, {"n": graph.n, **detail})
+
+
+def check_method(config: dict) -> None:
+    """Refuse a run config whose "method" names a solver other than "expm".
+
+    Configs written for earlier versions may carry "method": "expm", the
+    exact solver that is now the only one; any other value would silently
+    switch solver, so it is a ValidationError.
+    """
+    method = config.get("method", "expm")
+    if method != "expm":
+        raise ValidationError(
+            f"config value for 'method' must be 'expm', the only solver, not {method!r}"
+        )
 
 
 def _require_finite(states: np.ndarray) -> None:
@@ -448,21 +399,14 @@ def _require_finite(states: np.ndarray) -> None:
         )
 
 
-def solve_continuum(
-    kernel: Kernel,
-    g: InitialCondition,
-    n: int,
-    times,
-    method: str = "expm",
-    **solver_kwargs,
-) -> Trajectory:
+def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
     """Finite-n approximation of the kernel dynamics started from g.
 
     Discretises the kernel exactly at resolution n, averages g per cell
     and delegates to `solve_finite`.
     """
     graph = discretize_kernel(kernel, n)
-    traj = solve_finite(graph, average_initial(g, n), times, method=method, **solver_kwargs)
+    traj = solve_finite(graph, average_initial(g, n), times)
     try:
         traj.metadata["kernel"] = kernel.spec()
     except NotImplementedError:
@@ -486,8 +430,9 @@ def solve_exact(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, 
     d = step.values @ sizes
     u0 = g.values[g_cells]
     means = np.bincount(cells, weights=part.measures * u0, minlength=sizes.size) / sizes
-    _, class_means = _class_flow(step.values, d, sizes, 1.0, means, t)
-    values = class_means[:, cells] + _decay(t, d[cells], u0 - means[cells])
+    with np.errstate(over="ignore", invalid="ignore"):  # see solve_finite
+        _, class_means = _class_flow(step.values, d, sizes, 1.0, means, t)
+        values = class_means[:, cells] + _decay(t, d[cells], u0 - means[cells])
     values[0] = u0
     _require_finite(values)
     return part, values

@@ -22,4 +22,4 @@ class SizeLimitError(VoterlimError):
 
 
 class SolverConvergenceError(VoterlimError):
-    """Time stepper failed to reach its tolerance within the refinement budget."""
+    """Solution left the representable floating-point range."""

@@ -20,9 +20,9 @@ from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
     InitialCondition,
-    SOLVER_METHODS,
     Trajectory,
     average_initial,
+    check_method,
     consensus_diameter,
     csv_text,
     exceptional_measure,
@@ -60,7 +60,6 @@ class ExperimentConfig:
     c: float = 0.1
     trials: int = 50
     base_seed: int = 0
-    method: str = "expm"
     num_times: int = DEFAULT_NUM_TIMES
     horizon_source: str = "config"
 
@@ -78,13 +77,12 @@ class ExperimentConfig:
             raise ValidationError("trials must be at least 1")
         if self.num_times < 2:
             raise ValidationError("num_times must be at least 2")
-        if self.method not in SOLVER_METHODS:
-            raise ValidationError(f"method must be one of {SOLVER_METHODS}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
+        check_method(data)
         try:
             kernel = make_kernel(data["kernel"])
             initial = make_initial(data["initial"])
@@ -105,7 +103,6 @@ class ExperimentConfig:
                 c=float(data.get("c", 0.1)),
                 trials=int(data.get("trials", 50)),
                 base_seed=int(data.get("base_seed", 0)),
-                method=data.get("method", "expm"),
                 num_times=times.size,
                 horizon_source=source,
             )
@@ -128,7 +125,6 @@ class ExperimentConfig:
             "c": self.c,
             "trials": self.trials,
             "base_seed": self.base_seed,
-            "method": self.method,
             "num_times": self.num_times,
         }
 
@@ -151,7 +147,7 @@ def _reference(cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
     n = int(reference_n)
     if n < 4 * max(cfg.n_ladder):
         raise ValidationError("reference_n must be at least 4x the largest ladder n")
-    traj = solve_continuum(cfg.kernel, cfg.initial, n, times, method=cfg.method)
+    traj = solve_continuum(cfg.kernel, cfg.initial, n, times)
     return f"finite_n_{n}", Partition.uniform(n), traj.states
 
 
@@ -190,7 +186,7 @@ def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> 
     label, ref_part, ref_values = _reference(cfg, times, reference_n)
     rows = []
     for n in cfg.n_ladder:
-        traj = solve_continuum(cfg.kernel, cfg.initial, n, times, method=cfg.method)
+        traj = solve_continuum(cfg.kernel, cfg.initial, n, times)
         part = Partition.uniform(n)
         sup_err = max(
             step_l2_distance(part, traj.states[k], ref_part, ref_values[k])
@@ -276,7 +272,7 @@ def consensus_proximity(
     in_window = (times >= t_eps) & (times <= t_eps + cfg.window + 1e-12)
     rows = []
     for n in cfg.n_ladder:
-        traj = solve_continuum(cfg.kernel, cfg.initial, n, times, method=cfg.method)
+        traj = solve_continuum(cfg.kernel, cfg.initial, n, times)
         worst = max(
             exceptional_measure(traj.states[k], cfg.eps)
             for k in np.nonzero(in_window)[0]
@@ -367,9 +363,7 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
         n, trial = task
         seed = cfg.base_seed + trial
         graph = sample_w_random(cfg.kernel, n, seed)
-        traj = solve_finite(
-            graph, average_initial(cfg.initial, n), times, method=cfg.method
-        )
+        traj = solve_finite(graph, average_initial(cfg.initial, n), times)
         final = traj.states[-1]
         exc = exceptional_measure(final, cfg.eps)
         exceed = step_exceedance_measure(parts[n], final, ref_part, ref_final, cfg.eps)

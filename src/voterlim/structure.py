@@ -278,7 +278,7 @@ def decompose_solution(kernel: Kernel, g: InitialCondition, n: int, times) -> Tr
         traj_c = solve_finite(graph_c, u0[idx], times)
         out[:, idx] = traj_c.states
         detail.append({"cells": int(n_c), "weight": a_c})
-    meta = {"solver": "expm", "n": n, "decomposition": detail}
+    meta = {"n": n, "decomposition": detail}
     try:
         meta["kernel"] = kernel.spec()
     except NotImplementedError:

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and avoids the library's own code
 paths: exact rational arithmetic instead of float partition algebra,
-O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series instead of
-eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
+O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series and
+fixed-step RK4 instead of eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
 exception is `dense_eigh_states`, the plain n x n eigendecomposition of
 the library's generator, which gates the solver's twin-quotient path.
 The last three are the plain whole-array expressions that the library's
@@ -229,6 +229,23 @@ def taylor_expm(mat, t, terms=60):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def rk4_states(mat, u0, times, substeps):
+    """du/dt = mat u on the grid by classical RK4, `substeps` equal steps per interval."""
+    mat = np.asarray(mat, dtype=float)
+    times = np.asarray(times, dtype=float)
+    u = np.asarray(u0, dtype=float)
+    states = [u]
+    for h in np.diff(times) / substeps:
+        for _ in range(substeps):
+            k1 = mat @ u
+            k2 = mat @ (u + 0.5 * h * k1)
+            k3 = mat @ (u + 0.5 * h * k2)
+            k4 = mat @ (u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(u)
+    return np.array(states)
 
 
 def dense_eigh_states(graph, u0, times):

@@ -364,12 +364,45 @@ class TestFailureModes:
         self.check_error(out, rc, 3, "SizeLimitError")
 
     def test_solver_failure(self, tmp_path):
-        cfg = simulate_config()
-        cfg.update(method="rk", rk_tol=1e-30, max_halvings=0)
+        # W = -1 grows deviations like e^t, past the float range by t = 1e3
+        cfg = {
+            "kernel": {"type": "constant", "c": -1.0},
+            "n": 8,
+            "initial": {"type": "balanced_blocks", "r": 0.5},
+            "times": [0.0, 1e3],
+        }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", path, "--out", str(out)])
         self.check_error(out, rc, 4, "SolverConvergenceError")
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("simulate", simulate_config()),
+            (
+                "convergence",
+                {
+                    "kernel": {"type": "bipartite", "r": 1 / 3},
+                    "initial": {"type": "balanced_blocks", "r": 1 / 3},
+                    "n_ladder": [6],
+                    "horizon": 2.0,
+                    "num_times": 5,
+                },
+            ),
+        ],
+    )
+    def test_only_the_exact_method_is_accepted(self, tmp_path, command, cfg):
+        # configs written for the retired RK solver must not switch solver
+        path = write_config(tmp_path, {**cfg, "method": "rk"})
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "'method'" in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        path = write_config(tmp_path, {**cfg, "method": "expm"})
+        assert main([command, "--config", path, "--out", str(tmp_path / "ok")]) == 0
 
     def test_exact_reference_overflow_maps_to_solver_exit(self, tmp_path):
         # W = -1 grows deviations like e^t; no reference_n, so the exact

@@ -17,6 +17,7 @@ from _oracles import (
     dense_eigh_states,
     frac_step_integral,
     naive_volterra_residual,
+    rk4_states,
     row_by_row_trajectory_csv,
     row_equality_classes,
     taylor_expm,
@@ -145,26 +146,9 @@ class TestSolveFinite:
             g = vl.discretize_kernel(k, 24)
             u0 = rng.uniform(-1, 1, 24)
             times = np.linspace(0, 4, 9)
-            a = vl.solve_finite(g, u0, times, method="expm")
-            b = vl.solve_finite(g, u0, times, method="rk")
-            assert np.abs(a.states - b.states).max() <= 1e-7
-
-    def test_rk_metadata_and_failure(self, rng):
-        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 6)
-        u0 = rng.uniform(-1, 1, 6)
-        traj = vl.solve_finite(g, u0, np.array([0.0, 2.0]), method="rk")
-        assert traj.metadata["solver"] == "rk"
-        assert traj.metadata["substeps"] >= 1
-        with pytest.raises(vl.SolverConvergenceError):
-            vl.solve_finite(
-                g, u0, np.array([0.0, 2.0]), method="rk",
-                rk_tol=1e-30, max_halvings=0,
-            )
-
-    def test_unknown_method(self, rng):
-        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 4)
-        with pytest.raises(vl.ValidationError):
-            vl.solve_finite(g, np.zeros(4), np.array([0.0, 1.0]), method="magic")
+            a = vl.solve_finite(g, u0, times)
+            b = rk4_states(vl.laplacian(g), u0, times, substeps=64)
+            assert np.abs(a.states - b).max() <= 1e-7
 
     def test_time_grid_validation(self):
         g = vl.discretize_kernel(vl.ConstantKernel(1.0), 4)
@@ -302,9 +286,6 @@ class TestSolverMetadata:
         traj = vl.solve_finite(graph, u0, np.linspace(0.0, 2.0, 5))
         assert traj.metadata["solver_path"] == "dense_eigh"
         assert traj.metadata["q"] == 64
-        rk = vl.solve_finite(graph, u0, np.linspace(0.0, 2.0, 5), method="rk")
-        assert rk.metadata["solver_path"] == "rk"
-        assert rk.metadata["q"] == 64
 
 
 def _check_krylov(graph, u0, horizon, nonneg):

@@ -29,9 +29,16 @@ class TestExperimentConfig:
         with pytest.raises(vl.ValidationError):
             bipartite_config(trials=0)
         with pytest.raises(vl.ValidationError):
-            bipartite_config(method="nope")
-        with pytest.raises(vl.ValidationError):
             bipartite_config(num_times=1)
+        with pytest.raises(vl.ValidationError, match="'method'"):
+            vl.ExperimentConfig.from_dict(
+                {
+                    "kernel": {"type": "bipartite", "r": 1 / 3},
+                    "initial": {"type": "balanced_blocks", "r": 1 / 3},
+                    "n_ladder": [6],
+                    "method": "rk",
+                }
+            )
 
     def test_from_dict_fills_default_horizon(self):
         cfg = vl.ExperimentConfig.from_dict(
