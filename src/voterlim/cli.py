@@ -159,8 +159,9 @@ def _cmd_discretize(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
     n = _number(config, "n", int)
     graph = discretize_kernel(kernel, n)
+    simple = graph.is_simple()
     _write(out_dir, "graph.json", graph.to_json() + "\n")
-    if graph.is_simple():
+    if simple:
         write_edge_list(graph, os.path.join(out_dir, "edges.csv"))
     _write(
         out_dir,
@@ -168,7 +169,7 @@ def _cmd_discretize(config, out_dir, threads) -> None:
         {
             "kernel": kernel.spec(),
             "n": n,
-            "simple": graph.is_simple(),
+            "simple": simple,
             "library_version": __version__,
         },
     )

@@ -3,17 +3,21 @@
 The finite model is the linear ODE du/dt = D u with D the graph's
 dynamics generator.  The continuum model is solved exactly from a step
 start by `solve_exact`, which shares its class-mean core `_class_flow`
-with the twin quotient below, and at resolution n by `solve_continuum`,
-which discretises the kernel first.  `solve_finite` computes exp(t D) u0
-exactly and records which of three paths ran in
-`metadata["solver_path"]`, with the number q of twin classes:
+with the twin quotient below, and at resolution n by `solve_continuum`.
+That gives the trajectory of the discretised graph, but reads its twin
+classes off the kernel's partition (`graphs.pixel_classes`) and runs the
+twin quotient on them, so it never forms the n x n matrix.
+`solve_finite` computes exp(t D) u0 exactly and records which of three
+paths ran in `metadata["solver_path"]`, with the number q of twin
+classes:
 
 - "twin_quotient" (some weight rows bit-identical): an exact q x q
   eigendecomposition of the class-mean dynamics plus a closed-form decay
   of each vertex's deviation from its class mean.  A step kernel with m
-  cells discretised at a power-of-two n has q <= 2m - 1; at other n, rows
-  around a cell boundary can differ in the last bit, which leaves q a
-  little larger but still small.
+  cells discretised at n has q <= 2m - 1 classes of pixels with equal
+  overlaps (fewer when their weight rows coincide); at other n than
+  powers of two, overlaps around a cell boundary can differ in the last
+  bit, which leaves q a little larger but still small.
 - "krylov" (q = n, grid [0, T]): Lanczos with full reorthogonalisation
   builds exp(T D) u0 from matrix-vector products with the weights, in a
   Krylov dimension fixed beforehand by the Hochbruck-Lubich a-priori
@@ -42,9 +46,16 @@ from .graphs import (
     byte_classes,
     discretize_kernel,
     laplacian,
+    pixel_classes,
     twin_classes,
 )
-from .kernels import Kernel, Partition, common_refinement, overlap_matrix
+from .kernels import (
+    Kernel,
+    Partition,
+    common_refinement,
+    overlap_matrix,
+    symmetric_unit_matrix,
+)
 
 # Default tolerances; every consumer that overrides them records the value
 # it used in its output metadata.
@@ -309,18 +320,11 @@ def _solve_expm(
 ) -> tuple[np.ndarray, dict]:
     """exp(t D) u0 on the grid, through the twin quotient when it is smaller.
 
-    Vertices with identical weight rows form q classes, so W = P B P^T
-    with P the n x q class-membership matrix and B the weights between
-    class heads.  With d the class degrees (row sums / n),
-    D = P B P^T / n - diag(d[label]).  Splitting u = P c + v, with c the
-    class means and v summing to zero over each class, gives two
-    decoupled exact equations: the class-mean flow of `_class_flow` with
-    the class sizes and scale n, and dv/dt = -d[label] v, so
-    v(t) = exp(-d[label] t) v(0).
-
-    Returns (states, metadata of the path).  When all rows differ (q = n)
-    and only u(T) is asked for, `_solve_krylov` runs; otherwise the
-    generator itself is diagonalised.
+    Returns (states, metadata of the path).  With twins, `_twin_quotient`
+    runs on the classes of `twin_classes`, with the degrees and weights
+    of their first vertices.  When all rows differ (q = n) and only u(T)
+    is asked for, `_solve_krylov` runs; otherwise the generator itself is
+    diagonalised.
     """
     labels, heads = twin_classes(graph)
     q = heads.size
@@ -335,14 +339,28 @@ def _solve_expm(
         modes = np.exp(np.outer(times, eigvals))
         return (modes * coeffs) @ eigvecs.T, {"solver_path": "dense_eigh", "q": q}
     w = graph.weights
-    sizes = np.bincount(labels)
     d = w[heads].sum(axis=1) / graph.n
+    return _twin_quotient(labels, d, w[np.ix_(heads, heads)], u0, times)
+
+
+def _twin_quotient(labels, d, b, u0, times) -> tuple[np.ndarray, dict]:
+    """exp(t D) u0 on the grid from the q twin classes of an n-vertex graph.
+
+    labels[i] is the class of vertex i, d the class degrees (row sums / n)
+    and b the weights between the classes' first vertices.  The rows of a
+    class are identical, so W = P B P^T with P the n x q class-membership
+    matrix, and D = P B P^T / n - diag(d[label]).  Splitting u = P c + v,
+    with c the class means and v summing to zero over each class, gives
+    two decoupled exact equations: the class-mean flow of `_class_flow`
+    with the class sizes and scale n, and dv/dt = -d[label] v, so
+    v(t) = exp(-d[label] t) v(0).
+    """
+    sizes = np.bincount(labels)
     means = np.bincount(labels, weights=u0) / sizes
-    b = w[np.ix_(heads, heads)]
-    _, class_means = _class_flow(b, d, sizes, graph.n, means, times)
+    _, class_means = _class_flow(b, d, sizes, labels.size, means, times)
     deviation = u0 - means[labels]
     states = class_means[:, labels] + _decay(times, d[labels], deviation)
-    return states, {"solver_path": "twin_quotient", "q": q}
+    return states, {"solver_path": "twin_quotient", "q": sizes.size}
 
 
 def _decay(times, rates, deviation) -> np.ndarray:
@@ -370,12 +388,17 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     if u.shape != (graph.n,):
         raise ValidationError(f"state has {u.size} cells, graph has {graph.n}")
     _check_size(graph.n)
+    return _trajectory(t, u, lambda: _solve_expm(graph, u, t))
+
+
+def _trajectory(t, u, solve) -> Trajectory:
+    """Trajectory from `solve()` -> (states, path metadata), started exactly at u."""
     # overflow is judged by _require_finite, not reported by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        states, detail = _solve_expm(graph, u, t)
+        states, detail = solve()
     states[0] = u  # t=0 is the given state, not a reconstruction of it
     _require_finite(states)
-    return Trajectory(t, states, {"n": graph.n, **detail})
+    return Trajectory(t, states, {"n": u.size, **detail})
 
 
 def check_method(config: dict) -> None:
@@ -402,11 +425,29 @@ def _require_finite(states: np.ndarray) -> None:
 def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
     """Finite-n approximation of the kernel dynamics started from g.
 
-    Discretises the kernel exactly at resolution n, averages g per cell
-    and delegates to `solve_finite`.
+    The same trajectory, bit for bit and with the same metadata, as
+    `solve_finite(discretize_kernel(kernel, n), average_initial(g, n),
+    times)`, but solved on the discretisation's twin classes without
+    forming its n x n matrix.  The `pixel_classes` weights are
+    symmetrised and clipped as the graph's are, and classes whose weight
+    rows then coincide are merged, which gives the graph's own
+    `twin_classes`; `_twin_quotient` solves on them from the q x q class
+    weights and the class degrees, each summed over its head's row
+    expanded to the n pixels.  Only when every pixel is its own class is
+    the graph built and handed to `solve_finite`.
     """
-    graph = discretize_kernel(kernel, n)
-    traj = solve_finite(graph, average_initial(g, n), times)
+    labels, heads, weights = pixel_classes(kernel, n)
+    u0 = average_initial(g, n)
+    if heads.size == n:
+        traj = solve_finite(WeightedGraph(weights), u0, times)
+    else:
+        weights = symmetric_unit_matrix(weights, "weights")
+        t = _validate_times(times)
+        merged, first = byte_classes(weights)
+        # degrees summed over the n pixels, in the order the graph sums them
+        d = np.take(weights[first], labels, axis=1).sum(axis=1) / n
+        b = weights[np.ix_(first, first)]
+        traj = _trajectory(t, u0, lambda: _twin_quotient(merged[labels], d, b, u0, t))
     try:
         traj.metadata["kernel"] = kernel.spec()
     except NotImplementedError:

@@ -187,11 +187,10 @@ def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> 
     rows = []
     for n in cfg.n_ladder:
         traj = solve_continuum(cfg.kernel, cfg.initial, n, times)
-        part = Partition.uniform(n)
-        sup_err = max(
-            step_l2_distance(part, traj.states[k], ref_part, ref_values[k])
-            for k in range(times.size)
-        )
+        # step_l2_distance at each grid time, on one common refinement
+        part, (cells, ref_cells) = common_refinement(Partition.uniform(n), ref_part)
+        diffs = (u[cells] - ref[ref_cells] for u, ref in zip(traj.states, ref_values))
+        sup_err = max(float(np.sqrt(part.measures @ (d * d))) for d in diffs)
         final = traj.states[-1]
         rows.append(
             ErrorRow(

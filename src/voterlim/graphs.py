@@ -54,8 +54,10 @@ class WeightedGraph:
     def is_simple(self) -> bool:
         """True when the graph is unweighted without self-loops (0/1 off-diagonal)."""
         w = self.weights
-        off = w[~np.eye(self.n, dtype=bool)]
-        return bool(np.all(np.diag(w) == 0.0) and np.all((off == 0.0) | (off == 1.0)))
+        if np.diag(w).any():
+            return False
+        # counted one comparison at a time: no mask of the off-diagonal
+        return bool(np.count_nonzero(w == 0.0) + np.count_nonzero(w == 1.0) == w.size)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "weights": self.weights.tolist()})
@@ -127,21 +129,47 @@ def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.unique(labels, return_index=True)[1]
 
 
-def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
-    """Weighted graph of cell averages: beta_ij = n^2 * integral of W over I_i x I_j.
+def pixel_classes(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twin classes of the discretisation at n, read off the kernel's partition.
 
-    The integral is evaluated exactly through the kernel's step refinement
-    and the overlap of its partition with the uniform n-partition.
+    Pixels (cells of the uniform n-partition) whose overlaps with the
+    cells of `kernel.as_step()` are bit-identical get identical weight
+    rows, so the q classes they form carry the whole discretisation.
+    Returns (labels, heads, weights): labels[i] is the class of pixel i,
+    heads[k] the first pixel of class k (classes numbered in that order)
+    and weights the raw q x q matrix n^2 O V O^T over the heads' overlap
+    rows O, before `symmetric_unit_matrix`.  A partition with at least n
+    cells is not keyed: every pixel is its own class and weights is the
+    n x n discretisation.
     """
     if n < 1:
         raise ValidationError("discretisation needs n >= 1")
     _check_size(n)
     step = kernel.as_step()
     overlap = overlap_matrix(Partition.uniform(n), step.partition)
-    beta = overlap @ step.values @ overlap.T
-    beta *= n * n  # in place: one n x n array fewer, the same bits
+    if step.partition.size >= n:
+        labels = heads = np.arange(n)
+    else:
+        labels, heads = byte_classes(overlap)
+        overlap = overlap[heads]
+    weights = overlap @ step.values @ overlap.T
+    weights *= n * n  # in place: one array fewer, the same bits
+    return labels, heads, weights
+
+
+def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
+    """Weighted graph of cell averages: beta_ij = n^2 * integral of W over I_i x I_j.
+
+    The integral is evaluated exactly through the kernel's step refinement
+    and the overlap of its partition with the uniform n-partition, once
+    per pair of `pixel_classes` and then expanded to the n pixels, so
+    pixels with identical overlaps get bit-identical weight rows.
+    """
+    labels, heads, weights = pixel_classes(kernel, n)
+    if heads.size < n:
+        weights = np.take(np.take(weights, labels, axis=0), labels, axis=1)
     # WeightedGraph symmetrises, absorbing the rounding asymmetry here.
-    return WeightedGraph(beta)
+    return WeightedGraph(weights)
 
 
 def pixel_kernel(graph: WeightedGraph) -> StepKernel:

@@ -6,9 +6,11 @@ O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series and
 fixed-step RK4 instead of eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
 exception is `dense_eigh_states`, the plain n x n eigendecomposition of
 the library's generator, which gates the solver's twin-quotient path.
-The last three are the plain whole-array expressions that the library's
-validator, W-random sampler and trajectory writer were rewritten from;
-the rewrites must match them bit for bit and byte for byte.
+The last four are the plain whole-array expressions that the library's
+discretisation, validator, W-random sampler and trajectory writer were
+rewritten from; the rewrites must match them bit for bit and byte for
+byte, or to a stated rounding bound where the rewrite changes the
+operation order.
 """
 
 import csv
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from voterlim import ValidationError, laplacian
-from voterlim.kernels import SYMMETRY_TOL
+from voterlim.kernels import SYMMETRY_TOL, Partition, overlap_matrix
 
 
 def frac_overlap(bounds_a, bounds_b):
@@ -288,6 +290,13 @@ def naive_volterra_residual(beta, times, states):
             direct = direct + np.trapezoid(integrand, times[: k + 1], axis=0)
         worst = max(worst, float(np.max(np.abs(states[k] - direct))))
     return worst
+
+
+def gemm_discretize(kernel, n):
+    """Raw n x n discretisation n^2 O V O^T from one product over all pixels."""
+    step = kernel.as_step()
+    overlap = overlap_matrix(Partition.uniform(n), step.partition)
+    return overlap @ step.values @ overlap.T * (n * n)
 
 
 def whole_matrix_symmetric_unit(values, what):

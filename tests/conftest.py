@@ -21,6 +21,26 @@ def random_step_kernel(rng, max_cells=8, nonneg=False, low=None):
     return vl.StepKernel(bounds, vals)
 
 
+def signed_zero_step_kernel(rng, m, aligned):
+    """Step kernel with m cells, boundaries random or on a 1/k grid.
+
+    Half of the value matrices draw from a palette with repeats, 0.0 and
+    -0.0, the others uniformly; symmetry is by copying, so -0.0 survives.
+    """
+    if aligned:
+        k = int(rng.integers(m, 4 * m + 1))
+        cuts = np.sort(rng.choice(np.arange(1, k), m - 1, replace=False)) / k
+    else:
+        cuts = np.unique(rng.uniform(0.01, 0.99, m - 1))
+    bounds = np.concatenate([[0.0], cuts, [1.0]])
+    size = (bounds.size - 1,) * 2
+    if rng.random() < 0.5:
+        vals = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0], size)
+    else:
+        vals = rng.uniform(-1.0, 1.0, size)
+    return vl.StepKernel(bounds, np.where(np.triu(np.ones(size, bool)), vals, vals.T))
+
+
 def random_initial(rng, n_cells=6, amp=1.0):
     vals = rng.uniform(-amp, amp, n_cells)
     return vl.InitialCondition.from_cell_values(vals)

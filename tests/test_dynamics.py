@@ -1,9 +1,10 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
@@ -22,7 +23,7 @@ from _oracles import (
     row_equality_classes,
     taylor_expm,
 )
-from conftest import random_initial, random_step_kernel
+from conftest import random_initial, random_step_kernel, signed_zero_step_kernel
 
 
 class TestInitialCondition:
@@ -286,6 +287,64 @@ class TestSolverMetadata:
         traj = vl.solve_finite(graph, u0, np.linspace(0.0, 2.0, 5))
         assert traj.metadata["solver_path"] == "dense_eigh"
         assert traj.metadata["q"] == 64
+
+
+class TestPixelClassSolve:
+    """solve_continuum solves on the pixel classes, never forming the n x n graph."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([1, 2, 3, 7, 64, 255, 256, 333, 1000]),
+        st.booleans(),
+        st.sampled_from([2, 201]),
+    )
+    @example(seed=148, m=32, n=255, aligned=False, num_times=201)
+    @example(seed=158, m=34, n=333, aligned=True, num_times=2)
+    def test_equals_the_graph_solve_bit_for_bit(self, seed, m, n, aligned, num_times):
+        r = np.random.default_rng(seed)
+        kernel = signed_zero_step_kernel(r, m, aligned)
+        g = vl.InitialCondition(
+            np.concatenate([[0.0], np.unique(r.uniform(0.01, 0.99, 5)), [1.0]]),
+            r.uniform(-1.0, 1.0, 6),
+        )
+        times = np.linspace(0.0, float(r.uniform(0.1, 5.0)), num_times)
+        got = vl.solve_continuum(kernel, g, n, times)
+        want = vl.solve_finite(vl.discretize_kernel(kernel, n), vl.average_initial(g, n), times)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.metadata.pop("kernel") == kernel.spec()
+        assert got.metadata.pop("initial") == g.spec()
+        assert got.metadata == want.metadata
+
+    def test_peak_memory_stays_a_few_trajectories(self):
+        r = np.random.default_rng(5)
+        kernel = signed_zero_step_kernel(r, 8, False)
+        g = random_initial(r, n_cells=16)
+        times = np.linspace(0.0, 10.0, 201)
+        tracemalloc.start()
+        try:
+            traj = vl.solve_continuum(kernel, g, 4096, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.metadata["solver_path"] == "twin_quotient"
+        # an n x n float array alone would be 128 MiB, 20x the states
+        assert peak <= 4 * traj.states.nbytes
+
+    def test_errors_keep_their_order(self):
+        g = vl.InitialCondition.constant(0.5)
+        bad_grid = [1.0, 2.0]
+        with pytest.raises(vl.ValidationError, match="n >= 1"):
+            vl.solve_continuum(vl.Kernel(), g, 0, bad_grid)
+        with pytest.raises(vl.SizeLimitError):
+            vl.solve_continuum(vl.Kernel(), g, vl.DEFAULT_N_MAX + 1, bad_grid)
+        with pytest.raises(vl.UnsupportedVariantError):
+            vl.solve_continuum(vl.Kernel(), g, 4, bad_grid)
+        for n in (4, 64):  # every pixel its own class, then twin classes
+            kernel = vl.StepKernel(np.arange(9) / 8, np.full((8, 8), 0.5))
+            with pytest.raises(vl.ValidationError, match="start at 0"):
+                vl.solve_continuum(kernel, g, n, bad_grid)
 
 
 def _check_krylov(graph, u0, horizon, nonneg):

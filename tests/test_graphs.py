@@ -3,14 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
 from voterlim import graphs
 
-from _oracles import frac_discretize, index_scatter_w_random, row_equality_classes
-from conftest import random_step_kernel
+from voterlim.kernels import Partition, overlap_matrix
+
+from _oracles import (
+    frac_discretize,
+    gemm_discretize,
+    index_scatter_w_random,
+    row_equality_classes,
+    whole_matrix_symmetric_unit,
+)
+from conftest import random_step_kernel, signed_zero_step_kernel
 
 # printed reference operator for the two-block +-1 kernel at r=1/3, n=6
 D6 = np.array(
@@ -55,6 +63,11 @@ class TestWeightedGraph:
         assert vl.WeightedGraph([[0, 1], [1, 0]]).is_simple()
         assert not vl.WeightedGraph([[1, 1], [1, 0]]).is_simple()
         assert not vl.WeightedGraph([[0, 0.5], [0.5, 0]]).is_simple()
+        assert vl.WeightedGraph([[-0.0, 1], [1, 0]]).is_simple()
+        assert vl.WeightedGraph([[0, -0.0, 1], [-0.0, -0.0, 0], [1, 0, 0]]).is_simple()
+        assert not vl.WeightedGraph([[0, 1], [1, 1]]).is_simple()
+        assert not vl.WeightedGraph([[1, 0], [0, 0]]).is_simple()
+        assert not vl.WeightedGraph([[0, -1], [-1, 0]]).is_simple()
 
 
 class TestDiscretize:
@@ -96,6 +109,60 @@ class TestDiscretize:
             vl.discretize_kernel(vl.ConstantKernel(1.0), 11)
         g = vl.discretize_kernel(vl.ConstantKernel(1.0), 10)
         assert g.n == 10
+
+
+class TestPixelClasses:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(10, 40),
+        st.sampled_from([64, 255, 333, 1000]),
+        st.booleans(),
+    )
+    # two kernels where one product over all pixels breaks twin rows
+    @example(seed=148, m=32, n=255, aligned=False)
+    @example(seed=158, m=34, n=333, aligned=True)
+    def test_twin_pixels_get_bit_identical_rows(self, seed, m, n, aligned):
+        kernel = signed_zero_step_kernel(np.random.default_rng(seed), m, aligned)
+        w = vl.discretize_kernel(kernel, n).weights
+        want = whole_matrix_symmetric_unit(gemm_discretize(kernel, n), "weights")
+        assert np.abs(w - want).max() <= 4 * np.finfo(float).eps * np.abs(kernel.values).max()
+        overlap = overlap_matrix(Partition.uniform(n), kernel.partition)
+        for pixels in row_equality_classes(overlap):
+            assert len({w[i].tobytes() for i in pixels}) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([1, 2, 3, 7, 16, 40]),
+        st.booleans(),
+    )
+    def test_labels_weights_and_the_fine_partition_case(self, seed, m, n, aligned):
+        kernel = signed_zero_step_kernel(np.random.default_rng(seed), m, aligned)
+        labels, heads, weights = graphs.pixel_classes(kernel, n)
+        raw = gemm_discretize(kernel, n)
+        if kernel.partition.size >= n:
+            # not keyed: the one product over all pixels, bit for bit
+            assert np.array_equal(labels, np.arange(n))
+            assert weights.tobytes() == raw.tobytes()
+            want = whole_matrix_symmetric_unit(raw, "weights")
+            assert vl.discretize_kernel(kernel, n).weights.tobytes() == want.tobytes()
+            return
+        overlap = overlap_matrix(Partition.uniform(n), kernel.partition)
+        classes = [np.nonzero(labels == k)[0].tolist() for k in range(heads.size)]
+        assert classes == sorted(row_equality_classes(overlap))
+        assert np.array_equal(heads, [c[0] for c in classes])
+        bound = 4 * np.finfo(float).eps * np.abs(kernel.values).max()
+        assert np.abs(weights - raw[np.ix_(heads, heads)]).max() <= bound
+
+    def test_errors_keep_their_order(self):
+        with pytest.raises(vl.ValidationError, match="n >= 1"):
+            graphs.pixel_classes(vl.Kernel(), 0)
+        with pytest.raises(vl.SizeLimitError):
+            graphs.pixel_classes(vl.Kernel(), vl.DEFAULT_N_MAX + 1)
+        with pytest.raises(vl.UnsupportedVariantError):
+            graphs.pixel_classes(vl.Kernel(), 4)
 
 
 class TestPixelKernel:

@@ -30,3 +30,41 @@ def test_compare_accepts_identical_trees(tmp_path):
         (tmp_path / side).mkdir()
         (tmp_path / side / "mc.csv").write_bytes(b"n,trial\n64,0\n")
     assert tool.compare(tmp_path / "a", tmp_path / "b") == (1, [])
+
+
+def test_describe_csv_counts_fields_and_the_largest_gap(tmp_path):
+    tool = load_tool()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,cell_0,cell_1\n0.0,1.0,0.5\n1.0,0.25,-0.0\n")
+    b.write_text("t,cell_0,cell_1\n0.0,1.0000000000000002,0.5\n1.0,0.25,0.0\n")
+    assert tool.describe_csv(a, b) == (
+        "2 of 9 fields differ, largest absolute difference 2.22e-16"
+    )
+    b.write_text("t,cell_0,cell_x\n0.0,1.0,0.5\n1.0,0.5,-0.0\n")
+    assert tool.describe_csv(a, b) == (
+        "2 of 9 fields differ, 1 of them not numeric, largest absolute difference 0.25"
+    )
+    b.write_text("t,cell_0,cell_1\n0.0,1.0,0.5\n")
+    assert tool.describe_csv(a, b) == "row counts or widths differ (3 and 2 rows)"
+
+
+def test_main_prints_how_a_csv_differs_and_exits_1(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+
+    class Job:
+        def write_configs(self, directory):
+            directory.mkdir(parents=True)
+
+    def run_job(tree, wl, configs, out):
+        out.mkdir(parents=True)
+        value = "1.0" if tree == tool.ROOT else "1.0000000000000002"
+        (out / "mc.csv").write_text(f"n,x\n64,{value}\n")
+        (out / "meta.json").write_text("{}")
+        return [0]
+
+    monkeypatch.setattr(tool, "WORKLOADS", {"fake": lambda seed: Job()})
+    monkeypatch.setattr(tool, "run_job", run_job)
+    assert tool.main([str(tmp_path), "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "fake seed 1: mc.csv (1 of 4 fields differ, largest absolute difference 2.22e-16)" in out
+    assert "2 files compared, 1 problems" in out

@@ -10,12 +10,16 @@ that tree.  Calls run in their job's output directory with the arguments
 same way.  Every file of one tree's output is compared byte for byte with
 the same file of the other's (`filecmp.cmp(shallow=False)`).  Prints the
 files that differ or exist on one side only, and the calls whose exit
-codes differ; exits 1 if there are any, else 0.
+codes differ; exits 1 if there are any, else 0.  A CSV file that differs
+is printed with how many fields differ and the largest absolute
+difference between the numeric ones, so a declared last-bit change can be
+read off the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import os
 import subprocess
@@ -57,6 +61,36 @@ def compare(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(both), differ
 
 
+def describe_csv(a: Path, b: Path) -> str:
+    """How two CSV files differ: fields that differ and the largest numeric gap."""
+    tables = []
+    for path in (a, b):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    shapes = [[len(row) for row in table] for table in tables]
+    if shapes[0] != shapes[1]:
+        return f"row counts or widths differ ({len(tables[0])} and {len(tables[1])} rows)"
+    fields = sum(shapes[0])
+    pairs = [
+        (x, y)
+        for row_a, row_b in zip(*tables)
+        for x, y in zip(row_a, row_b)
+        if x != y
+    ]
+    gaps = []
+    for x, y in pairs:
+        try:
+            gaps.append(abs(float(x) - float(y)))
+        except ValueError:  # a header or other text field
+            pass
+    text = f"{len(pairs)} of {fields} fields differ"
+    if len(gaps) < len(pairs):
+        text += f", {len(pairs) - len(gaps)} of them not numeric"
+    if gaps:
+        text += f", largest absolute difference {max(gaps):.3g}"
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the tree to compare with")
@@ -76,7 +110,10 @@ def main(argv: list[str] | None = None) -> int:
                     problems.append(f"{name} seed {seed}: exit codes {codes}")
                 count, differ = compare(job / "this", job / "other")
                 compared += count
-                problems += [f"{name} seed {seed}: {p}" for p in differ]
+                for p in differ:
+                    if p.endswith(".csv"):
+                        p += f" ({describe_csv(job / 'this' / p, job / 'other' / p)})"
+                    problems.append(f"{name} seed {seed}: {p}")
                 print(f"{name} seed {seed}: {count} files, {len(differ)} differ", flush=True)
     for line in problems:
         print(line)
