@@ -52,6 +52,7 @@ from .graphs import (
 from .kernels import (
     Kernel,
     Partition,
+    _closure,
     common_refinement,
     overlap_matrix,
     symmetric_unit_matrix,
@@ -306,13 +307,17 @@ def _class_flow(b, d, sizes, scale, means, times) -> tuple[np.ndarray, np.ndarra
 
     B holds the weights between q classes, S = diag(sizes) (vertex counts
     with scale n, or cell measures with scale 1) and d the class degrees.
-    One q x q eigendecomposition of A = S^(1/2) B S^(1/2) / scale - diag(d).
+    The S-weighted mean of c over each component of B != 0 is conserved,
+    so it is kept exactly; only the rest evolves, by one q x q
+    eigendecomposition of A = S^(1/2) B S^(1/2) / scale - diag(d).
     """
+    comp = _closure(b != 0)
+    kept = (np.bincount(comp, weights=sizes * means) / np.bincount(comp, weights=sizes))[comp]
     root = np.sqrt(sizes)
     a = root[:, None] * b * root / scale - np.diag(d)
     eigvals, eigvecs = np.linalg.eigh(a)
-    coeffs = eigvecs.T @ (root * means)
-    return eigvals, (np.exp(np.outer(times, eigvals)) * coeffs) @ eigvecs.T / root
+    coeffs = eigvecs.T @ (root * (means - kept))
+    return eigvals, kept + (np.exp(np.outer(times, eigvals)) * coeffs) @ eigvecs.T / root
 
 
 def _solve_expm(

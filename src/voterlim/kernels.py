@@ -156,6 +156,24 @@ def overlap_matrix(part_a: Partition, part_b: Partition) -> np.ndarray:
     return np.maximum(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0)
 
 
+def _closure(related: np.ndarray) -> np.ndarray:
+    """Class label per cell under the transitive closure of `related`.
+
+    `related` is a symmetric boolean m x m relation.  Classes are numbered
+    in order of their smallest cell; each is grown by frontier passes.
+    """
+    labels = np.full(related.shape[0], -1)
+    while (free := np.flatnonzero(labels < 0)).size:
+        member = np.zeros(labels.size, dtype=bool)
+        member[free[0]] = True
+        frontier = member.copy()
+        while frontier.any():
+            frontier = related[frontier].any(axis=0) & ~member
+            member |= frontier
+        labels[member] = labels.max() + 1
+    return labels
+
+
 class Kernel:
     """Symmetric measurable function on [0,1]^2 with values in [-1, 1].
 

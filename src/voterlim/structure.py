@@ -6,9 +6,10 @@ set can be replaced by a union of cells).  Twin-sets group cells whose
 kernel rows are proportional; they are the structure behind closed-form
 limit predictions and behind the counterexamples where consensus fails.
 
-Both are classes of the transitive closure of a boolean relation between
-cells (nonzero support, pairwise proportionality).  Limit prediction and
-the per-component solve read `ComponentDecomposition.labels`, the
+Both are classes of the transitive closure (`kernels._closure`, which the
+exact solver shares) of a boolean relation between cells: nonzero
+support, pairwise proportionality.  Limit prediction and the paper's
+per-component `solve_exact` read `ComponentDecomposition.labels`, the
 component of each source cell.
 """
 
@@ -18,36 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    InitialCondition,
-    Trajectory,
-    average_initial,
-    solve_finite,
-)
-from .errors import UnsupportedVariantError, ValidationError
-from .graphs import discretize_kernel
-from .kernels import DirectSumKernel, Kernel, StepKernel, common_refinement
+from .dynamics import InitialCondition, _validate_times, solve_exact
+from .errors import UnsupportedVariantError
+from .kernels import DirectSumKernel, Kernel, Partition, StepKernel, _closure, common_refinement
 
 PROPORTIONALITY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
-
-
-def _closure(related: np.ndarray) -> np.ndarray:
-    """Class label per cell under the transitive closure of `related`.
-
-    `related` is a symmetric boolean m x m relation.  Classes are numbered
-    in order of their smallest cell; each is grown by frontier passes.
-    """
-    labels = np.full(related.shape[0], -1)
-    while (free := np.flatnonzero(labels < 0)).size:
-        member = np.zeros(labels.size, dtype=bool)
-        member[free[0]] = True
-        frontier = member.copy()
-        while frontier.any():
-            frontier = related[frontier].any(axis=0) & ~member
-            member |= frontier
-        labels[member] = labels.max() + 1
-    return labels
 
 
 def _classes(labels: np.ndarray) -> list[list[int]]:
@@ -247,43 +224,33 @@ def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
     return InitialCondition(merged, values)
 
 
-def decompose_solution(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
-    """Solve per component ("expm") and reassemble; must match the direct solve.
+def decompose_solution(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, np.ndarray]:
+    """`solve_exact` run on each component alone: (partition, cell values per time).
 
-    Each component is solved on its own rescaled kernel multiplied by the
-    component weight (a block of width a interacts a-fold slower than the
-    same kernel on all of [0,1]) with the restriction of the averaged
-    initial condition.  The resolution n must align with the kernel cells
-    so each component receives a proportional whole number of cells.
+    A component of weight a evolves on its kernel rescaled onto [0,1] and
+    multiplied by a (a block of width a interacts a-fold slower than the
+    same kernel on all of [0,1]), from the restriction of g carried onto
+    [0,1] by the same chart.  The results are read back on the common
+    refinement of the kernel and g partitions, the partition `solve_exact`
+    returns for the whole kernel; the values match its to rounding.
     """
+    t = _validate_times(times)
     step = kernel.as_step()
-    scaled_bounds = step.partition.boundaries * n
-    if np.max(np.abs(scaled_bounds - np.round(scaled_bounds))) > 1e-9:
-        raise ValidationError(
-            "cell allocation is not proportional: every kernel cell boundary "
-            f"must be a multiple of 1/{n}"
-        )
     decomp = connected_components(step)
-    mids = (np.arange(n) + 0.5) / n
-    comp_idx = decomp.labels[step.partition.cell_of(mids)]
-    u0 = average_initial(g, n)
-    times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, n))
-    detail = []
+    part, (cells, g_cells) = common_refinement(step.partition, g.partition)
+    # exactly 0 where a merged cell starts a kernel cell, so the chart puts
+    # it on the component kernel's own boundary and adds no sliver cells
+    offsets = part.boundaries[:-1] - step.partition.boundaries[cells]
+    values = np.empty((t.size, part.size))
     for ci, comp in enumerate(decomp.components):
-        idx = np.nonzero(comp_idx == ci)[0]
-        n_c = idx.size
-        a_c = n_c / n
-        graph_c = discretize_kernel(comp.kernel.scaled(a_c), n_c)
-        traj_c = solve_finite(graph_c, u0[idx], times)
-        out[:, idx] = traj_c.states
-        detail.append({"cells": int(n_c), "weight": a_c})
-    meta = {"n": n, "decomposition": detail}
-    try:
-        meta["kernel"] = kernel.spec()
-    except NotImplementedError:
-        meta["kernel"] = None
-    return Trajectory(times, out, meta)
+        pieces = np.flatnonzero(decomp.labels[cells] == ci)
+        rank = np.searchsorted(comp.cells, cells[pieces])
+        starts = comp.kernel.partition.boundaries[rank] + offsets[pieces] / comp.weight
+        local = InitialCondition(np.append(starts, 1.0), g.values[g_cells[pieces]])
+        local_part, local_values = solve_exact(comp.kernel.scaled(comp.weight), local, t)
+        mids = (starts + np.append(starts[1:], 1.0)) / 2.0
+        values[:, pieces] = local_values[:, local_part.cell_of(mids)]
+    return part, values
 
 
 def structure_report(
