@@ -1,31 +1,38 @@
 """Voter/consensus dynamics: solvers, reference solutions and diagnostics.
 
 The finite model is the linear ODE du/dt = D u with D the graph's
-dynamics generator.  The continuum model is solved exactly from a step
-start by `solve_exact`, which shares its class-mean core `_class_flow`
-with the twin quotient below, and at resolution n by `solve_continuum`.
-That gives the trajectory of the discretised graph, but reads its twin
-classes off the kernel's partition (`graphs.pixel_classes`) and runs the
-twin quotient on them, so it never forms the n x n matrix.
-`solve_finite` computes exp(t D) u0 exactly and records which of three
-paths ran in `metadata["solver_path"]`, with the number q of twin
-classes:
+dynamics generator; the continuum model is its kernel limit.  Every exact
+solve reduces its input to classes of cells with identical weight rows,
+then runs one core, `_solve_classes`:
 
-- "twin_quotient" (some weight rows bit-identical): an exact q x q
+- `solve_finite(graph, u0, times)`: the vertices, in the graph's
+  `twin_classes`;
+- `solve_continuum(kernel, g, n, times)`: the pixels of the discretisation
+  at n, in the classes `graphs.pixel_classes` reads off the kernel's
+  partition, merged where the symmetrised rows coincide.  That is the
+  graph's own twin classes, so the trajectory and metadata equal those of
+  `solve_finite` on `discretize_kernel`, bit for bit; the n x n matrix is
+  formed only when the kernel has at least n cells;
+- `solve_exact(kernel, g, times)`: the cells of the common refinement of
+  the kernel and g partitions, in the kernel cells, weighted by measure.
+
+The core records which of three paths ran in `metadata["solver_path"]`,
+with the number q of classes:
+
+- "twin_quotient" (q < n, and every `solve_exact`): an exact q x q
   eigendecomposition of the class-mean dynamics plus a closed-form decay
-  of each vertex's deviation from its class mean.  A step kernel with m
+  of each cell's deviation from its class mean.  A step kernel with m
   cells discretised at n has q <= 2m - 1 classes of pixels with equal
   overlaps (fewer when their weight rows coincide); at other n than
   powers of two, overlaps around a cell boundary can differ in the last
   bit, which leaves q a little larger but still small.
-- "krylov" (q = n, grid [0, T]): Lanczos with full reorthogonalisation
-  builds exp(T D) u0 from matrix-vector products with the weights, in a
-  Krylov dimension fixed beforehand by the Hochbruck-Lubich a-priori
-  error bound.  It runs when that dimension is at most n / 4; the dense
-  path below is faster beyond that.
-- "dense_eigh" (all rows distinct, q = n, longer grids or Krylov
-  dimension above n / 4): the n x n symmetric eigendecomposition of the
-  generator.
+- "krylov" (a graph with q = n, grid [0, T]): Lanczos with full
+  reorthogonalisation builds exp(T D) u0 from matrix-vector products with
+  the weights, in a Krylov dimension fixed beforehand by the
+  Hochbruck-Lubich a-priori error bound.  It runs when that dimension is
+  at most n / 4; the dense path below is faster beyond that.
+- "dense_eigh" (a graph with q = n, longer grids or Krylov dimension
+  above n / 4): the n x n symmetric eigendecomposition of the generator.
 
 The Volterra integral-equation residual checks any trajectory without
 running a solver.
@@ -43,9 +50,9 @@ from .errors import SolverConvergenceError, ValidationError
 from .graphs import (
     WeightedGraph,
     _check_size,
+    _generator,
     byte_classes,
     discretize_kernel,
-    laplacian,
     pixel_classes,
     twin_classes,
 )
@@ -239,10 +246,8 @@ def _lanczos_bound(m: int, rho_tau: float) -> float:
     return math.inf
 
 
-def _solve_krylov(
-    graph: WeightedGraph, u0: np.ndarray, horizon: float
-) -> tuple[np.ndarray, dict] | None:
-    """exp(T D) u0 by Lanczos, or None when the dense path is cheaper.
+def _solve_krylov(w, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
+    """exp(T D) u0 by Lanczos on weights w, or None when the dense path is cheaper.
 
     The Krylov dimension m is fixed before the loop: the smallest m whose
     `_lanczos_bound` is at most KRYLOV_TOL, with rho tau = T (hi - lo) / 4
@@ -253,8 +258,7 @@ def _solve_krylov(
     Returns None when m exceeds n / 4, where the dense eigendecomposition
     took less time in measurements up to n = 1024.
     """
-    n = graph.n
-    w = graph.weights
+    n = w.shape[0]
     rows = w.sum(axis=1)
     diag = np.diag(w)
     centre = (diag - rows) / n
@@ -320,54 +324,6 @@ def _class_flow(b, d, sizes, scale, means, times) -> tuple[np.ndarray, np.ndarra
     return eigvals, kept + (np.exp(np.outer(times, eigvals)) * coeffs) @ eigvecs.T / root
 
 
-def _solve_expm(
-    graph: WeightedGraph, u0: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """exp(t D) u0 on the grid, through the twin quotient when it is smaller.
-
-    Returns (states, metadata of the path).  With twins, `_twin_quotient`
-    runs on the classes of `twin_classes`, with the degrees and weights
-    of their first vertices.  When all rows differ (q = n) and only u(T)
-    is asked for, `_solve_krylov` runs; otherwise the generator itself is
-    diagonalised.
-    """
-    labels, heads = twin_classes(graph)
-    q = heads.size
-    if q == graph.n:
-        if times.size == 2:
-            solved = _solve_krylov(graph, u0, float(times[1]))
-            if solved is not None:
-                return solved
-        # D is symmetric, so the matrix exponential reduces to eigenmodes.
-        eigvals, eigvecs = np.linalg.eigh(laplacian(graph))
-        coeffs = eigvecs.T @ u0
-        modes = np.exp(np.outer(times, eigvals))
-        return (modes * coeffs) @ eigvecs.T, {"solver_path": "dense_eigh", "q": q}
-    w = graph.weights
-    d = w[heads].sum(axis=1) / graph.n
-    return _twin_quotient(labels, d, w[np.ix_(heads, heads)], u0, times)
-
-
-def _twin_quotient(labels, d, b, u0, times) -> tuple[np.ndarray, dict]:
-    """exp(t D) u0 on the grid from the q twin classes of an n-vertex graph.
-
-    labels[i] is the class of vertex i, d the class degrees (row sums / n)
-    and b the weights between the classes' first vertices.  The rows of a
-    class are identical, so W = P B P^T with P the n x q class-membership
-    matrix, and D = P B P^T / n - diag(d[label]).  Splitting u = P c + v,
-    with c the class means and v summing to zero over each class, gives
-    two decoupled exact equations: the class-mean flow of `_class_flow`
-    with the class sizes and scale n, and dv/dt = -d[label] v, so
-    v(t) = exp(-d[label] t) v(0).
-    """
-    sizes = np.bincount(labels)
-    means = np.bincount(labels, weights=u0) / sizes
-    _, class_means = _class_flow(b, d, sizes, labels.size, means, times)
-    deviation = u0 - means[labels]
-    states = class_means[:, labels] + _decay(times, d[labels], deviation)
-    return states, {"solver_path": "twin_quotient", "q": sizes.size}
-
-
 def _decay(times, rates, deviation) -> np.ndarray:
     """exp(-rates t) * deviation on the grid, exactly deviation where it is 0.
 
@@ -379,31 +335,72 @@ def _decay(times, rates, deviation) -> np.ndarray:
     return np.exp(np.outer(times, -rates)) * deviation
 
 
+def _solve_classes(labels, masses, sizes, scale, d, b, u0, times) -> tuple[np.ndarray, dict]:
+    """exp(t D) u0 on the grid from cells grouped into q classes: (states, path metadata).
+
+    labels[i] is the class of cell i.  A graph passes masses None: its
+    cells are its n vertices, sizes the vertex counts of the classes and
+    scale n.  The continuum passes the cell measures as masses, the class
+    measures as sizes and scale 1.  d holds the class degrees and b the
+    q x q weights between classes.  The rows of a class are identical, so
+    splitting u = P c + v, with c the class means and v of zero mean over
+    each class, gives two decoupled exact equations: the class-mean flow
+    of `_class_flow`, and dv/dt = -d[label] v, so v(t) = exp(-d[label] t)
+    v(0).  A graph whose every vertex is its own class (q = n) has its
+    weight matrix as b and runs `_solve_krylov` when only u(T) is asked
+    for, otherwise the dense eigendecomposition of the generator.  States
+    start exactly at u0; values beyond the float range raise
+    SolverConvergenceError.
+    """
+    q = sizes.size
+    every_vertex = masses is None and q == u0.size
+    # overflow is judged below, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = None
+        if every_vertex and times.size == 2:
+            solved = _solve_krylov(b, u0, float(times[1]))
+        if solved is not None:
+            states, detail = solved
+        elif every_vertex:
+            # D is symmetric, so the matrix exponential reduces to eigenmodes.
+            eigvals, eigvecs = np.linalg.eigh(_generator(b))
+            modes = np.exp(np.outer(times, eigvals))
+            states = (modes * (eigvecs.T @ u0)) @ eigvecs.T
+            detail = {"solver_path": "dense_eigh", "q": q}
+        else:
+            weighted = u0 if masses is None else masses * u0
+            means = np.bincount(labels, weights=weighted, minlength=q) / sizes
+            _, class_means = _class_flow(b, d, sizes, scale, means, times)
+            states = class_means[:, labels] + _decay(times, d[labels], u0 - means[labels])
+            detail = {"solver_path": "twin_quotient", "q": q}
+    states[0] = u0  # t=0 is the given state, not a reconstruction of it
+    if not np.all(np.isfinite(states)):
+        raise SolverConvergenceError(
+            "trajectory left the representable range; shorten the horizon"
+        )
+    return states, detail
+
+
 def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     """Solve du/dt = D u exactly on the given time grid.
 
-    The symmetric generator is diagonalised, reduced to its twin classes
-    when some weight rows are identical, or u(T) alone is built by
-    Lanczos when the grid is [0, T].  The metadata records the path taken
+    The graph is reduced to its twin classes and solved by
+    `_solve_classes`.  The metadata records the path taken
     (`solver_path`) and the number of twin classes `q`, plus `krylov_dim`
     and the a-priori `krylov_bound` on the Krylov path.
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
-    if u.shape != (graph.n,):
-        raise ValidationError(f"state has {u.size} cells, graph has {graph.n}")
-    _check_size(graph.n)
-    return _trajectory(t, u, lambda: _solve_expm(graph, u, t))
-
-
-def _trajectory(t, u, solve) -> Trajectory:
-    """Trajectory from `solve()` -> (states, path metadata), started exactly at u."""
-    # overflow is judged by _require_finite, not reported by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        states, detail = solve()
-    states[0] = u  # t=0 is the given state, not a reconstruction of it
-    _require_finite(states)
-    return Trajectory(t, states, {"n": u.size, **detail})
+    n = graph.n
+    if u.shape != (n,):
+        raise ValidationError(f"state has {u.size} cells, graph has {n}")
+    _check_size(n)
+    labels, heads = twin_classes(graph)
+    w = graph.weights
+    b = w if heads.size == n else w[np.ix_(heads, heads)]
+    d = w.sum(axis=1)[heads] / n  # the bits of w[heads].sum(axis=1), without its copy
+    states, detail = _solve_classes(labels, None, np.bincount(labels), n, d, b, u, t)
+    return Trajectory(t, states, {"n": n, **detail})
 
 
 def check_method(config: dict) -> None:
@@ -420,67 +417,56 @@ def check_method(config: dict) -> None:
         )
 
 
-def _require_finite(states: np.ndarray) -> None:
-    if not np.all(np.isfinite(states)):
-        raise SolverConvergenceError(
-            "trajectory left the representable range; shorten the horizon"
-        )
-
-
 def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
     """Finite-n approximation of the kernel dynamics started from g.
 
     The same trajectory, bit for bit and with the same metadata, as
     `solve_finite(discretize_kernel(kernel, n), average_initial(g, n),
-    times)`, but solved on the discretisation's twin classes without
-    forming its n x n matrix.  The `pixel_classes` weights are
-    symmetrised and clipped as the graph's are, and classes whose weight
-    rows then coincide are merged, which gives the graph's own
-    `twin_classes`; `_twin_quotient` solves on them from the q x q class
-    weights and the class degrees, each summed over its head's row
-    expanded to the n pixels.  Only when every pixel is its own class is
-    the graph built and handed to `solve_finite`.
+    times)`, but solved on the discretisation's twin classes, without
+    forming its n x n matrix unless the kernel has at least n cells.  The
+    `pixel_classes` weights are symmetrised and clipped as the graph's
+    are, and classes whose weight rows then coincide are merged, which
+    gives the graph's own `twin_classes`; `_solve_classes` solves on them
+    from the q x q class weights and the class degrees, each summed over
+    its head's row expanded to the n pixels.
     """
-    labels, heads, weights = pixel_classes(kernel, n)
+    pixels, _, weights = pixel_classes(kernel, n)
     u0 = average_initial(g, n)
-    if heads.size == n:
-        traj = solve_finite(WeightedGraph(weights), u0, times)
-    else:
-        weights = symmetric_unit_matrix(weights, "weights")
-        t = _validate_times(times)
-        merged, first = byte_classes(weights)
-        # degrees summed over the n pixels, in the order the graph sums them
-        d = np.take(weights[first], labels, axis=1).sum(axis=1) / n
-        b = weights[np.ix_(first, first)]
-        traj = _trajectory(t, u0, lambda: _twin_quotient(merged[labels], d, b, u0, t))
+    t = _validate_times(times)
+    weights = symmetric_unit_matrix(weights, "weights")
+    merged, first = byte_classes(weights)
+    labels = merged[pixels]
+    # degrees summed over the n pixels, in the order the graph sums them
+    d = np.take(weights[first], pixels, axis=1).sum(axis=1) / n
+    b = weights if first.size == n else weights[np.ix_(first, first)]
+    states, detail = _solve_classes(labels, None, np.bincount(labels), n, d, b, u0, t)
     try:
-        traj.metadata["kernel"] = kernel.spec()
+        spec = kernel.spec()
     except NotImplementedError:
-        traj.metadata["kernel"] = None
-    traj.metadata["initial"] = g.spec()
-    return traj
+        spec = None
+    return Trajectory(t, states, {"n": n, **detail, "kernel": spec, "initial": g.spec()})
+
+
+def _kernel_cells(kernel: Kernel):
+    """(step refinement, cell measures, cell degrees) of a kernel."""
+    step = kernel.as_step()
+    sizes = step.partition.measures
+    return step, sizes, step.values @ sizes
 
 
 def solve_exact(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, np.ndarray]:
     """Exact continuum solution from g: (partition, cell values per time).
 
     u(., t) is a step function on the common refinement of the kernel and
-    g partitions.  Its kernel-cell means follow `_class_flow`, and its
-    deviation from them decays at each kernel cell's degree, as in the
-    twin quotient of `solve_finite`.
+    g partitions.  `_solve_classes` solves it with the kernel cells as
+    classes of the refined cells: their means follow `_class_flow`, and
+    each deviation from them decays at its kernel cell's degree.
     """
     t = _validate_times(times)
-    step = kernel.as_step()
+    step, sizes, d = _kernel_cells(kernel)
     part, (cells, g_cells) = common_refinement(step.partition, g.partition)
-    sizes = step.partition.measures
-    d = step.values @ sizes
     u0 = g.values[g_cells]
-    means = np.bincount(cells, weights=part.measures * u0, minlength=sizes.size) / sizes
-    with np.errstate(over="ignore", invalid="ignore"):  # see solve_finite
-        _, class_means = _class_flow(step.values, d, sizes, 1.0, means, t)
-        values = class_means[:, cells] + _decay(t, d[cells], u0 - means[cells])
-    values[0] = u0
-    _require_finite(values)
+    values, _ = _solve_classes(cells, part.measures, sizes, 1.0, d, step.values, u0, t)
     return part, values
 
 
@@ -494,9 +480,7 @@ def default_horizon(kernel: Kernel | None = None) -> tuple[float, str]:
     """
     if kernel is None:
         return 20.0, "fallback"
-    step = kernel.as_step()
-    sizes = step.partition.measures
-    d = step.values @ sizes
+    step, sizes, d = _kernel_cells(kernel)
     # spectrum only: the empty grid evolves no means
     quotient, _ = _class_flow(step.values, d, sizes, 1.0, np.zeros_like(d), np.empty(0))
     eigvals = np.concatenate([quotient, -d])
@@ -586,7 +570,7 @@ def exceptional_measure(state, eps: float) -> float:
     Exact: sorts the values and keeps the largest group fitting in a
     closed window of width eps, so the result is (n - kept) / n.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValidationError("eps must be positive")
     v = np.sort(np.asarray(state, dtype=float))
     n = v.size
@@ -600,7 +584,7 @@ def detect_consensus(traj: Trajectory, eps: float):
     Returns None when the diameter exceeds eps at the final time or never
     settles below it for good within the grid.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValidationError("eps must be positive")
     ok = traj.diameters() <= eps
     if not ok[-1]:

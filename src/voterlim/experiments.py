@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,18 +93,23 @@ class ExperimentConfig:
             kernel, data.get("horizon"), data.get("num_times", DEFAULT_NUM_TIMES)
         )
         try:
+            # only the keys the config gives; the rest keep the field defaults
+            given = {
+                key: kind(data[key])
+                for key, kind in (
+                    ("window", float), ("eps", float), ("c", float),
+                    ("trials", int), ("base_seed", int),
+                )
+                if key in data
+            }
             return cls(
                 kernel=kernel,
                 initial=initial,
                 n_ladder=tuple(ladder),
                 horizon=horizon,
-                window=float(data.get("window", 1.0)),
-                eps=float(data.get("eps", CONSENSUS_EPS)),
-                c=float(data.get("c", 0.1)),
-                trials=int(data.get("trials", 50)),
-                base_seed=int(data.get("base_seed", 0)),
                 num_times=times.size,
                 horizon_source=source,
+                **given,
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
@@ -114,19 +119,13 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Every effective parameter, for the metadata echo."""
-        return {
-            "kernel": self.kernel.spec(),
-            "initial": self.initial.spec(),
-            "n_ladder": list(self.n_ladder),
-            "horizon": self.horizon,
-            "horizon_source": self.horizon_source,
-            "window": self.window,
-            "eps": self.eps,
-            "c": self.c,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "num_times": self.num_times,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            kernel=self.kernel.spec(),
+            initial=self.initial.spec(),
+            n_ladder=list(self.n_ladder),
+        )
+        return out
 
 
 def experiment_metadata(cfg: ExperimentConfig, **extra) -> dict:

@@ -86,8 +86,12 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     sum of the other entries in its row, so rows and columns sum to zero
     and self-weights cancel out.
     """
-    w = graph.weights
-    n = graph.n
+    return _generator(graph.weights)
+
+
+def _generator(w: np.ndarray) -> np.ndarray:
+    """`laplacian` of the graph whose symmetric weight matrix is w."""
+    n = w.shape[0]
     d = w / n
     off_sums = w.sum(axis=1) - np.diag(w)
     np.fill_diagonal(d, -off_sums / n)

@@ -64,7 +64,7 @@ class Partition:
     def cell_of(self, x):
         """Index of the cell containing x (scalar or array), 0-based."""
         xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0.0) or np.any(xa > 1.0):
+        if not np.all((xa >= 0.0) & (xa <= 1.0)):  # NaN fails too
             raise DomainError("coordinate outside [0, 1]")
         idx = np.searchsorted(self.boundaries, xa, side="left") - 1
         idx = np.maximum(idx, 0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InitialCondition, _validate_times, solve_exact
-from .errors import UnsupportedVariantError
+from .errors import UnsupportedVariantError, ValidationError
 from .kernels import DirectSumKernel, Kernel, Partition, StepKernel, _closure, common_refinement
 
 PROPORTIONALITY_TOL = 1e-10
@@ -99,8 +99,14 @@ class NecessaryConditionReport:
         }
 
 
+def _check_tol(name: str, tol: float) -> None:
+    if not tol >= 0.0:  # NaN fails too
+        raise ValidationError(f"{name} must be a non-negative number")
+
+
 def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDecomposition:
     """Support-graph components of the step refinement, smallest cell first."""
+    _check_tol("zero_tol", zero_tol)
     step = kernel.as_step()
     v = step.values
     labels = _closure(np.abs(v) > zero_tol)
@@ -142,6 +148,7 @@ def find_maximal_twin_sets(
     with the dominant entry of row j, and a zero sign means no link.
     Maximal sets are the transitive closure of the pairwise relation.
     """
+    _check_tol("prop_tol", prop_tol)
     step = kernel.as_step()
     v = step.values
     norms = np.linalg.norm(v, axis=1)

@@ -497,6 +497,41 @@ class TestFailureModes:
         err = self.check_error(out, rc, 2, "ValidationError")
         assert fragment in err["message"]
 
+    @pytest.mark.parametrize(
+        "command,cfg,fragment,artifact",
+        [
+            ("simulate", {**simulate_config(), "eps": float("nan")}, "eps", "trajectory.csv"),
+            (
+                "structure",
+                {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": float("nan")},
+                "zero_tol",
+                "structure.json",
+            ),
+            (
+                "structure",
+                {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": -1.0},
+                "zero_tol",
+                "structure.json",
+            ),
+            (
+                "structure",
+                {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": float("nan")},
+                "prop_tol",
+                "structure.json",
+            ),
+        ],
+    )
+    def test_tolerances_that_are_nan_or_negative(
+        self, tmp_path, command, cfg, fragment, artifact
+    ):
+        # json.loads reads NaN, which would otherwise reach the metadata
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert fragment in err["message"]
+        assert not (out / artifact).exists()
+
     def test_zero_threads_rejected(self, tmp_path):
         cfg = {
             "kernel": {"type": "constant", "c": 0.8},

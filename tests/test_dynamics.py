@@ -317,6 +317,21 @@ class TestPixelClassSolve:
         assert got.metadata.pop("initial") == g.spec()
         assert got.metadata == want.metadata
 
+    @pytest.mark.parametrize("num_times", [2, 9])
+    def test_twins_among_pixels_that_are_their_own_classes(self, num_times):
+        # more kernel cells than pixels, so every pixel is its own pixel
+        # class, but the discretised rows are all equal: q = 1
+        kernel = vl.StepKernel(np.arange(9) / 8, np.full((8, 8), 0.5))
+        g = vl.InitialCondition([0.0, 0.3, 0.55, 1.0], [1.0, -0.5, 0.25])
+        times = np.linspace(0.0, 3.0, num_times)
+        got = vl.solve_continuum(kernel, g, 4, times)
+        want = vl.solve_finite(vl.discretize_kernel(kernel, 4), vl.average_initial(g, 4), times)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.metadata.pop("kernel") == kernel.spec()
+        assert got.metadata.pop("initial") == g.spec()
+        assert got.metadata == want.metadata
+        assert want.metadata == {"n": 4, "solver_path": "twin_quotient", "q": 1}
+
     def test_peak_memory_stays_a_few_trajectories(self):
         r = np.random.default_rng(5)
         kernel = signed_zero_step_kernel(r, 8, False)
@@ -774,6 +789,14 @@ class TestConsensusOps:
         states = np.array([[0, 1.0], [0, 0.02], [0, 0.03], [0, 0.07]])
         traj = vl.Trajectory(times, states)
         assert vl.detect_consensus(traj, 0.05) is None
+
+    @pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-3])
+    def test_eps_must_be_positive(self, eps):
+        traj = vl.Trajectory([0.0, 1.0], [[0.0, 1.0], [0.5, 0.5]])
+        with pytest.raises(vl.ValidationError, match="eps"):
+            vl.exceptional_measure(traj.states[-1], eps)
+        with pytest.raises(vl.ValidationError, match="eps"):
+            vl.detect_consensus(traj, eps)
 
     def test_limit_state_converged(self):
         g = vl.InitialCondition.from_cell_values([1.0, -0.5, 0.25, 0.0])

@@ -50,7 +50,24 @@ class TestExperimentConfig:
         )
         assert cfg.horizon_source == "spectral_gap"
         assert cfg.horizon == pytest.approx(10.0, rel=1e-6)
-        assert cfg.resolved()["horizon_source"] == "spectral_gap"
+        # every default is echoed, with the type the config would give it
+        resolved = cfg.resolved()
+        assert resolved == {
+            "kernel": {"type": "constant", "c": 1.0},
+            "initial": vl.InitialCondition.constant(0.2).spec(),
+            "n_ladder": [4, 8],
+            "horizon": cfg.horizon,
+            "horizon_source": "spectral_gap",
+            "window": 1.0,
+            "eps": 1e-3,
+            "c": 0.1,
+            "trials": 50,
+            "base_seed": 0,
+            "num_times": 201,
+        }
+        assert [type(resolved[k]) for k in ("window", "trials", "num_times")] == [
+            float, int, int,
+        ]
 
     def test_times_grid(self):
         cfg = bipartite_config(horizon=4.0, num_times=5)

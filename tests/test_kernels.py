@@ -28,6 +28,20 @@ class TestPartition:
         x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0])
         assert list(p.cell_of(x)) == [0, 0, 0, 1, 1, 2, 2]
 
+    @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan], [-0.1, 0.5], 1.5])
+    def test_coordinates_outside_the_interval_are_domain_errors(self, x):
+        # NaN is in no cell: it is refused, not mapped one past the last cell
+        g = vl.InitialCondition([0.0, 0.5, 1.0], [1.0, 2.0])
+        k = vl.StepKernel([0.0, 0.5, 1.0], [[1.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(vl.DomainError):
+            Partition([0.0, 0.5, 1.0]).cell_of(x)
+        with pytest.raises(vl.DomainError):
+            g.evaluate(x)
+        with pytest.raises(vl.DomainError):
+            k.evaluate(x, 0.25)
+        with pytest.raises(vl.DomainError):
+            k.evaluate(0.25, x)
+
     def test_measures_sum_to_one(self):
         p = Partition([0.0, 0.2, 0.7, 1.0])
         assert p.measures == pytest.approx([0.2, 0.5, 0.3])

@@ -63,6 +63,19 @@ class TestConnectedComponents:
         assert vl.is_connected(k)
         assert not vl.is_connected(k, zero_tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-12, -1.0])
+    def test_tolerances_must_be_non_negative_numbers(self, tol):
+        # a negative zero_tol would link every cell and a NaN one none
+        k = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(vl.ValidationError, match="zero_tol"):
+            vl.connected_components(k, tol)
+        with pytest.raises(vl.ValidationError, match="zero_tol"):
+            vl.structure_report(k, zero_tol=tol)
+        with pytest.raises(vl.ValidationError, match="prop_tol"):
+            vl.find_maximal_twin_sets(k, tol)
+        with pytest.raises(vl.ValidationError, match="prop_tol"):
+            vl.structure_report(k, prop_tol=tol)
+
     def test_all_zero_kernel_single_cell(self):
         # one all-zero cell is reported as one (frozen) component
         d = vl.connected_components(vl.ConstantKernel(0.0))
