@@ -16,6 +16,8 @@ from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
+    _check_positive,
+    _integer,
     average_initial,
     check_method,
     consensus_diameter,
@@ -110,11 +112,12 @@ def _cmd_simulate(config, out_dir, threads) -> None:
     check_method(config)
     initial = make_initial(config["initial"])
     eps = _number(config, "eps", float, CONSENSUS_EPS)
+    _check_positive("eps", eps)  # before the solve, which may be long
     if "kernel" in config:
         kernel = make_kernel(config["kernel"])
         if "n" not in config:
             raise ValidationError("simulate with a kernel needs a resolution n")
-        n = _number(config, "n", int)
+        n = _number(config, "n", _integer)
     elif "graph" in config:
         gspec = config["graph"]
         if isinstance(gspec, dict) and "path" in gspec:
@@ -157,7 +160,7 @@ def _cmd_simulate(config, out_dir, threads) -> None:
 
 def _cmd_discretize(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
-    n = _number(config, "n", int)
+    n = _number(config, "n", _integer)
     graph = discretize_kernel(kernel, n)
     simple = graph.is_simple()
     _write(out_dir, "graph.json", graph.to_json() + "\n")
@@ -197,7 +200,7 @@ def _cmd_structure(config, out_dir, threads) -> None:
 
 def _cmd_convergence(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
-    table = convergence_study(cfg, _number(config, "reference_n", int, None))
+    table = convergence_study(cfg, _number(config, "reference_n", _integer, None))
     _write(out_dir, "error_table.csv", table.csv_text())
     _write(
         out_dir,
@@ -208,7 +211,7 @@ def _cmd_convergence(config, out_dir, threads) -> None:
 
 def _cmd_proximity(config, out_dir, threads) -> None:
     cfg = ExperimentConfig.from_dict(config)
-    report = consensus_proximity(cfg, _number(config, "reference_n", int, None))
+    report = consensus_proximity(cfg, _number(config, "reference_n", _integer, None))
     _write(out_dir, "proximity.csv", report.csv_text())
     _write(
         out_dir,

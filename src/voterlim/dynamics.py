@@ -403,6 +403,22 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     return Trajectory(t, states, {"n": n, **detail})
 
 
+def _check_positive(name: str, value: float) -> None:
+    """ValidationError unless value is a positive finite number."""
+    if not 0.0 < value < math.inf:  # NaN and Infinity fail too
+        raise ValidationError(f"{name} must be positive and finite")
+
+
+def _integer(value) -> int:
+    """int(value) for a config count; a float that is not integral is a ValueError.
+
+    int() alone would read 2.7 as 2; NaN and Infinity are refused the same way.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def check_method(config: dict) -> None:
     """Refuse a run config whose "method" names a solver other than "expm".
 
@@ -514,7 +530,7 @@ def resolve_time_grid(
         # experiment configs call it a horizon that is not positive
         if math.isinf(horizon):
             raise ValidationError("time grid must be finite")
-        return np.linspace(0.0, horizon, int(num_times)), horizon, source
+        return np.linspace(0.0, horizon, _integer(num_times)), horizon, source
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed time grid: {exc}") from exc
 
@@ -570,8 +586,7 @@ def exceptional_measure(state, eps: float) -> float:
     Exact: sorts the values and keeps the largest group fitting in a
     closed window of width eps, so the result is (n - kept) / n.
     """
-    if not eps > 0.0:  # NaN fails too
-        raise ValidationError("eps must be positive")
+    _check_positive("eps", eps)
     v = np.sort(np.asarray(state, dtype=float))
     n = v.size
     kept = np.searchsorted(v, v + eps, side="right") - np.arange(n)
@@ -584,8 +599,7 @@ def detect_consensus(traj: Trajectory, eps: float):
     Returns None when the diameter exceeds eps at the final time or never
     settles below it for good within the grid.
     """
-    if not eps > 0.0:  # NaN fails too
-        raise ValidationError("eps must be positive")
+    _check_positive("eps", eps)
     ok = traj.diameters() <= eps
     if not ok[-1]:
         return None

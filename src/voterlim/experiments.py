@@ -10,7 +10,6 @@ JSON that echoes each resolved default.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,6 +20,8 @@ from .dynamics import (
     DEFAULT_NUM_TIMES,
     InitialCondition,
     Trajectory,
+    _check_positive,
+    _integer,
     average_initial,
     check_method,
     consensus_diameter,
@@ -35,7 +36,7 @@ from .dynamics import (
     step_l2_distance,
 )
 from .errors import ValidationError
-from .graphs import RNG_ALGORITHM, sample_w_random
+from .graphs import RNG_ALGORITHM, _w_random_sampler
 from .kernels import Kernel, Partition, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
@@ -64,15 +65,17 @@ class ExperimentConfig:
     horizon_source: str = "config"
 
     def __post_init__(self):
-        ladder = tuple(int(n) for n in self.n_ladder)
+        try:
+            ladder = tuple(_integer(n) for n in self.n_ladder)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"n_ladder must list integer sizes: {exc}") from exc
         if not ladder or any(n < 1 for n in ladder):
             raise ValidationError("n_ladder must list positive sizes")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("n_ladder must be strictly increasing")
         self.n_ladder = ladder
         for name in ("horizon", "window", "eps", "c"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ValidationError(f"{name} must be positive")
+            _check_positive(name, getattr(self, name))
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
         if self.num_times < 2:
@@ -98,7 +101,7 @@ class ExperimentConfig:
                 key: kind(data[key])
                 for key, kind in (
                     ("window", float), ("eps", float), ("c", float),
-                    ("trials", int), ("base_seed", int),
+                    ("trials", _integer), ("base_seed", _integer),
                 )
                 if key in data
             }
@@ -344,6 +347,11 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
     Each trial also records the measure where it deviates from the exact
     continuum solution (`solve_exact`) by more than eps, next to the
     Chebyshev bound (L2 distance / eps)^2 that must dominate it.
+
+    The ladder runs one size at a time: the edge probabilities and the
+    start are set up once per size and shared by its trials, through one
+    sampler whose 0/1 graphs are symmetric by construction and are not
+    validated again.  Only one size's sampler is alive at a time.
     """
     if not cfg.kernel.is_graphon():
         raise ValidationError("Monte Carlo sampling requires a graphon kernel")
@@ -354,37 +362,47 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
     times = np.array([0.0, cfg.horizon])
     label, ref_part, ref_values = _reference(cfg, times)
     ref_final = ref_values[-1]
-    parts = {n: Partition.uniform(n) for n in cfg.n_ladder}
     c_squared = cfg.c * cfg.c
 
-    def one_trial(task) -> MCTrialRow:
-        n, trial = task
-        seed = cfg.base_seed + trial
-        graph = sample_w_random(cfg.kernel, n, seed)
-        traj = solve_finite(graph, average_initial(cfg.initial, n), times)
-        final = traj.states[-1]
-        exc = exceptional_measure(final, cfg.eps)
-        exceed = step_exceedance_measure(parts[n], final, ref_part, ref_final, cfg.eps)
-        l2 = step_l2_distance(parts[n], final, ref_part, ref_final)
-        return MCTrialRow(
-            n=n,
-            trial=trial,
-            seed=seed,
-            diameter_at_T=consensus_diameter(final),
-            exceptional_measure=exc,
-            success=bool(exc < c_squared),
-            exceedance_fraction=float(exceed),
-            chebyshev_bound=float((l2 / cfg.eps) ** 2),
-            solver_path=traj.metadata["solver_path"],
-            krylov_dim=traj.metadata.get("krylov_dim"),
-        )
+    def size_rows(n: int, run) -> list[MCTrialRow]:
+        """The trials of ladder size n, in trial order, through map-like `run`."""
+        sample = _w_random_sampler(cfg.kernel, n)
+        u0 = average_initial(cfg.initial, n)
+        part = Partition.uniform(n)
 
-    tasks = [(n, trial) for n in cfg.n_ladder for trial in range(cfg.trials)]
+        def one_trial(trial: int) -> MCTrialRow:
+            seed = cfg.base_seed + trial
+            traj = solve_finite(sample(seed), u0, times)
+            final = traj.states[-1]
+            exc = exceptional_measure(final, cfg.eps)
+            exceed = step_exceedance_measure(part, final, ref_part, ref_final, cfg.eps)
+            l2 = step_l2_distance(part, final, ref_part, ref_final)
+            return MCTrialRow(
+                n=n,
+                trial=trial,
+                seed=seed,
+                diameter_at_T=consensus_diameter(final),
+                exceptional_measure=exc,
+                success=bool(exc < c_squared),
+                exceedance_fraction=float(exceed),
+                chebyshev_bound=float((l2 / cfg.eps) ** 2),
+                solver_path=traj.metadata["solver_path"],
+                krylov_dim=traj.metadata.get("krylov_dim"),
+            )
+
+        return list(run(one_trial, range(cfg.trials)))  # map keeps trial order
+
+    def ladder_rows(run) -> tuple[MCTrialRow, ...]:
+        return tuple(row for n in cfg.n_ladder for row in size_rows(n, run))
+
     if threads > 1:
+        # imported here: concurrent.futures brings logging into every CLI process
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one_trial, tasks))  # map preserves task order
+            rows = ladder_rows(pool.map)
     else:
-        rows = tuple(one_trial(t) for t in tasks)
+        rows = ladder_rows(map)
     fractions = tuple(
         (n, sum(r.success for r in rows if r.n == n) / cfg.trials)
         for n in cfg.n_ladder

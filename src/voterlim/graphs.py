@@ -47,6 +47,19 @@ class WeightedGraph:
             raise ValidationError("weights must form a square matrix, n >= 1")
         self.weights = symmetric_unit_matrix(w, "weights")
 
+    @classmethod
+    def _trusted(cls, weights: np.ndarray) -> "WeightedGraph":
+        """Graph on a float matrix that is valid by construction.
+
+        Stores `weights` itself, made read-only, without the
+        `symmetric_unit_matrix` pass; for the sampler's symmetric 0/1
+        matrices, on which that pass would change no bit.
+        """
+        graph = cls.__new__(cls)
+        weights.setflags(write=False)
+        graph.weights = weights
+        return graph
+
     @property
     def n(self) -> int:
         return self.weights.shape[0]
@@ -189,22 +202,34 @@ def sample_w_random(kernel: Kernel, n: int, seed: int) -> WeightedGraph:
     counter-based generator (see RNG_ALGORITHM) keyed by `seed`, so a
     given (kernel, n, seed) always yields the same graph.
     """
+    return _w_random_sampler(kernel, n)(seed)
+
+
+def _w_random_sampler(kernel: Kernel, n: int):
+    """`sample_w_random(kernel, n, seed)` as a function of the seed.
+
+    The edge probabilities of the n(n-1)/2 pairs i < j, in row-major
+    order, are gathered once; each call only draws and compares.  The
+    0/1 matrix it builds is symmetric by construction, so the graph skips
+    `symmetric_unit_matrix`, whose result would have the same bits.
+    """
     if n < 1:
         raise ValidationError("sampling needs n >= 1")
     _check_size(n)
     if not kernel.is_graphon():
         raise ValidationError("sampling requires a graphon (values in [0, 1])")
     step = kernel.as_step()
-    grid = np.arange(1, n + 1) / n
-    cells = step.partition.cell_of(grid)
-    probs = step.values[np.ix_(cells, cells)]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    cells = step.partition.cell_of(np.arange(1, n + 1) / n)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # masks read row-major
-    draws = rng.random(n * (n - 1) // 2)
-    adj = np.zeros((n, n))
-    adj[upper] = draws < probs[upper]
-    adj += adj.T
-    return WeightedGraph(adj)
+    probs = step.values[np.ix_(cells, cells)][upper]
+
+    def sample(seed: int) -> WeightedGraph:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        edges = np.zeros((n, n), dtype=bool)
+        edges[upper] = rng.random(probs.size) < probs
+        return WeightedGraph._trusted((edges | edges.T).astype(float))
+
+    return sample
 
 
 def blow_up(graph: WeightedGraph, copies, scale=None) -> WeightedGraph:

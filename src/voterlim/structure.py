@@ -100,8 +100,8 @@ class NecessaryConditionReport:
 
 
 def _check_tol(name: str, tol: float) -> None:
-    if not tol >= 0.0:  # NaN fails too
-        raise ValidationError(f"{name} must be a non-negative number")
+    if not 0.0 <= tol < np.inf:  # NaN and Infinity fail too
+        raise ValidationError(f"{name} must be a non-negative finite number")
 
 
 def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDecomposition:

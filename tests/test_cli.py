@@ -6,6 +6,8 @@ in-process; file outputs land in pytest tmp dirs.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -532,6 +534,125 @@ class TestFailureModes:
         assert fragment in err["message"]
         assert not (out / artifact).exists()
 
+    @pytest.mark.parametrize(
+        "command,cfg,fragment,artifact",
+        [
+            ("simulate", {**simulate_config(), "eps": float("inf")}, "eps", "trajectory.csv"),
+            (
+                "structure",
+                {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": float("inf")},
+                "zero_tol",
+                "structure.json",
+            ),
+            (
+                "structure",
+                {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": float("inf")},
+                "prop_tol",
+                "structure.json",
+            ),
+            (
+                "proximity",
+                {
+                    "kernel": {"type": "bipartite", "r": 1 / 3},
+                    "initial": {"type": "balanced_blocks", "r": 1 / 3},
+                    "n_ladder": [6],
+                    "horizon": 2.0,
+                    "window": float("inf"),
+                },
+                "window",
+                "proximity.csv",
+            ),
+            (
+                "mc-random",
+                {
+                    "kernel": {"type": "constant", "c": 0.8},
+                    "initial": {"type": "balanced_blocks", "r": 0.5},
+                    "n_ladder": [8],
+                    "horizon": 6.0,
+                    "trials": 30,
+                    "c": float("inf"),
+                },
+                "c must",
+                "mc.csv",
+            ),
+        ],
+    )
+    def test_infinite_tolerances(self, tmp_path, command, cfg, fragment, artifact):
+        # json.loads reads Infinity, which would otherwise reach the metadata
+        path = write_config(tmp_path, cfg)
+        assert "Infinity" in (tmp_path / "config.json").read_text()
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert fragment in err["message"]
+        assert not (out / artifact).exists()
+        assert not any("Infinity" in p.read_text() for p in out.glob("*_meta.json"))
+
+    @pytest.mark.parametrize(
+        "command,cfg,fragment",
+        [
+            ("simulate", {**simulate_config(), "times": None, "num_times": 2.7}, "time grid"),
+            ("simulate", {**simulate_config(), "n": 12.5}, "'n'"),
+            ("simulate", {**simulate_config(), "n": float("inf")}, "'n'"),
+            ("discretize", {"kernel": {"type": "constant", "c": 1.0}, "n": 4.5}, "'n'"),
+            (
+                "mc-random",
+                {
+                    "kernel": {"type": "constant", "c": 0.8},
+                    "initial": {"type": "balanced_blocks", "r": 0.5},
+                    "n_ladder": [8],
+                    "horizon": 6.0,
+                    "trials": 30.5,
+                },
+                "malformed experiment config",
+            ),
+            (
+                "convergence",
+                {
+                    "kernel": {"type": "constant", "c": 1.0},
+                    "initial": {"type": "balanced_blocks", "r": 0.5},
+                    "n_ladder": [6],
+                    "horizon": 2.0,
+                    "num_times": 5,
+                    "reference_n": 96.5,
+                },
+                "'reference_n'",
+            ),
+        ],
+    )
+    def test_counts_that_are_not_integers(self, tmp_path, command, cfg, fragment):
+        # int() would run 2.7 as 2; an integral 12.0 is still accepted
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert fragment in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    def test_integral_floats_count_as_integers(self, tmp_path):
+        cfg = {**simulate_config(), "times": None, "num_times": 3.0, "n": 12.0}
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        resolved = read_json(out / "trajectory_meta.json")["resolved"]
+        assert (resolved["n"], resolved["num_times"]) == (12, 3)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("source", ["kernel", "graph"])
+    def test_eps_checked_before_any_solve(self, tmp_path, monkeypatch, eps, source):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before eps was checked")
+
+        monkeypatch.setattr(vl.cli, "solve_continuum", no_solve)
+        monkeypatch.setattr(vl.cli, "solve_finite", no_solve)
+        cfg = {**simulate_config(), "eps": eps}
+        if source == "graph":
+            del cfg["kernel"], cfg["n"]
+            cfg["graph"] = {"n": 2, "weights": [[0.0, 1.0], [1.0, 0.0]]}
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "eps" in err["message"]
+
     def test_zero_threads_rejected(self, tmp_path):
         cfg = {
             "kernel": {"type": "constant", "c": 0.8},
@@ -634,3 +755,17 @@ class TestFailureModes:
         main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
         captured = capsys.readouterr()
         assert json.loads(captured.err.strip())["error"]["exit_code"] == 2
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures, and logging with it, load only when a pool runs
+    src = os.path.dirname(os.path.dirname(vl.__file__))
+    code = (
+        "import sys, voterlim.cli; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -24,6 +24,8 @@ class TestExperimentConfig:
             bipartite_config(n_ladder=[12, 6])
         with pytest.raises(vl.ValidationError):
             bipartite_config(n_ladder=[0, 6])
+        with pytest.raises(vl.ValidationError, match="n_ladder"):
+            bipartite_config(n_ladder=[6.5, 12])
         with pytest.raises(vl.ValidationError):
             bipartite_config(horizon=-1.0)
         with pytest.raises(vl.ValidationError):
@@ -39,6 +41,33 @@ class TestExperimentConfig:
                     "method": "rk",
                 }
             )
+
+    @pytest.mark.parametrize("name", ["horizon", "window", "eps", "c"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+    def test_lengths_and_tolerances_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(vl.ValidationError, match=name):
+            bipartite_config(**{name: value})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", 30.5), ("base_seed", 1.5), ("num_times", 2.7), ("n_ladder", [6.5]),
+         ("trials", np.inf), ("base_seed", np.nan)],
+    )
+    def test_from_dict_refuses_counts_that_are_not_integers(self, key, value):
+        # int() would truncate 2.7 to 2; an integral float still counts
+        data = {
+            "kernel": {"type": "bipartite", "r": 1 / 3},
+            "initial": {"type": "balanced_blocks", "r": 1 / 3},
+            "n_ladder": [6],
+            "horizon": 2.0,
+        }
+        with pytest.raises(vl.ValidationError):
+            vl.ExperimentConfig.from_dict({**data, key: value})
+        cfg = vl.ExperimentConfig.from_dict(
+            {**data, "trials": 30.0, "base_seed": 3.0, "num_times": 5.0, "n_ladder": [6.0]}
+        )
+        assert (cfg.trials, cfg.base_seed, cfg.num_times, cfg.n_ladder) == (30, 3, 5, (6,))
+        assert [type(v) for v in (cfg.trials, cfg.base_seed, cfg.num_times)] == [int] * 3
 
     def test_from_dict_fills_default_horizon(self):
         cfg = vl.ExperimentConfig.from_dict(
@@ -209,6 +238,34 @@ class TestRandomConsensusMC:
         c = vl.random_consensus_mc(self.mc_config(), threads=3)
         assert a.csv_text() == b.csv_text()
         assert a.csv_text() == c.csv_text()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rows_match_a_loop_over_the_public_functions(self, threads):
+        # one sampler per size and unvalidated samples change no row
+        cfg = self.mc_config()
+        times = np.array([0.0, cfg.horizon])
+        ref_part, ref_values = vl.solve_exact(cfg.kernel, cfg.initial, times)
+        expected = []
+        for n in cfg.n_ladder:
+            part = vl.Partition.uniform(n)
+            for trial in range(cfg.trials):
+                seed = cfg.base_seed + trial
+                graph = vl.sample_w_random(cfg.kernel, n, seed)
+                traj = vl.solve_finite(graph, vl.average_initial(cfg.initial, n), times)
+                final = traj.states[-1]
+                exc = vl.exceptional_measure(final, cfg.eps)
+                exceed = vl.step_exceedance_measure(
+                    part, final, ref_part, ref_values[-1], cfg.eps
+                )
+                l2 = vl.step_l2_distance(part, final, ref_part, ref_values[-1])
+                expected.append(
+                    vl.experiments.MCTrialRow(
+                        n, trial, seed, vl.consensus_diameter(final), exc,
+                        exc < cfg.c * cfg.c, float(exceed), float((l2 / cfg.eps) ** 2),
+                        traj.metadata["solver_path"], traj.metadata.get("krylov_dim"),
+                    )
+                )
+        assert vl.random_consensus_mc(cfg, threads=threads).rows == tuple(expected)
 
     def test_csv_layout(self):
         res = vl.random_consensus_mc(self.mc_config())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import voterlim as vl
 from voterlim import graphs
 
-from voterlim.kernels import Partition, overlap_matrix
+from voterlim.kernels import Partition, overlap_matrix, symmetric_unit_matrix
 
 from _oracles import (
     frac_discretize,
@@ -244,6 +244,34 @@ class TestWRandom:
         kernel = random_step_kernel(np.random.default_rng(kernel_seed), nonneg=True)
         got = vl.sample_w_random(kernel, n, seed).weights
         assert got.tobytes() == index_scatter_w_random(kernel, n, seed).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 64, 257]), st.integers(0, 2**32 - 1), st.integers(0, 2**63))
+    def test_samples_pass_the_validation_they_skip(self, n, kernel_seed, seed):
+        kernel = random_step_kernel(np.random.default_rng(kernel_seed), nonneg=True)
+        sample = graphs._w_random_sampler(kernel, n)
+        w = sample(seed).weights
+        assert not w.flags.writeable
+        assert w.tobytes() == symmetric_unit_matrix(w, "weights").tobytes()
+        assert w.tobytes() == vl.WeightedGraph(w).weights.tobytes()
+        # the sampler is reusable: a second seed, then the first again
+        assert sample(seed + 1).weights.tobytes() == (
+            vl.sample_w_random(kernel, n, seed + 1).weights.tobytes()
+        )
+        assert sample(seed).weights.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel,n,message",
+        [
+            (vl.BipartiteKernel(0.3), 0, "n >= 1"),
+            (vl.BipartiteKernel(0.3), vl.DEFAULT_N_MAX + 1, "n_max"),
+            (vl.BipartiteKernel(0.3), 10, "graphon"),
+        ],
+    )
+    def test_sampler_checks_when_built(self, kernel, n, message):
+        # in this order: the size checks win over the graphon check
+        with pytest.raises((vl.ValidationError, vl.SizeLimitError), match=message):
+            graphs._w_random_sampler(kernel, n)
 
 
 class TestBlowUp:

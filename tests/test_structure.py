@@ -63,9 +63,9 @@ class TestConnectedComponents:
         assert vl.is_connected(k)
         assert not vl.is_connected(k, zero_tol=1e-9)
 
-    @pytest.mark.parametrize("tol", [np.nan, -1e-12, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, -1e-12, -1.0, np.inf])
     def test_tolerances_must_be_non_negative_numbers(self, tol):
-        # a negative zero_tol would link every cell and a NaN one none
+        # a negative zero_tol would link every cell, a NaN or infinite one none
         k = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(vl.ValidationError, match="zero_tol"):
             vl.connected_components(k, tol)
