@@ -17,7 +17,6 @@ from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
     _check_positive,
-    _integer,
     average_initial,
     check_method,
     consensus_diameter,
@@ -43,7 +42,14 @@ from .experiments import (
     experiment_metadata,
     random_consensus_mc,
 )
-from .graphs import WeightedGraph, discretize_kernel, write_edge_list
+from .graphs import (
+    WeightedGraph,
+    _integer,
+    _joined_rows,
+    _json_loads,
+    discretize_kernel,
+    write_edge_list,
+)
 from .kernels import make_kernel
 from .structure import PROPORTIONALITY_TOL, structure_report
 
@@ -60,15 +66,64 @@ _REQUIRED = object()
 def _write(out_dir, name, payload) -> None:
     """Write artifact `name` into out_dir: text as given, anything else as JSON.
 
-    JSON is streamed to the file with sorted keys, two-space indents and a
-    final newline.
+    The JSON text is `json.dump(payload, indent=2, sort_keys=True)` plus a
+    final newline, byte for byte; lists of floats have each distinct value
+    formatted once (`_json_text`).
     """
+    text = payload if isinstance(payload, str) else _json_text(payload) + "\n"
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fh.write(text)
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for a value `depth` levels deep.
+
+    Dicts with string keys and lists are laid out here when they hold a
+    container.  A list of floats, or of equal-length lists of floats, is
+    formatted by `graphs._joined_rows`; every other value by json itself
+    in one call, its line breaks indented to the depth.
+    """
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    kind = _layout(value)
+    if kind == "json":
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    if kind == "dict":
+        items = [json.dumps(k) + ": " + _json_text(value[k], depth + 1) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind == "floats":
+        items = _joined_rows([value], "," + inner)
+    elif kind == "rows":
+        cell = inner + "  "
+        items = ["[" + cell + row + inner + "]" for row in _joined_rows(value, "," + cell)]
+    else:
+        items = [_json_text(v, depth + 1) for v in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _layout(value) -> str:
+    """How `_json_text` writes a value: "dict" or "list" item by item,
+    "floats" (a list of floats), "rows" (equal-length non-empty lists of
+    floats) or "json" (in one json call)."""
+    containers = (dict, list, tuple)
+    if isinstance(value, dict):
+        nested = all(isinstance(k, str) for k in value) and any(
+            isinstance(v, containers) for v in value.values()
+        )
+        return "dict" if nested else "json"
+    if not isinstance(value, (list, tuple)) or not value:
+        return "json"
+    types = set(map(type, value))
+    if types == {float}:
+        return "floats"
+    if (
+        types <= {list, tuple}
+        and len(set(map(len, value))) == 1
+        and value[0]
+        and all(set(map(type, row)) == {float} for row in value)
+    ):
+        return "rows"
+    return "list" if any(issubclass(t, containers) for t in types) else "json"
 
 
 def _read(path, what: str) -> str:
@@ -86,7 +141,7 @@ def _read(path, what: str) -> str:
 
 def _load_config(path) -> dict:
     try:
-        data = json.loads(_read(path, "config"))
+        data = _json_loads(_read(path, "config"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -123,7 +178,7 @@ def _cmd_simulate(config, out_dir, threads) -> None:
         if isinstance(gspec, dict) and "path" in gspec:
             graph = WeightedGraph.from_json(_read(gspec["path"], "graph"))
         else:
-            graph = WeightedGraph.from_json(json.dumps(gspec))
+            graph = WeightedGraph._from_dict(gspec)
         kernel, n = None, graph.n
     else:
         raise ValidationError("simulate config needs a 'kernel' or a 'graph'")

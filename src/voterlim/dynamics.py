@@ -51,6 +51,7 @@ from .graphs import (
     WeightedGraph,
     _check_size,
     _generator,
+    _integer,
     byte_classes,
     discretize_kernel,
     pixel_classes,
@@ -407,16 +408,6 @@ def _check_positive(name: str, value: float) -> None:
     """ValidationError unless value is a positive finite number."""
     if not 0.0 < value < math.inf:  # NaN and Infinity fail too
         raise ValidationError(f"{name} must be positive and finite")
-
-
-def _integer(value) -> int:
-    """int(value) for a config count; a float that is not integral is a ValueError.
-
-    int() alone would read 2.7 as 2; NaN and Infinity are refused the same way.
-    """
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def check_method(config: dict) -> None:

@@ -21,7 +21,6 @@ from .dynamics import (
     InitialCondition,
     Trajectory,
     _check_positive,
-    _integer,
     average_initial,
     check_method,
     consensus_diameter,
@@ -36,11 +35,19 @@ from .dynamics import (
     step_l2_distance,
 )
 from .errors import ValidationError
-from .graphs import RNG_ALGORITHM, _w_random_sampler
+from .graphs import RNG_ALGORITHM, _integer, _w_random_sampler
 from .kernels import Kernel, Partition, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
 MC_MAX_THREADS = 64
+
+
+def _count(name: str, value) -> int:
+    """`_integer(value)`, or a ValidationError naming `name`."""
+    try:
+        return _integer(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an integer: {exc}") from exc
 
 
 @dataclass
@@ -76,6 +83,8 @@ class ExperimentConfig:
         self.n_ladder = ladder
         for name in ("horizon", "window", "eps", "c"):
             _check_positive(name, getattr(self, name))
+        for name in ("trials", "base_seed", "num_times"):
+            setattr(self, name, _count(name, getattr(self, name)))
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
         if self.num_times < 2:
@@ -146,7 +155,7 @@ def _reference(cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
     `reference_n`, which must be at least 4x the largest ladder n."""
     if reference_n is None:
         return ("exact", *solve_exact(cfg.kernel, cfg.initial, times))
-    n = int(reference_n)
+    n = _count("reference_n", reference_n)
     if n < 4 * max(cfg.n_ladder):
         raise ValidationError("reference_n must be at least 4x the largest ladder n")
     traj = solve_continuum(cfg.kernel, cfg.initial, n, times)

@@ -34,6 +34,59 @@ def _check_size(n: int) -> None:
         raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={DEFAULT_N_MAX}")
 
 
+def _integer(value) -> int:
+    """int(value) for a count; a float that is not integral is a ValueError.
+
+    int() alone would read 2.7 as 2; NaN and Infinity are refused the same way.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _float_texts(values) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct float of an array formatted once: (labels, texts).
+
+    texts is an object array of `json.dumps` strings and texts[labels[i]]
+    the text of the i-th entry of the flattened array.  Entries are keyed
+    by their bits (the int64 view), so 0.0 and -0.0 keep their own texts.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    _, first, labels = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    # one encoder call; no float text contains ", "
+    texts = np.array(json.dumps(flat[first].tolist())[1:-1].split(", "), dtype=object)
+    return labels, texts
+
+
+def _joined_rows(values, sep: str) -> list[str]:
+    """Per row of a 2-D float array, the `json.dumps` texts of its entries joined by sep.
+
+    Bit-identical rows share one text, joined once.
+    """
+    values = np.asarray(values, dtype=float)
+    rows, heads = byte_classes(values)
+    labels, texts = _float_texts(values[heads])
+    cells = texts[labels].reshape(heads.size, values.shape[1]).tolist()
+    joined = [sep.join(row) for row in cells]
+    return [joined[k] for k in rows.tolist()]
+
+
+class _FloatMemo(dict):
+    """Float of each number token, parsed once: repeats share one object."""
+
+    def __missing__(self, token):
+        value = self[token] = float(token)
+        return value
+
+
+def _json_loads(text: str):
+    """`json.loads(text)`, with each distinct float token parsed once.
+
+    The same scanner gives the same values, types and errors.
+    """
+    return json.loads(text, parse_float=_FloatMemo().__getitem__)
+
+
 class WeightedGraph:
     """Symmetric weight matrix on n vertices with entries in [-1, 1].
 
@@ -73,16 +126,35 @@ class WeightedGraph:
         return bool(np.count_nonzero(w == 0.0) + np.count_nonzero(w == 1.0) == w.size)
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "weights": self.weights.tolist()})
+        """`json.dumps({"n": n, "weights": weights.tolist()})`, byte for byte.
+
+        Each distinct weight is formatted once and each distinct row
+        joined once (`_joined_rows`).
+        """
+        rows = "], [".join(_joined_rows(self.weights, ", "))
+        return f'{{"n": {self.n}, "weights": [[{rows}]]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedGraph":
+        """Inverse of `to_json`, parsing each distinct number token once.
+
+        Malformed text, a count that is not an integer and weights whose
+        shape disagrees with it raise ValidationError.
+        """
         try:
-            data = json.loads(text)
-            n = int(data["n"])
+            data = _json_loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed graph JSON: {exc}") from exc
+        return cls._from_dict(data)
+
+    @classmethod
+    def _from_dict(cls, data) -> "WeightedGraph":
+        """Graph of a parsed `{"n": ..., "weights": ...}` spec."""
+        try:
+            n = _integer(data["n"])
             _check_size(n)
             w = np.asarray(data["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
         if w.shape != (n, n):
             raise ValidationError("graph JSON: weights shape disagrees with n")

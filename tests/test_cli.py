@@ -5,12 +5,16 @@ in-process; file outputs land in pytest tmp dirs.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voterlim as vl
 from voterlim.cli import main
@@ -750,11 +754,89 @@ class TestFailureModes:
         rc = main(["simulate", "--config", path, "--out", str(out)])
         self.check_error(out, rc, 3, "SizeLimitError")
 
+    @pytest.mark.parametrize("n", ["2.7", "1e400"])
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_graph_counts_that_are_not_integers(self, tmp_path, n, inline):
+        # int() read 2.7 as 2 and raised OverflowError (exit 1) on 1e400
+        graph = '{"n": %s, "weights": [[0.0, 1.0], [1.0, 0.0]]}' % n
+        if not inline:
+            (tmp_path / "graph.json").write_text(graph)
+            graph = json.dumps({"path": str(tmp_path / "graph.json")})
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"graph": %s, "initial": {"type": "balanced_blocks", "r": 0.5},'
+            ' "times": [0.0, 1.0]}' % graph
+        )
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "malformed graph JSON" in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_stderr_carries_the_payload(self, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
         captured = capsys.readouterr()
         assert json.loads(captured.err.strip())["error"]["exit_code"] == 2
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf, 0.1]),
+)
+FLOAT_ROWS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(FLOATS, min_size=k, max_size=k), min_size=1, max_size=3)
+)
+PAYLOAD_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    FLOATS,
+    st.text(),
+    st.sampled_from(["", "caf\u00e9 \u2202", 'tab\t"quote"\\', "\x00\n\u2028"]),
+    st.lists(FLOATS, min_size=1),
+    FLOAT_ROWS,
+    FLOAT_ROWS.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1)),  # twin rows
+    st.lists(st.lists(FLOATS), min_size=1),  # ragged, empty rows included
+    st.lists(st.one_of(FLOATS, st.integers()), min_size=1),
+    st.tuples(FLOATS, FLOATS),
+    st.just([]),
+    st.just({}),
+)
+PAYLOADS = st.recursive(
+    PAYLOAD_LEAVES,
+    lambda kids: st.one_of(st.lists(kids), st.dictionaries(st.text(), kids)),
+    max_leaves=12,
+)
+
+
+class TestWriteJson:
+    @settings(max_examples=200, deadline=None)
+    @given(PAYLOADS.filter(lambda p: not isinstance(p, str)))  # text is written as given
+    def test_matches_json_dump(self, payload):
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        with tempfile.TemporaryDirectory() as out:
+            vl.cli._write(out, "payload.json", payload)
+            with open(os.path.join(out, "payload.json"), "rb") as fh:
+                assert fh.read() == want.encode("ascii")
+
+    def test_kernel_echo(self, tmp_path):
+        # a kernel echo with twin rows, repeated values and signed zeros
+        r = np.random.default_rng(5)
+        label = r.permutation(60) // 4
+        blocks = r.choice([-0.0, 0.0, 0.25, r.uniform()], (15, 15))
+        values = np.where(np.triu(np.ones((15, 15), bool)), blocks, blocks.T)[np.ix_(label, label)]
+        kernel = vl.StepKernel(np.linspace(0.0, 1.0, 61), values)
+        payload = {"kernel": kernel.spec(), "initial": None, "zero_tol": 0.0}
+        vl.cli._write(tmp_path, "meta.json", payload)
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "meta.json").read_bytes() == want.encode("ascii")
+
+    def test_non_string_keys_go_through_json(self, tmp_path):
+        payload = {"a": {3: [0.5, 0.5], 2.5: None, -1: "x"}, "b": [{False: -0.0}]}
+        vl.cli._write(tmp_path, "keys.json", payload)
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "keys.json").read_text() == want
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():

@@ -69,6 +69,21 @@ class TestExperimentConfig:
         assert (cfg.trials, cfg.base_seed, cfg.num_times, cfg.n_ladder) == (30, 3, 5, (6,))
         assert [type(v) for v in (cfg.trials, cfg.base_seed, cfg.num_times)] == [int] * 3
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", 40.5), ("base_seed", 1.5), ("num_times", 2.7), ("trials", np.inf),
+         ("base_seed", np.nan), ("trials", None), ("num_times", "many")],
+    )
+    def test_constructor_refuses_counts_that_are_not_integers(self, key, value):
+        # without from_dict, 40.5 trials reached random_consensus_mc as a float
+        with pytest.raises(vl.ValidationError, match=key):
+            bipartite_config(**{key: value})
+
+    def test_constructor_turns_integral_floats_into_ints(self):
+        cfg = bipartite_config(trials=40.0, base_seed=3.0, num_times=9.0)
+        assert (cfg.trials, cfg.base_seed, cfg.num_times) == (40, 3, 9)
+        assert [type(v) for v in (cfg.trials, cfg.base_seed, cfg.num_times)] == [int] * 3
+
     def test_from_dict_fills_default_horizon(self):
         cfg = vl.ExperimentConfig.from_dict(
             {
@@ -130,6 +145,16 @@ class TestConvergenceStudy:
             vl.convergence_study(cfg, reference_n=47)
         table = vl.convergence_study(cfg, reference_n=96)
         assert table.reference == "finite_n_96"
+        assert vl.convergence_study(cfg, reference_n=96.0).reference == "finite_n_96"
+
+    @pytest.mark.parametrize("reference_n", [96.5, np.inf, np.nan, "many"])
+    def test_finite_reference_must_be_an_integer(self, reference_n):
+        # int() solved the reference at n = 96 for 96.5
+        cfg = bipartite_config()
+        with pytest.raises(vl.ValidationError, match="reference_n"):
+            vl.convergence_study(cfg, reference_n=reference_n)
+        with pytest.raises(vl.ValidationError, match="reference_n"):
+            vl.consensus_proximity(cfg, reference_n=reference_n)
 
     def test_exact_reference_without_closed_form(self):
         cfg = bipartite_config(kernel=vl.ConstantKernel(1.0))

@@ -70,6 +70,125 @@ class TestWeightedGraph:
         assert not vl.WeightedGraph([[0, -1], [-1, 0]]).is_simple()
 
 
+def same_json(a, b) -> bool:
+    """Equal in value and type at every node; floats compared by their bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()  # NaN matches NaN, 0.0 does not match -0.0
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+# Number spellings, several of them aliases of one value, and other scalars.
+JSON_TOKENS = [
+    "1.0", "1.00", "1e0", "1E+0", "10e-1", "-0.0", "0.0", "-0", "0", "-0e0",
+    "2.5e-3", "5e-324", "1e16", "1e22", "1e400", "-1e400", "0.1", "12", "-7",
+    "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1.0"', '"\\u00e9"',
+]
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 0.1, 1.5]),
+    ),
+    lambda kids: st.one_of(st.lists(kids), st.dictionaries(st.text(), kids)),
+    max_leaves=30,
+)
+
+
+def token_text(tokens, as_object) -> str:
+    if as_object:
+        return "{" + ", ".join(f'"k{i}": {t}' for i, t in enumerate(tokens)) + "}"
+    nested = "[" + ", ".join(reversed(tokens)) + "]"
+    return "[" + ", ".join([*tokens, nested]) + "]"
+
+
+class TestGraphJson:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+    def test_to_json_matches_json_dumps(self, seed, n, palette):
+        r = np.random.default_rng(seed)
+        if palette:
+            w = r.choice([-1.0, -0.5, -0.0, 0.0, 1 / 3, 1.0], (n, n))
+        else:
+            w = r.uniform(-1.0, 1.0, (n, n))
+        w = np.where(np.triu(np.ones((n, n), bool)), w, w.T)  # -0.0 survives
+        g = vl.WeightedGraph(w)
+        assert g.to_json() == json.dumps({"n": n, "weights": g.weights.tolist()})
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.sampled_from([1, 2, 7, 64, 257]),
+        st.booleans(),
+    )
+    def test_discretised_to_json_matches_json_dumps(self, seed, m, n, aligned):
+        kernel = signed_zero_step_kernel(np.random.default_rng(seed), m, aligned)
+        g = vl.discretize_kernel(kernel, n)
+        assert g.to_json() == json.dumps({"n": n, "weights": g.weights.tolist()})
+
+    def test_signed_zeros_keep_their_texts(self):
+        g = vl.WeightedGraph([[-0.0, 0.0, 1.0], [0.0, -0.0, 0.5], [1.0, 0.5, -0.0]])
+        assert g.to_json() == (
+            '{"n": 3, "weights": [[-0.0, 0.0, 1.0], [0.0, -0.0, 0.5], [1.0, 0.5, -0.0]]}'
+        )
+        back = vl.WeightedGraph.from_json(g.to_json())
+        assert back.weights.tobytes() == g.weights.tobytes()
+
+    @pytest.mark.parametrize("n", ["2.7", "1e400", "-1e400", "NaN", "Infinity", '"two"', "null"])
+    def test_from_json_refuses_counts_that_are_not_integers(self, n):
+        # int() would read 2.7 as 2 and raise OverflowError on 1e400
+        text = '{"n": %s, "weights": [[0.0, 1.0], [1.0, 0.0]]}' % n
+        with pytest.raises(vl.ValidationError, match="malformed graph JSON"):
+            vl.WeightedGraph.from_json(text)
+
+    def test_from_json_accepts_an_integral_float_count(self):
+        text = '{"n": 2.0, "weights": [[0.0, 1.0], [1.0, 0.0]]}'
+        assert vl.WeightedGraph.from_json(text).n == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(JSON_TOKENS), max_size=12), st.booleans())
+    def test_json_loads_matches_on_repeated_and_aliased_tokens(self, tokens, as_object):
+        text = token_text(tokens, as_object)
+        assert same_json(graphs._json_loads(text), json.loads(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values)
+    def test_json_loads_matches_on_dumped_values(self, value):
+        for text in (json.dumps(value), json.dumps(value, indent=2, ensure_ascii=False)):
+            assert same_json(graphs._json_loads(text), json.loads(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(JSON_TOKENS), min_size=1, max_size=8),
+        st.integers(0, 120),
+        st.sampled_from(["", ",", "]", "[", "{", "}", "x", "1.", "-", "e5", '"', ":", " 1"]),
+        st.booleans(),
+    )
+    def test_malformed_text_raises_the_same_error(self, tokens, cut, junk, as_object):
+        text = token_text(tokens, as_object)
+        text = text[:cut] + junk
+        outcomes = []
+        for loads in (graphs._json_loads, json.loads):
+            try:
+                outcomes.append(("value", loads(text)))
+            except json.JSONDecodeError as exc:
+                outcomes.append(("error", str(exc)))
+        (kind, ours), (want_kind, want) = outcomes
+        assert kind == want_kind
+        assert same_json(ours, want) if kind == "value" else ours == want
+
+    def test_repeated_tokens_share_one_float(self):
+        a = graphs._json_loads("[0.25, 0.25, 0.250, 0.25]")
+        assert a[0] is a[1] is a[3]
+        assert a[2] == 0.25
+
+
 class TestDiscretize:
     def test_d6_reference(self):
         g = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 6)

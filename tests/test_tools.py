@@ -68,3 +68,44 @@ def test_main_prints_how_a_csv_differs_and_exits_1(tmp_path, monkeypatch, capsys
     out = capsys.readouterr().out
     assert "fake seed 1: mc.csv (1 of 4 fields differ, largest absolute difference 2.22e-16)" in out
     assert "2 files compared, 1 problems" in out
+
+
+def test_describe_json_tells_text_from_value_changes(tmp_path):
+    tool = load_tool()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{\n  "k": [1.0, -0.0, NaN],\n  "m": {"x": 2}\n}\n')
+    b.write_text('{"m": {"x": 2}, "k": [1.0, -0.0, NaN]}')
+    assert tool.describe_json(a, b) == "equal as parsed JSON"
+    b.write_text('{"k": [1.0000000000000002, 0.0, NaN], "m": {"x": 2.5}}')
+    assert tool.describe_json(a, b) == (
+        "3 of 4 leaves differ, first at /k/0, largest numeric gap 0.5"
+    )
+    b.write_text('{"k": [1.0, -0.0, NaN], "m": {"x": 2, "y": []}}')
+    assert tool.describe_json(a, b) == "1 of 5 leaves differ, first at /m/y"
+    b.write_text("{not json")
+    assert tool.describe_json(a, b) == "not valid JSON on both sides"
+
+
+def test_main_prints_how_a_json_file_differs(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+
+    class Job:
+        def write_configs(self, directory):
+            directory.mkdir(parents=True)
+
+    def run_job(tree, wl, configs, out):
+        out.mkdir(parents=True)
+        ours = tree == tool.ROOT
+        (out / "text.json").write_text('{"a": 1.0}' if ours else '{"a": 1.00}')
+        (out / "value.json").write_text('{"a": [1.0, 2]}' if ours else '{"a": [1.5, 2]}')
+        return [0]
+
+    monkeypatch.setattr(tool, "WORKLOADS", {"fake": lambda seed: Job()})
+    monkeypatch.setattr(tool, "run_job", run_job)
+    assert tool.main([str(tmp_path), "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "fake seed 1: text.json (equal as parsed JSON)" in out
+    assert (
+        "fake seed 1: value.json (1 of 2 leaves differ, first at /a/0, largest numeric gap 0.5)"
+    ) in out
+    assert "2 files compared, 2 problems" in out

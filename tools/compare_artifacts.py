@@ -13,7 +13,10 @@ files that differ or exist on one side only, and the calls whose exit
 codes differ; exits 1 if there are any, else 0.  A CSV file that differs
 is printed with how many fields differ and the largest absolute
 difference between the numeric ones, so a declared last-bit change can be
-read off the output.
+read off the output.  A JSON file that differs is printed as "equal as
+parsed JSON" when only its text differs (an encoder change), and otherwise
+with how many leaves differ, the path of the first and the largest
+numeric gap.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import argparse
 import csv
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +96,59 @@ def describe_csv(a: Path, b: Path) -> str:
     return text
 
 
+def _leaves(value, path=()):
+    """(path, leaf) of parsed JSON in document order; empty containers are leaves."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, float) and isinstance(y, float):
+        return x.hex() == y.hex()  # NaN matches NaN, 0.0 differs from -0.0
+    return type(x) is type(y) and x == y
+
+
+def _gap(x, y) -> float | None:
+    """|x - y| for two numbers (inf when one is NaN), else None."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (x, y)):
+        return None
+    gap = abs(x - y)
+    return math.inf if math.isnan(gap) else gap
+
+
+def describe_json(a: Path, b: Path) -> str:
+    """How two JSON files differ: only in text, or leaves, first path and largest gap."""
+    try:
+        docs = [json.loads(path.read_text()) for path in (a, b)]
+    except ValueError:
+        return "not valid JSON on both sides"
+    leaves = [dict(_leaves(doc)) for doc in docs]
+    missing = object()
+    paths = list(leaves[0]) + [p for p in leaves[1] if p not in leaves[0]]
+    differ = [
+        (p, leaves[0].get(p, missing), leaves[1].get(p, missing))
+        for p in paths
+        if not _same(leaves[0].get(p, missing), leaves[1].get(p, missing))
+    ]
+    if not differ:
+        return "equal as parsed JSON"
+    first = "/" + "/".join(map(str, differ[0][0]))
+    text = f"{len(differ)} of {len(paths)} leaves differ, first at {first}"
+    gaps = [g for _, x, y in differ if (g := _gap(x, y)) is not None]
+    if gaps:
+        text += f", largest numeric gap {max(gaps):.3g}"
+    return text
+
+
+_DESCRIBE = {".csv": describe_csv, ".json": describe_json}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the tree to compare with")
@@ -111,8 +169,9 @@ def main(argv: list[str] | None = None) -> int:
                 count, differ = compare(job / "this", job / "other")
                 compared += count
                 for p in differ:
-                    if p.endswith(".csv"):
-                        p += f" ({describe_csv(job / 'this' / p, job / 'other' / p)})"
+                    describe = _DESCRIBE.get(Path(p).suffix)
+                    if describe is not None:
+                        p += f" ({describe(job / 'this' / p, job / 'other' / p)})"
                     problems.append(f"{name} seed {seed}: {p}")
                 print(f"{name} seed {seed}: {count} files, {len(differ)} differ", flush=True)
     for line in problems:
