@@ -28,9 +28,10 @@ with the number q of classes:
   bit, which leaves q a little larger but still small.
 - "krylov" (a graph with q = n, grid [0, T]): Lanczos with full
   reorthogonalisation builds exp(T D) u0 from matrix-vector products with
-  the weights, in a Krylov dimension fixed beforehand by the
-  Hochbruck-Lubich a-priori error bound.  It runs when that dimension is
-  at most n / 4; the dense path below is faster beyond that.
+  the weights.  The Hochbruck-Lubich a-priori error bound gives the
+  largest Krylov dimension; the path runs when that cap is at most n / 4,
+  the dense path below being faster beyond it.  Saad's a-posteriori error
+  estimate stops the loop, mostly well below the cap.
 - "dense_eigh" (a graph with q = n, longer grids or Krylov dimension
   above n / 4): the n x n symmetric eigendecomposition of the generator.
 
@@ -72,6 +73,9 @@ LIMIT_TOL = 1e-8
 CONSENSUS_EPS = 1e-3
 ZERO_MEAN_TOL = 1e-12
 KRYLOV_TOL = 1e-16
+# Factor on Saad's a-posteriori Lanczos error estimate before it is held
+# against KRYLOV_TOL.
+KRYLOV_SAFETY = 10.0
 DEFAULT_NUM_TIMES = 201
 
 
@@ -247,23 +251,35 @@ def _lanczos_bound(m: int, rho_tau: float) -> float:
     return math.inf
 
 
-def _solve_krylov(w, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
-    """exp(T D) u0 by Lanczos on weights w, or None when the dense path is cheaper.
+def _solve_krylov(w, d, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
+    """exp(T D) u0 by Lanczos on weights w with degrees d, or None when the
+    dense path is cheaper.
 
-    The Krylov dimension m is fixed before the loop: the smallest m whose
-    `_lanczos_bound` is at most KRYLOV_TOL, with rho tau = T (hi - lo) / 4
-    from the Gershgorin interval [lo, hi] of D, the bound then holding for
-    D - hi I.  The loop ends early only on breakdown, when the Krylov space
-    is invariant and the result exact.  Lanczos runs on the mean-free part
-    of u0, which D keeps mean-free, and the mean is added back.
-    Returns None when m exceeds n / 4, where the dense eigendecomposition
-    took less time in measurements up to n = 1024.
+    The a-priori dimension is the smallest m whose `_lanczos_bound` is at
+    most KRYLOV_TOL, with rho tau = T (hi - lo) / 4 from the Gershgorin
+    interval [lo, hi] of D, the bound then holding for D - hi I.  It caps
+    the loop, and when it exceeds n / 4 the result is None: there the
+    dense eigendecomposition took less time in measurements up to n = 1024.
+    The loop stops earlier once Saad's a-posteriori estimate of the error,
+    KRYLOV_SAFETY beta_m |e_m^T exp(T T_m) e_1| for the m x m tridiagonal
+    T_m and the residual norm beta_m, is at most KRYLOV_TOL, or on
+    breakdown, when the Krylov space is invariant and the result exact.
+    The estimate is taken at every second step from m^2 >= 4 rho tau on,
+    where the bound is finite, and at the last step; the eigendecomposition
+    of T_m that gave it also gives the result.  Lanczos runs with two full
+    reorthogonalisation passes (one loses orthogonality on near-disconnected
+    graphs and can overflow) on the mean-free part of u0, which D keeps
+    mean-free, and the mean is added back.  The metadata records the
+    dimension reached (`krylov_dim`), the a-priori bound at the cap
+    (`krylov_bound`), why the loop stopped (`krylov_stop`: "estimate",
+    "cap" or "breakdown") and the last estimate taken (`krylov_estimate`).
     """
     n = w.shape[0]
-    rows = w.sum(axis=1)
     diag = np.diag(w)
-    centre = (diag - rows) / n
-    radius = (np.abs(w).sum(axis=1) - np.abs(diag)) / n
+    centre = diag / n - d
+    # the off-diagonal absolute row sums are the degrees without self-weights
+    # when w >= 0, which spares the n x n np.abs(w)
+    radius = -centre if w.min() >= 0.0 else (np.abs(w).sum(axis=1) - np.abs(diag)) / n
     lo, hi = float((centre - radius).min()), float((centre + radius).max())
     rho_tau = horizon * (hi - lo) / 4.0
     dim = next(
@@ -276,34 +292,46 @@ def _solve_krylov(w, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
     final = np.full(n, mean)
     r = u0 - mean
     beta0 = float(np.linalg.norm(r))
-    m = 0
+    m, stop, estimate = 0, "breakdown", 0.0
     if beta0 > 0.0:
-        d = rows / n
         basis = np.empty((dim, n))
-        alpha = np.empty(dim)
-        beta = np.empty(dim)
+        tri = np.zeros((dim, dim))
+        x = np.empty(n)
         basis[0] = r / beta0
         # a residual below this is rounding: the space is invariant
         breakdown = np.finfo(float).eps * n * (hi - lo)
         while True:
             v = basis[m]
-            x = w @ v / n - d * v
-            alpha[m] = v @ x
+            np.matmul(w, v, out=x)
+            x /= n
+            x -= d * v
+            tri[m, m] = v @ x
             m += 1
             for _ in range(2):  # full reorthogonalisation, twice
                 x -= basis[:m].T @ (basis[:m] @ x)
-            beta[m - 1] = float(np.linalg.norm(x))
-            if m == dim or beta[m - 1] <= breakdown:
-                break
-            basis[m] = x / beta[m - 1]
-        off = beta[: m - 1]
-        theta, s = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
-        final += beta0 * ((s @ (np.exp(horizon * theta) * s[0])) @ basis[:m])
+            beta = float(np.linalg.norm(x))
+            stop = "breakdown" if beta <= breakdown else "cap" if m == dim else None
+            # every second step: eigh(T_m) costs about as much as a step at
+            # n = 256 by m = 18.  Below m^2 = 4 rho tau the space cannot resolve
+            # exp(T D) and the estimate can miss slow modes not yet in it.
+            if stop or (m % 2 == 0 and m * m >= 4.0 * rho_tau):
+                theta, s = np.linalg.eigh(tri[:m, :m])
+                coeffs = s @ (np.exp(horizon * theta) * s[0])
+                estimate = KRYLOV_SAFETY * beta * abs(float(coeffs[-1]))
+                if stop != "breakdown" and estimate <= KRYLOV_TOL:
+                    stop = "estimate"
+                if stop:
+                    break
+            basis[m] = x / beta
+            tri[m, m - 1] = tri[m - 1, m] = beta
+        final += beta0 * (coeffs @ basis[:m])
     return np.stack([u0, final]), {
         "solver_path": "krylov",
         "q": n,
         "krylov_dim": m,
         "krylov_bound": _lanczos_bound(dim, rho_tau),
+        "krylov_stop": stop,
+        "krylov_estimate": estimate,
     }
 
 
@@ -359,7 +387,7 @@ def _solve_classes(labels, masses, sizes, scale, d, b, u0, times) -> tuple[np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         solved = None
         if every_vertex and times.size == 2:
-            solved = _solve_krylov(b, u0, float(times[1]))
+            solved = _solve_krylov(b, d, u0, float(times[1]))
         if solved is not None:
             states, detail = solved
         elif every_vertex:
@@ -387,8 +415,9 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
 
     The graph is reduced to its twin classes and solved by
     `_solve_classes`.  The metadata records the path taken
-    (`solver_path`) and the number of twin classes `q`, plus `krylov_dim`
-    and the a-priori `krylov_bound` on the Krylov path.
+    (`solver_path`) and the number of twin classes `q`, plus on the Krylov
+    path `krylov_dim`, the a-priori `krylov_bound`, `krylov_stop` and
+    `krylov_estimate` (see `_solve_krylov`).
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
@@ -671,16 +700,24 @@ def _step_difference(bounds_a, values_a, bounds_b, values_b):
     return merged.measures, diff
 
 
+def _l2_norm(measures, diff) -> float:
+    """L2 norm of the step function with these cell measures and values."""
+    return float(np.sqrt(measures @ (diff * diff)))
+
+
+def _exceedance(measures, diff, threshold: float) -> float:
+    """Measure of the cells where |diff| exceeds threshold."""
+    return float(measures[np.abs(diff) > threshold].sum())
+
+
 def step_l2_distance(bounds_a, values_a, bounds_b, values_b) -> float:
     """Exact L2([0,1]) distance between two step functions."""
-    measures, diff = _step_difference(bounds_a, values_a, bounds_b, values_b)
-    return float(np.sqrt(measures @ (diff * diff)))
+    return _l2_norm(*_step_difference(bounds_a, values_a, bounds_b, values_b))
 
 
 def step_exceedance_measure(bounds_a, values_a, bounds_b, values_b, threshold: float) -> float:
     """Exact measure of { x : |f(x) - g(x)| > threshold } for step functions."""
-    measures, diff = _step_difference(bounds_a, values_a, bounds_b, values_b)
-    return float(measures[np.abs(diff) > threshold].sum())
+    return _exceedance(*_step_difference(bounds_a, values_a, bounds_b, values_b), threshold)
 
 
 def csv_text(header, rows) -> str:

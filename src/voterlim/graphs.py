@@ -37,9 +37,12 @@ def _check_size(n: int) -> None:
 def _integer(value) -> int:
     """int(value) for a count; a float that is not integral is a ValueError.
 
-    int() alone would read 2.7 as 2; NaN and Infinity are refused the same way.
+    int() alone would read 2.7 as 2, True as 1 and "3" as 3; NaN, Infinity,
+    booleans and strings are refused the same way.
     """
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, (bool, np.bool_, str, bytes)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

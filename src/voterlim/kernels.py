@@ -71,7 +71,18 @@ class Partition:
         return int(idx) if np.isscalar(x) or xa.ndim == 0 else idx
 
     def refined_with(self, other: "Partition") -> "Partition":
-        return Partition(np.union1d(self.boundaries, other.boundaries))
+        """Partition on the union of both boundary sets.
+
+        The sort and the drop of adjacent equal boundaries that `np.union1d`
+        does, the same bits included, without the `numpy.ma` import that
+        `np.unique` triggers.
+        """
+        b = np.concatenate([self.boundaries, other.boundaries])
+        b.sort()
+        keep = np.empty(b.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(b[1:], b[:-1], out=keep[1:])
+        return Partition(b[keep])
 
     def midpoints(self) -> np.ndarray:
         return (self.boundaries[:-1] + self.boundaries[1:]) / 2.0

@@ -598,6 +598,8 @@ class TestFailureModes:
             ("simulate", {**simulate_config(), "times": None, "num_times": 2.7}, "time grid"),
             ("simulate", {**simulate_config(), "n": 12.5}, "'n'"),
             ("simulate", {**simulate_config(), "n": float("inf")}, "'n'"),
+            # int() read true as 1 and "3" as 3
+            ("simulate", {**simulate_config(), "n": True}, "'n'"),
             ("discretize", {"kernel": {"type": "constant", "c": 1.0}, "n": 4.5}, "'n'"),
             (
                 "mc-random",
@@ -607,6 +609,17 @@ class TestFailureModes:
                     "n_ladder": [8],
                     "horizon": 6.0,
                     "trials": 30.5,
+                },
+                "malformed experiment config",
+            ),
+            (
+                "mc-random",
+                {
+                    "kernel": {"type": "constant", "c": 0.8},
+                    "initial": {"type": "balanced_blocks", "r": 0.5},
+                    "n_ladder": [8],
+                    "horizon": 6.0,
+                    "trials": "40",
                 },
                 "malformed experiment config",
             ),
@@ -851,3 +864,25 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["mc-random", "convergence", "proximity"])
+def test_experiments_leave_numpy_ma_unloaded(tmp_path, command):
+    # np.unique, which np.union1d calls, imports numpy.ma (16 ms) on first use
+    config = {
+        "kernel": {"type": "step", "boundaries": [0.0, 0.4, 1.0],
+                   "values": [[0.9, 0.2], [0.2, 0.7]]},
+        "initial": {"type": "balanced_blocks", "r": 0.3},
+        "n_ladder": [8, 16],
+        "horizon": 6.0,
+        "num_times": 5,
+        "trials": 30,
+    }
+    path = write_config(tmp_path, config)
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+    code = f"import sys, voterlim.cli; print(voterlim.cli.main({argv!r}), 'numpy.ma' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vl.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0 False"

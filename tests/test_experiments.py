@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voterlim as vl
 
-from conftest import closed_form_errors
+from conftest import closed_form_errors, random_step_kernel
 
 
 def bipartite_config(**over):
@@ -72,7 +74,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("trials", 40.5), ("base_seed", 1.5), ("num_times", 2.7), ("trials", np.inf),
-         ("base_seed", np.nan), ("trials", None), ("num_times", "many")],
+         ("base_seed", np.nan), ("trials", None), ("num_times", "many"),
+         ("trials", True), ("base_seed", np.True_), ("num_times", "9")],
     )
     def test_constructor_refuses_counts_that_are_not_integers(self, key, value):
         # without from_dict, 40.5 trials reached random_consensus_mc as a float
@@ -264,10 +267,9 @@ class TestRandomConsensusMC:
         assert a.csv_text() == b.csv_text()
         assert a.csv_text() == c.csv_text()
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_rows_match_a_loop_over_the_public_functions(self, threads):
-        # one sampler per size and unvalidated samples change no row
-        cfg = self.mc_config()
+    @staticmethod
+    def public_rows(cfg):
+        """The rows of `random_consensus_mc`, by a loop over the public functions."""
         times = np.array([0.0, cfg.horizon])
         ref_part, ref_values = vl.solve_exact(cfg.kernel, cfg.initial, times)
         expected = []
@@ -290,7 +292,32 @@ class TestRandomConsensusMC:
                         traj.metadata["solver_path"], traj.metadata.get("krylov_dim"),
                     )
                 )
-        assert vl.random_consensus_mc(cfg, threads=threads).rows == tuple(expected)
+        return tuple(expected)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rows_match_a_loop_over_the_public_functions(self, threads):
+        # one sampler per size and unvalidated samples change no row
+        cfg = self.mc_config()
+        assert vl.random_consensus_mc(cfg, threads=threads).rows == self.public_rows(cfg)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rows_match_the_public_functions_on_random_partitions(self, seed):
+        # the refinement and the reference set up once per size give the bits
+        # of step_exceedance_measure and step_l2_distance; cuts at k/24 are
+        # shared with the ladder's uniform partitions
+        r = np.random.default_rng(seed)
+        cuts = np.unique(np.concatenate(
+            [r.uniform(0.01, 0.99, r.integers(0, 5)), r.integers(1, 24, r.integers(0, 5)) / 24]
+        ))
+        bounds = np.concatenate([[0.0], cuts, [1.0]])
+        cfg = self.mc_config(
+            kernel=random_step_kernel(r, max_cells=5, nonneg=True),
+            initial=vl.InitialCondition(bounds, r.uniform(-1.0, 1.0, bounds.size - 1)),
+            n_ladder=[int(r.integers(2, 8)), 8, 24],
+            eps=float(r.choice([0.01, 0.05, 0.2])),
+        )
+        assert vl.random_consensus_mc(cfg).rows == self.public_rows(cfg)
 
     def test_csv_layout(self):
         res = vl.random_consensus_mc(self.mc_config())

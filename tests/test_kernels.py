@@ -53,6 +53,26 @@ class TestPartition:
         m = a.refined_with(b)
         assert list(m.boundaries) == [0.0, 0.25, 0.5, 1.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 23), max_size=12),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12),
+        st.lists(st.integers(1, 23), max_size=12),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_refined_with_equals_union1d(self, grid_a, free_a, grid_b, free_b, neg_a, neg_b):
+        # points k/24 are shared between the two sides; a partition may start at -0.0
+        def partition(grid, free, negative):
+            inner = np.unique(np.concatenate([np.array(grid) / 24, free]))
+            return Partition(np.concatenate([[-0.0 if negative else 0.0], inner, [1.0]]))
+
+        a, b = partition(grid_a, free_a, neg_a), partition(grid_b, free_b, neg_b)
+        want = np.union1d(a.boundaries, b.boundaries)
+        got = a.refined_with(b).boundaries
+        assert got.tobytes() == want.tobytes()
+
     def test_common_refinement_maps_each_input(self):
         merged, (ia, ib, ic) = vl.common_refinement(
             Partition([0.0, 0.5, 1.0]), [0.0, 0.25, 1.0], Partition.uniform(1)

@@ -1,11 +1,11 @@
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+def load_tool(name="compare_artifacts"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -109,3 +109,24 @@ def test_main_prints_how_a_json_file_differs(tmp_path, monkeypatch, capsys):
         "fake seed 1: value.json (1 of 2 leaves differ, first at /a/0, largest numeric gap 0.5)"
     ) in out
     assert "2 files compared, 2 problems" in out
+
+
+def test_ab_summary_gives_the_median_and_inclusive_quartiles():
+    tool = load_tool("ab_jobs")
+    assert tool.summary([5.0, 1.0, 3.0, 2.0, 4.0]) == {
+        "jobs": 5, "median": 3.0, "q1": 2.0, "q3": 4.0,
+    }
+    assert tool.summary([1.0, 2.0, 3.0, 4.0]) == {
+        "jobs": 4, "median": 2.5, "q1": 1.75, "q3": 3.25,
+    }
+
+
+def test_ab_report_pairs_jobs_and_counts_only_wins():
+    tool = load_tool("ab_jobs")
+    # the second pair is a tie and the fourth a loss: neither counts as a win
+    lines = tool.report({"this": [1.0, 4.0, 3.0, 4.0], "other": [2.0, 4.0, 6.0, 2.0]})
+    assert lines == [
+        "this: median 3.500 s, quartiles 2.500-4.000 s (4 jobs)",
+        "other: median 3.000 s, quartiles 2.000-4.500 s (4 jobs)",
+        "median change +16.7 %; this tree faster in 2 of 4 pairs",
+    ]
