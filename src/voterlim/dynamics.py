@@ -21,7 +21,8 @@ with the number q of classes:
 
 - "twin_quotient" (q < n, and every `solve_exact`): an exact q x q
   eigendecomposition of the class-mean dynamics plus a closed-form decay
-  of each cell's deviation from its class mean.  A step kernel with m
+  of each cell's deviation from its class mean, synthesised once per
+  distinct (class, start value) column.  A step kernel with m
   cells discretised at n has q <= 2m - 1 classes of pixels with equal
   overlaps (fewer when their weight rows coincide); at other n than
   powers of two, overlaps around a cell boundary can differ in the last
@@ -197,6 +198,21 @@ class Trajectory:
         self.times = t
         self.states = s
         self.metadata = dict(metadata or {})
+
+    @classmethod
+    def _trusted(cls, times: np.ndarray, states: np.ndarray, metadata: dict) -> "Trajectory":
+        """Trajectory on a validated grid and a solver's fresh states.
+
+        Stores `states` itself, made read-only, without the constructor's
+        copy; the grid is copied, as the caller may still hold it.
+        """
+        traj = cls.__new__(cls)
+        traj.times = times.copy()
+        traj.times.setflags(write=False)
+        states.setflags(write=False)
+        traj.states = states
+        traj.metadata = metadata
+        return traj
 
     @property
     def n(self) -> int:
@@ -375,14 +391,19 @@ def _solve_classes(labels, masses, sizes, scale, d, b, u0, times) -> tuple[np.nd
     splitting u = P c + v, with c the class means and v of zero mean over
     each class, gives two decoupled exact equations: the class-mean flow
     of `_class_flow`, and dv/dt = -d[label] v, so v(t) = exp(-d[label] t)
-    v(0).  A graph whose every vertex is its own class (q = n) has its
-    weight matrix as b and runs `_solve_krylov` when only u(T) is asked
-    for, otherwise the dense eigendecomposition of the generator.  States
-    start exactly at u0; values beyond the float range raise
-    SolverConvergenceError.
+    v(0).  Cells of one class with bit-identical start values therefore
+    evolve bit-identically: each distinct (class, start) column, keyed by
+    `byte_classes`, is synthesised once, checked and set to its start, and
+    one gather expands the T x (distinct columns) result to the n cells.
+    A step kernel at n = 2048 has a few dozen such columns.  A graph whose
+    every vertex is its own class (q = n) has its weight matrix as b and
+    runs `_solve_krylov` when only u(T) is asked for, otherwise the dense
+    eigendecomposition of the generator.  States start exactly at u0;
+    values beyond the float range raise SolverConvergenceError.
     """
     q = sizes.size
     every_vertex = masses is None and q == u0.size
+    start, cols = u0, None  # cols: the synthesised column of each cell
     # overflow is judged below, not reported by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         solved = None
@@ -400,14 +421,18 @@ def _solve_classes(labels, masses, sizes, scale, d, b, u0, times) -> tuple[np.nd
             weighted = u0 if masses is None else masses * u0
             means = np.bincount(labels, weights=weighted, minlength=q) / sizes
             _, class_means = _class_flow(b, d, sizes, scale, means, times)
-            states = class_means[:, labels] + _decay(times, d[labels], u0 - means[labels])
+            # cells of one class with one start value evolve bit-identically
+            cols, heads = byte_classes(np.stack([labels.astype(float), u0], axis=1))
+            hl = labels[heads]
+            start = u0[heads]
+            states = class_means[:, hl] + _decay(times, d[hl], start - means[hl])
             detail = {"solver_path": "twin_quotient", "q": q}
-    states[0] = u0  # t=0 is the given state, not a reconstruction of it
+    states[0] = start  # t=0 is the given state, not a reconstruction of it
     if not np.all(np.isfinite(states)):
         raise SolverConvergenceError(
             "trajectory left the representable range; shorten the horizon"
         )
-    return states, detail
+    return (states if cols is None else states[:, cols]), detail
 
 
 def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
@@ -430,7 +455,7 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     b = w if heads.size == n else w[np.ix_(heads, heads)]
     d = w.sum(axis=1)[heads] / n  # the bits of w[heads].sum(axis=1), without its copy
     states, detail = _solve_classes(labels, None, np.bincount(labels), n, d, b, u, t)
-    return Trajectory(t, states, {"n": n, **detail})
+    return Trajectory._trusted(t, states, {"n": n, **detail})
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -480,7 +505,7 @@ def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Traje
         spec = kernel.spec()
     except NotImplementedError:
         spec = None
-    return Trajectory(t, states, {"n": n, **detail, "kernel": spec, "initial": g.spec()})
+    return Trajectory._trusted(t, states, {"n": n, **detail, "kernel": spec, "initial": g.spec()})
 
 
 def _kernel_cells(kernel: Kernel):
@@ -732,47 +757,72 @@ def csv_text(header, rows) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in lines)
 
 
+def _trajectory_rows(traj: Trajectory):
+    """The trajectory CSV as ASCII bytes, the header and then one row at a time.
+
+    Trajectories repeat whole columns: vertices of one twin class with one
+    start value evolve bit-identically, and a step kernel orders them in
+    runs of adjacent pixels.  Runs of bit-identical adjacent columns are
+    found on the int64 view of the states, so 0.0 and -0.0 stay apart, and
+    runs equal to an earlier one share its head (`byte_classes`).  Each row
+    formats each distinct head once, with its leading comma, and repeats
+    that text over the run, so the text is the one that formatting every
+    value gives.
+    """
+    states = traj.states
+    bits = states.view(np.int64)
+    changed = np.any(bits[:, 1:] != bits[:, :-1], axis=0)
+    starts = np.concatenate([[0], np.flatnonzero(changed) + 1])
+    lengths = np.diff(np.append(starts, traj.n)).tolist()
+    labels, heads = byte_classes(states[:, starts].T)
+    labels = labels.tolist()
+    yield ",".join(["t"] + [f"cell_{i}" for i in range(traj.n)]).encode() + b"\n"
+    for t, distinct in zip(traj.times.tolist(), states[:, starts[heads]].tolist()):
+        texts = [f",{v}".encode() for v in distinct]
+        runs = map(bytes.__mul__, map(texts.__getitem__, labels), lengths)
+        yield b"".join([str(t).encode(), *runs, b"\n"])
+
+
 def trajectory_csv_text(traj: Trajectory) -> str:
     """Render a trajectory as CSV with header t,cell_0,...,cell_{n-1}.
 
-    Formatting floats is most of the cost, and trajectories repeat whole
-    columns: vertices of one twin class with one start value evolve
-    bit-identically, so a step kernel at n = 2048 gives a few dozen
-    distinct columns.  Columns are keyed by their bytes, each row formats
-    its distinct columns once, and its fields are picked from those
-    strings through the column labels.  Bytes keep 0.0 and -0.0 apart, so
-    the text is the one that formatting every value gives.  Rows are
-    built one at a time, so no n x T set of strings is ever alive.
+    The text `write_trajectory` writes, from the same rows: each distinct
+    run of columns is formatted once per row (see `_trajectory_rows`).
     """
-    labels, heads = byte_classes(traj.states.T)
-    labels = labels.tolist()
-
-    def rows():
-        for t, distinct in zip(traj.times.tolist(), traj.states[:, heads]):
-            texts = list(map(str, distinct.tolist()))
-            yield [t, *map(texts.__getitem__, labels)]
-
-    return csv_text(["t"] + [f"cell_{i}" for i in range(traj.n)], rows())
+    return b"".join(_trajectory_rows(traj)).decode()
 
 
 def write_trajectory(traj: Trajectory, csv_path) -> None:
-    """Write the trajectory CSV; the CLI writes the metadata beside it."""
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(trajectory_csv_text(traj))
+    """Write the trajectory CSV; the CLI writes the metadata beside it.
+
+    Rows are streamed to the file one at a time as bytes, so neither the
+    whole text nor an encoded copy of it is ever alive.
+    """
+    with open(csv_path, "wb") as fh:
+        fh.writelines(_trajectory_rows(traj))
 
 
 def read_trajectory(csv_path) -> Trajectory:
-    """Read a trajectory CSV written by `write_trajectory`, without metadata."""
+    """Read a trajectory CSV written by `write_trajectory`, without metadata.
+
+    Each row is parsed to a float array as it is read, so neither the rows'
+    text nor a Python float per value outlives its row.  The first field
+    that is not a float, rows of unequal lengths, and rows that disagree
+    with the header, in that order, raise ValidationError.
+    """
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "t" or len(header) < 2:
             raise ValidationError("trajectory CSV must start with t,cell_0,...")
-        rows = [row for row in reader if row]
-    try:
-        data = np.asarray([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ValidationError(f"malformed trajectory CSV: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
+        try:
+            rows = [np.array(list(map(float, row))) for row in reader if row]
+        except ValueError as exc:
+            raise ValidationError(f"malformed trajectory CSV: {exc}") from exc
+    widths = {row.size for row in rows}
+    if len(widths) > 1:
+        raise ValidationError("malformed trajectory CSV: rows differ in length")
+    if widths != {len(header)}:
         raise ValidationError("trajectory CSV rows disagree with header width")
+    data = np.array(rows)
     return Trajectory(data[:, 0], data[:, 1:])

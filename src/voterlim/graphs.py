@@ -109,7 +109,8 @@ class WeightedGraph:
 
         Stores `weights` itself, made read-only, without the
         `symmetric_unit_matrix` pass; for the sampler's symmetric 0/1
-        matrices, on which that pass would change no bit.
+        matrices, on which that pass would change no bit, and for the
+        expansion of class weights that already took it.
         """
         graph = cls.__new__(cls)
         weights.setflags(write=False)
@@ -202,9 +203,22 @@ def twin_classes(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     w = graph.weights
     # Rows whose first entries already differ are not twins; W-random
     # graphs stop here without copying whole rows.
-    if len({row.tobytes() for row in w[:, :_TWIN_PROBE]}) == graph.n:
+    if len(set(_row_keys(w[:, :_TWIN_PROBE]))) == graph.n:
         return np.arange(graph.n), np.arange(graph.n)
     return byte_classes(w)
+
+
+def _row_keys(rows) -> list[bytes]:
+    """The bytes of each row of a 2-D array, through one void view instead
+    of one `tobytes()` per row.
+
+    Rows whose entries are adjacent, such as a column slice of a C-ordered
+    matrix, are viewed in place; others are copied first.
+    """
+    rows = np.asarray(rows)
+    if rows.strides[1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
 
 
 def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +227,9 @@ def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
     labels[i] is the class of row i and heads[k] the first row of class k,
     classes numbered in order of their heads.
     """
-    rows = np.ascontiguousarray(rows)
     first: dict[bytes, int] = {}
     labels = np.array(
-        [first.setdefault(row.tobytes(), len(first)) for row in rows], dtype=np.intp
+        [first.setdefault(key, len(first)) for key in _row_keys(rows)], dtype=np.intp
     )
     return labels, np.unique(labels, return_index=True)[1]
 
@@ -255,13 +268,17 @@ def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
     The integral is evaluated exactly through the kernel's step refinement
     and the overlap of its partition with the uniform n-partition, once
     per pair of `pixel_classes` and then expanded to the n pixels, so
-    pixels with identical overlaps get bit-identical weight rows.
+    pixels with identical overlaps get bit-identical weight rows.  The
+    class weights are symmetrised and validated before the expansion: each
+    entry takes the operations it would take after it, and the n x n
+    result is the only n x n array built.
     """
     labels, heads, weights = pixel_classes(kernel, n)
+    # absorbs the rounding asymmetry of the class weights
+    weights = symmetric_unit_matrix(weights, "weights")
     if heads.size < n:
         weights = np.take(np.take(weights, labels, axis=0), labels, axis=1)
-    # WeightedGraph symmetrises, absorbing the rounding asymmetry here.
-    return WeightedGraph(weights)
+    return WeightedGraph._trusted(weights)
 
 
 def pixel_kernel(graph: WeightedGraph) -> StepKernel:

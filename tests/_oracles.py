@@ -6,11 +6,11 @@ O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series and
 fixed-step RK4 instead of eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
 exception is `dense_eigh_states`, the plain n x n eigendecomposition of
 the library's generator, which gates the solver's twin-quotient path.
-The last four are the plain whole-array expressions that the library's
-discretisation, validator, W-random sampler and trajectory writer were
-rewritten from; the rewrites must match them bit for bit and byte for
-byte, or to a stated rounding bound where the rewrite changes the
-operation order.
+The last five are the plain whole-array expressions that the library's
+discretisation, validator, W-random sampler, trajectory writer and
+twin-quotient synthesis were rewritten from; the rewrites must match them
+bit for bit and byte for byte, or to a stated rounding bound where the
+rewrite changes the operation order.
 """
 
 import csv
@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from voterlim import ValidationError, laplacian
+from voterlim.dynamics import _class_flow, _decay
 from voterlim.kernels import SYMMETRY_TOL, Partition, overlap_matrix
 
 
@@ -335,3 +336,35 @@ def row_by_row_trajectory_csv(times, states):
     for t, row in zip(times.tolist(), states):
         writer.writerow([t, *row.tolist()])
     return buf.getvalue()
+
+
+def per_cell_class_states(labels, masses, sizes, scale, d, b, u0, times):
+    """Twin-quotient states synthesised for every cell where it stands.
+
+    The class-mean flow gathered to all cells plus each cell's own decay,
+    `class_means[:, labels] + _decay(times, d[labels], u0 - means[labels])`,
+    with the arguments of `dynamics._solve_classes`; inf or NaN where the
+    solver raises SolverConvergenceError.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    weighted = u0 if masses is None else masses * u0
+    means = np.bincount(labels, weights=weighted, minlength=sizes.size) / sizes
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, class_means = _class_flow(b, d, sizes, scale, means, times)
+        states = class_means[:, labels] + _decay(times, d[labels], u0 - means[labels])
+    states[0] = u0
+    return states
+
+
+def per_cell_graph_states(graph, u0, times):
+    """`per_cell_class_states` on the rows of a graph grouped by their bytes,
+    reduced to class weights and degrees as `solve_finite` reduces them."""
+    classes = row_equality_classes(graph.weights)
+    labels = np.empty(graph.n, dtype=np.intp)
+    for k, members in enumerate(classes):
+        labels[members] = k
+    heads = [members[0] for members in classes]
+    w, n = graph.weights, graph.n
+    d = w.sum(axis=1)[heads] / n
+    b = w[np.ix_(heads, heads)]
+    return per_cell_class_states(labels, None, np.bincount(labels), n, d, b, u0, times)

@@ -1,6 +1,9 @@
 import csv
+import importlib
 import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 import voterlim as vl
 from voterlim import dynamics, graphs
 from voterlim.dynamics import csv_text
-from voterlim.kernels import Partition
+from voterlim.kernels import Partition, common_refinement
 
 from _oracles import (
     brute_exceptional,
@@ -18,12 +21,16 @@ from _oracles import (
     dense_eigh_states,
     frac_step_integral,
     naive_volterra_residual,
+    per_cell_class_states,
+    per_cell_graph_states,
     rk4_states,
     row_by_row_trajectory_csv,
     row_equality_classes,
     taylor_expm,
 )
 from conftest import random_initial, random_step_kernel, signed_zero_step_kernel
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestInitialCondition:
@@ -360,6 +367,131 @@ class TestPixelClassSolve:
             kernel = vl.StepKernel(np.arange(9) / 8, np.full((8, 8), 0.5))
             with pytest.raises(vl.ValidationError, match="start at 0"):
                 vl.solve_continuum(kernel, g, n, bad_grid)
+
+
+# start values with repeats, both zeros and a subnormal: cells of one class
+# share some of them and differ in others, only in the sign of zero too
+_START_PALETTE = [0.0, -0.0, 0.5, -0.25, 1.0, 5e-324]
+
+
+class TestColumnSynthesis:
+    """The twin-quotient path synthesises each distinct (class, start) column
+    once; the states equal the per-cell synthesis bit for bit."""
+
+    @staticmethod
+    def _check(solve, want):
+        """solve() equals want byte for byte, or raises where want leaves the
+        float range."""
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(vl.SolverConvergenceError):
+                solve()
+            return
+        traj = solve()
+        assert traj.metadata["solver_path"] == "twin_quotient"
+        assert traj.states.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["palette", "negative", "scattered"]),
+        st.sampled_from([2, 9]),
+    )
+    @example(seed=0, kind="negative", num_times=2)
+    def test_graph_solve_equals_the_per_cell_synthesis(self, seed, kind, num_times):
+        r = np.random.default_rng(seed)
+        horizon = float(r.uniform(0.5, 5.0))
+        if kind == "scattered":
+            # twins of a blow-up, scattered by a permutation
+            k = int(r.integers(1, 9))
+            copies = r.integers(1, 5, k)
+            copies[0] = max(copies[0], 2)
+            graph = vl.blow_up(vl.WeightedGraph(_random_weights(r, k, False)), copies)
+            perm = r.permutation(graph.n)
+            graph = vl.WeightedGraph(graph.weights[np.ix_(perm, perm)])
+        else:
+            graph = vl.discretize_kernel(
+                signed_zero_step_kernel(r, int(r.integers(1, 6)), bool(r.integers(2))),
+                int(r.choice([16, 64, 100, 257])),
+            )
+        u0 = r.choice(_START_PALETTE, graph.n)
+        if kind == "negative":
+            # cells that only repel themselves, on dyadic boundaries that n
+            # aligns with: the classes are the cells, their means stay put,
+            # and exp(-d t) overflows over long horizons, where only starts
+            # constant on each class stay finite
+            m = int(r.integers(1, 6))
+            cuts = np.sort(r.choice(np.arange(1, 8), m - 1, replace=False)) / 8
+            kernel = vl.StepKernel(
+                np.concatenate([[0.0], cuts, [1.0]]), np.diag(-r.uniform(0.1, 1.0, m))
+            )
+            graph = vl.discretize_kernel(kernel, 8 * 2 ** int(r.integers(1, 6)))
+            horizon = float(r.choice([50.0, 1e3, 1e5]))
+            labels, _ = graphs.twin_classes(graph)
+            u0 = r.choice(_START_PALETTE, labels.max() + 1)[labels]
+            if r.integers(2):
+                u0[r.integers(graph.n)] = 0.125
+        times = np.linspace(0.0, horizon, num_times)
+        want = per_cell_graph_states(graph, u0, times)
+        self._check(lambda: vl.solve_finite(graph, u0, times), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.sampled_from([7, 64, 255, 2048]),
+        st.booleans(),
+    )
+    def test_continuum_solve_equals_the_per_cell_synthesis(self, seed, m, n, negative):
+        r = np.random.default_rng(seed)
+        kernel = signed_zero_step_kernel(r, m, bool(r.integers(2)))
+        if negative:
+            kernel = vl.StepKernel(kernel.partition.boundaries, -np.abs(kernel.values))
+        bounds = np.concatenate([[0.0], np.unique(r.uniform(0.01, 0.99, r.integers(7))), [1.0]])
+        g = vl.InitialCondition(bounds, r.choice(_START_PALETTE, bounds.size - 1))
+        times = np.linspace(0.0, float(r.choice([2.0, 50.0, 1e3])), 9)
+        graph = vl.discretize_kernel(kernel, n)
+        assume(graphs.twin_classes(graph)[1].size < n)
+        want = per_cell_graph_states(graph, vl.average_initial(g, n), times)
+        self._check(lambda: vl.solve_continuum(kernel, g, n, times), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+    def test_exact_solve_equals_the_per_cell_synthesis(self, seed, m, negative):
+        r = np.random.default_rng(seed)
+        kernel = signed_zero_step_kernel(r, m, False)
+        if negative:
+            kernel = vl.StepKernel(kernel.partition.boundaries, -np.abs(kernel.values))
+        bounds = np.concatenate([[0.0], np.unique(r.uniform(0.01, 0.99, 6)), [1.0]])
+        g = vl.InitialCondition(bounds, r.choice(_START_PALETTE, bounds.size - 1))
+        times = np.linspace(0.0, float(r.choice([2.0, 50.0, 1e3])), 9)
+        step = kernel.as_step()
+        sizes = step.partition.measures
+        part, (cells, g_cells) = common_refinement(step.partition, g.partition)
+        want = per_cell_class_states(
+            cells, part.measures, sizes, 1.0, step.values @ sizes, step.values,
+            g.values[g_cells], times,
+        )
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(vl.SolverConvergenceError):
+                vl.solve_exact(kernel, g, times)
+            return
+        got_part, values = vl.solve_exact(kernel, g, times)
+        assert np.array_equal(got_part.boundaries, part.boundaries)
+        assert values.tobytes() == want.tobytes()
+
+    def test_step_kernel_trajectory_has_few_distinct_columns(self):
+        # the benchmark's shape: 8 kernel cells, a 16-piece start, n = 2048
+        r = np.random.default_rng(1)
+        kernel = signed_zero_step_kernel(r, 8, False)
+        g = random_initial(r, n_cells=16)
+        traj = vl.solve_continuum(kernel, g, 2048, np.linspace(0.0, 10.0, 201))
+        want = per_cell_graph_states(
+            vl.discretize_kernel(kernel, 2048), vl.average_initial(g, 2048), traj.times
+        )
+        assert traj.states.tobytes() == want.tobytes()
+        # runs of one (class, start) pair: at most 2m - 1 pixel classes, and
+        # each start boundary adds at most two
+        assert len(row_equality_classes(traj.states.T)) <= (2 * 8 - 1) + 2 * (16 - 1)
 
 
 def _check_krylov(graph, u0, horizon, nonneg):
@@ -940,26 +1072,103 @@ class TestTrajectoryIO:
         st.integers(0, 2**32 - 1),
         st.integers(1, 40),
         st.integers(1, 8),
-        st.sampled_from(["twin", "twin_free", "palette"]),
+        st.sampled_from(["twin", "twin_free", "palette", "runs"]),
     )
     def test_csv_text_matches_row_by_row_oracle(self, seed, n, num_times, kind):
         r = np.random.default_rng(seed)
         times = np.concatenate([[0.0], np.cumsum(r.uniform(1e-3, 5.0, num_times - 1))])
+        # repeated columns, columns that differ only in the sign of a zero,
+        # and floats that print with an exponent
+        special = [0.0, -0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324, 1e16, 0.1]
         if kind == "twin":
             kernel = random_step_kernel(r, max_cells=4)
             g = random_initial(r, n_cells=int(r.integers(1, 5)))
             states = vl.solve_continuum(kernel, g, n, times).states
         elif kind == "twin_free":
             states = r.uniform(-1.0, 1.0, (num_times, n))
-        else:
-            # repeated columns, columns that differ only in the sign of a
-            # zero, and floats that print with an exponent
-            special = [0.0, -0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324, 1e16, 0.1]
+        elif kind == "palette":
             palette = r.choice(special, (num_times, 3))
             palette[:, 2] = np.where(palette[:, 0] == 0.0, -palette[:, 0], palette[:, 0])
             states = palette[:, r.integers(0, 3, n)]
+        else:
+            # long runs of adjacent equal columns over up to 2048 cells,
+            # drawn from a few columns, so equal runs recur apart; a column
+            # of zeros of the other sign and one with NaN among them
+            pool = np.stack(
+                [
+                    r.choice(special + [np.nan], num_times),
+                    r.uniform(-1.0, 1.0, num_times),
+                    r.choice([0.0, -0.0], num_times),
+                ],
+                axis=1,
+            )
+            pool = np.concatenate([pool, -pool[:, 2:]], axis=1)
+            n = int(r.integers(1, 2049))
+            cuts = np.unique(r.integers(1, n, int(r.integers(0, 12)))) if n > 1 else []
+            runs = np.diff(np.concatenate([[0], cuts, [n]]))
+            states = pool[:, np.repeat(r.integers(0, pool.shape[1], runs.size), runs)]
         traj = vl.Trajectory(times, states)
-        assert vl.trajectory_csv_text(traj) == row_by_row_trajectory_csv(times, traj.states)
+        text = vl.trajectory_csv_text(traj)
+        assert text == row_by_row_trajectory_csv(times, traj.states)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trajectory.csv"
+            vl.write_trajectory(traj, path)
+            assert path.read_bytes() == text.encode()
+
+    def test_write_and_read_peak_memory_on_the_benchmark_trajectory(self, tmp_path, monkeypatch):
+        # the benchmark's seed-1 simulate config: 201 x 2048 states, an 8 MB file
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        config = workloads.simulate_step_kernel(1).configs["simulate"]
+        kernel = vl.make_kernel(config["kernel"])
+        times, _, _ = dynamics.resolve_time_grid(kernel, config["horizon"], config["num_times"])
+        traj = vl.solve_continuum(kernel, vl.make_initial(config["initial"]), config["n"], times)
+        assert traj.states.shape == (201, 2048)
+        path = tmp_path / "trajectory.csv"
+        tracemalloc.start()
+        try:
+            vl.write_trajectory(traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rows are streamed: no copy of the whole text is ever alive
+        assert peak < path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = vl.read_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.states.tobytes() == traj.states.tobytes()
+        # the parsed rows, their stack and the trajectory's copy; text and
+        # Python floats live one row at a time
+        assert peak < 4 * traj.states.nbytes
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "must start with t"),
+            ("x,cell_0\n0.0,1.0\n", "must start with t"),
+            ("t\n0.0\n", "must start with t"),
+            ("t,cell_0\n0.0,1.0\n1.0,x\n2.0\n", "malformed.*'x'"),
+            ("t,cell_0\n0.0,1.0\n1.0\n", "malformed"),
+            ("t,cell_0\n", "disagree with header width"),
+            ("t,cell_0\n0.0,1.0,2.0\n1.0,1.0,2.0\n", "disagree with header width"),
+            ("t,cell_0\n1.0,1.0\n", "start at 0"),
+        ],
+    )
+    def test_read_rejects_malformed_files(self, tmp_path, text, message):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(text)
+        with pytest.raises(vl.ValidationError, match=message):
+            vl.read_trajectory(path)
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("t,cell_0,cell_1\n\n0.0,1.0,-0.0\n\n0.5,0.25,1e-300\n")
+        traj = vl.read_trajectory(path)
+        assert traj.times.tolist() == [0.0, 0.5]
+        assert traj.states.tobytes() == np.array([[1.0, -0.0], [0.25, 1e-300]]).tobytes()
 
     def test_csv_text_keeps_the_sign_of_zero_columns(self):
         traj = vl.Trajectory([0.0], [[0.0, -0.0, 0.0, -0.0]])

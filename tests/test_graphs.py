@@ -275,6 +275,31 @@ class TestPixelClasses:
         bound = 4 * np.finfo(float).eps * np.abs(kernel.values).max()
         assert np.abs(weights - raw[np.ix_(heads, heads)]).max() <= bound
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([1, 7, 64, 255, 333]),
+        st.booleans(),
+    )
+    def test_graph_is_the_symmetrised_expansion_bit_for_bit(self, seed, m, n, aligned):
+        # symmetrising the class weights before expanding them gives the
+        # bits of symmetrising the expanded n x n matrix
+        kernel = signed_zero_step_kernel(np.random.default_rng(seed), m, aligned)
+        labels, _, weights = graphs.pixel_classes(kernel, n)
+        want = whole_matrix_symmetric_unit(weights[np.ix_(labels, labels)], "weights")
+        assert vl.discretize_kernel(kernel, n).weights.tobytes() == want.tobytes()
+
+    def test_discretisation_builds_one_n_by_n_array(self):
+        kernel = signed_zero_step_kernel(np.random.default_rng(1), 8, False)
+        tracemalloc.start()
+        try:
+            graph = vl.discretize_kernel(kernel, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * graph.weights.nbytes
+
     def test_errors_keep_their_order(self):
         with pytest.raises(vl.ValidationError, match="n >= 1"):
             graphs.pixel_classes(vl.Kernel(), 0)

@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -113,20 +114,33 @@ def test_main_prints_how_a_json_file_differs(tmp_path, monkeypatch, capsys):
 
 def test_ab_summary_gives_the_median_and_inclusive_quartiles():
     tool = load_tool("ab_jobs")
-    assert tool.summary([5.0, 1.0, 3.0, 2.0, 4.0]) == {
-        "jobs": 5, "median": 3.0, "q1": 2.0, "q3": 4.0,
+    assert tool.summary([5.0, 1.0, 3.0, 2.0, 4.0], [2048, 1024, 4096, 3072, 1024]) == {
+        "jobs": 5, "median": 3.0, "q1": 2.0, "q3": 4.0, "rss_mb": 2.0,
     }
-    assert tool.summary([1.0, 2.0, 3.0, 4.0]) == {
-        "jobs": 4, "median": 2.5, "q1": 1.75, "q3": 3.25,
+    assert tool.summary([1.0, 2.0, 3.0, 4.0], [1024, 2048, 5120, 1024]) == {
+        "jobs": 4, "median": 2.5, "q1": 1.75, "q3": 3.25, "rss_mb": 1.5,
     }
 
 
 def test_ab_report_pairs_jobs_and_counts_only_wins():
     tool = load_tool("ab_jobs")
     # the second pair is a tie and the fourth a loss: neither counts as a win
-    lines = tool.report({"this": [1.0, 4.0, 3.0, 4.0], "other": [2.0, 4.0, 6.0, 2.0]})
+    lines = tool.report(
+        {"this": [1.0, 4.0, 3.0, 4.0], "other": [2.0, 4.0, 6.0, 2.0]},
+        {"this": [38912, 39936, 38912, 40960], "other": [59392, 59392, 60416, 58368]},
+    )
     assert lines == [
-        "this: median 3.500 s, quartiles 2.500-4.000 s (4 jobs)",
-        "other: median 3.000 s, quartiles 2.000-4.500 s (4 jobs)",
+        "this: median 3.500 s, quartiles 2.500-4.000 s (4 jobs), median peak RSS 38.5 MB",
+        "other: median 3.000 s, quartiles 2.000-4.500 s (4 jobs), median peak RSS 58.0 MB",
         "median change +16.7 %; this tree faster in 2 of 4 pairs",
     ]
+
+
+def test_ab_run_job_sums_walls_and_keeps_the_largest_peak(tmp_path, monkeypatch):
+    tool = load_tool("ab_jobs")
+    procs = iter([SimpleNamespace(wall_s=0.25, maxrss_kb=40000, code=0),
+                  SimpleNamespace(wall_s=0.5, maxrss_kb=30000, code=0)])
+    monkeypatch.setattr(tool, "spawn", lambda *args: next(procs))
+    job = SimpleNamespace(calls=[SimpleNamespace(command=c, config=c) for c in "ab"])
+    assert tool.run_job(tmp_path, job, tmp_path, tmp_path, {}) == (0.75, 40000)
+    assert not (tmp_path / "out").exists()

@@ -10,9 +10,11 @@ spawn to exit.  Each tree keeps its bytecode in a cache of its own
 (PYTHONPYCACHEPREFIX), filled by one untimed job, so neither tree gets a
 `__pycache__`.  Then the trees alternate job by job in ABBA order (this,
 other, other, this, ...), K jobs each, so drift in the host's speed falls
-on both alike.  Prints each tree's median and quartiles, the change of
-the median and how many of the K pairs this tree won; exits 1 if a job
-fails.
+on both alike.  Prints each tree's median and quartiles, its median job
+peak RSS (the largest of the job's processes; this tool checks nothing
+in-process, so its own small peak is all a child can inherit), the
+change of the median and how many of the K pairs this tree won; exits 1
+if a job fails.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from jobs import spawn  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def run_job(tree: Path, wl, configs: Path, work: Path, env: dict) -> float:
-    """Wall time of one job against `tree`; RuntimeError if a call fails."""
+def run_job(tree: Path, wl, configs: Path, work: Path, env: dict) -> tuple[float, int]:
+    """(wall time, peak RSS in KiB) of one job against `tree`; RuntimeError
+    if a call fails."""
     out = work / "out"
     out.mkdir()
-    wall = 0.0
+    wall, peak = 0.0, 0
     try:
         for call in wl.calls:
             argv = [sys.executable, "-m", "voterlim.cli", call.command,
@@ -47,23 +50,27 @@ def run_job(tree: Path, wl, configs: Path, work: Path, env: dict) -> float:
                 err = (work / "stderr.txt").read_text()[-300:]
                 raise RuntimeError(f"{tree}: {call.command} exited with {proc.code}: {err}")
             wall += proc.wall_s
+            peak = max(peak, proc.maxrss_kb)
     finally:
         shutil.rmtree(out)
-    return wall
+    return wall, peak
 
 
-def summary(walls: list[float]) -> dict:
-    """Median and quartiles (inclusive method) of job walls."""
+def summary(walls: list[float], peaks_kb: list[int]) -> dict:
+    """Median and quartiles (inclusive method) of job walls, and the median
+    job peak RSS in MB."""
     q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
-    return {"jobs": len(walls), "median": median, "q1": q1, "q3": q3}
+    return {"jobs": len(walls), "median": median, "q1": q1, "q3": q3,
+            "rss_mb": statistics.median(peaks_kb) / 1024.0}
 
 
-def report(walls: dict) -> list[str]:
-    """Lines comparing the walls of "this" and "other", paired job by job."""
-    stats = {side: summary(w) for side, w in walls.items()}
+def report(walls: dict, peaks_kb: dict) -> list[str]:
+    """Lines comparing the walls and peak RSS of "this" and "other", paired
+    job by job."""
+    stats = {side: summary(w, peaks_kb[side]) for side, w in walls.items()}
     lines = [
         f"{side}: median {s['median']:.3f} s, quartiles {s['q1']:.3f}-{s['q3']:.3f} s"
-        f" ({s['jobs']} jobs)"
+        f" ({s['jobs']} jobs), median peak RSS {s['rss_mb']:.1f} MB"
         for side, s in stats.items()
     ]
     change = stats["this"]["median"] / stats["other"]["median"] - 1.0
@@ -85,6 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"this": ROOT, "other": args.other.resolve()}
     wl = WORKLOADS[args.workload](args.seed)
     walls = {side: [] for side in trees}
+    peaks = {side: [] for side in trees}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         wl.write_configs(work / "configs")
@@ -100,12 +108,13 @@ def main(argv: list[str] | None = None) -> int:
             for rep in range(args.reps):
                 order = ("this", "other") if rep % 2 == 0 else ("other", "this")
                 for side in order:
-                    walls[side].append(
-                        run_job(trees[side], wl, work / "configs", work, envs[side]))
+                    wall, peak = run_job(trees[side], wl, work / "configs", work, envs[side])
+                    walls[side].append(wall)
+                    peaks[side].append(peak)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    for line in report(walls):
+    for line in report(walls, peaks):
         print(line)
     return 0
 
