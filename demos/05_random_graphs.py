@@ -37,10 +37,6 @@ gap = vl.step_l2_distance(
 )
 print("final L2 gap sample vs continuum:", gap)
 
-# The symmetry identity: the cross-correlation functional against the
-# sampling variance weight W(1-W) vanishes for every trajectory.
-print("symmetry functional:", vl.randcond_evaluate(kernel, traj, variant="literal"))
-
 # The harness: 30 seeded trials per size; success means the final
 # exceptional measure stays under c^2.
 cfg = vl.ExperimentConfig.from_dict(

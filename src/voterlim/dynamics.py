@@ -1,4 +1,4 @@
-"""Voter/consensus dynamics: solvers, reference solutions and diagnostics.
+"""Voter/consensus dynamics: solvers and diagnostics.
 
 The finite model is the linear ODE du/dt = D u with D the graph's
 dynamics generator; the continuum model is its kernel limit.  Every exact
@@ -55,7 +55,6 @@ from .graphs import (
     _generator,
     _integer,
     byte_classes,
-    discretize_kernel,
     pixel_classes,
     twin_classes,
 )
@@ -70,9 +69,7 @@ from .kernels import (
 
 # Default tolerances; every consumer that overrides them records the value
 # it used in its output metadata.
-LIMIT_TOL = 1e-8
 CONSENSUS_EPS = 1e-3
-ZERO_MEAN_TOL = 1e-12
 KRYLOV_TOL = 1e-16
 # Factor on Saad's a-posteriori Lanczos error estimate before it is held
 # against KRYLOV_TOL.
@@ -102,9 +99,6 @@ class InitialCondition:
         v.setflags(write=False)
         self.values = v
 
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     @classmethod
     def constant(cls, c: float) -> "InitialCondition":
         return cls([0.0, 1.0], [c])
@@ -122,7 +116,7 @@ class InitialCondition:
         """Profile with zero mean on [0, r) and on [r, 1] separately.
 
         Each block is split in half and assigned +/- its amplitude, the
-        simplest member of the family the two-block closed form needs.
+        simplest profile that the two-block kernel lets decay in place.
         """
         if not (0.0 < r < 1.0):
             raise ValidationError("split point r must lie in (0, 1)")
@@ -142,10 +136,6 @@ class InitialCondition:
 
     def mean(self) -> float:
         return self.integral(0.0, 1.0)
-
-    def has_balanced_blocks(self, r: float, tol: float = ZERO_MEAN_TOL) -> bool:
-        """True when the profile integrates to ~0 over [0, r) and over [r, 1]."""
-        return abs(self.integral(0.0, r)) <= tol and abs(self.integral(r, 1.0)) <= tol
 
     def spec(self) -> dict:
         return {
@@ -580,49 +570,10 @@ def resolve_time_grid(
         raise ValidationError(f"malformed time grid: {exc}") from exc
 
 
-class BipartiteClosedForm:
-    """Exact solution on the two-block kernel for block-balanced starts.
-
-    Requires g to integrate to zero over [0, r] and over (r, 1]; then the
-    profile decays in place, at rate 1 - 2r on [0, r] and rate 1 on (r, 1].
-    The solution is a step function on g's partition refined by r.
-    """
-
-    def __init__(self, r: float, g: InitialCondition):
-        if not (0.0 < r < 0.5):
-            raise ValidationError("block boundary r must lie strictly in (0, 1/2)")
-        if not g.has_balanced_blocks(r):
-            raise ValidationError("initial condition must have zero mean on both blocks")
-        self.r = r
-        part, (g_cells, blocks) = common_refinement(g.partition, [0.0, r, 1.0])
-        self.partition = part
-        self.base = g.values[g_cells]
-        self.rates = np.where(blocks == 1, 1.0, 1.0 - 2.0 * r)
-
-    def values_at(self, t: float) -> np.ndarray:
-        return self.base * np.exp(-self.rates * float(t))
-
-    def evaluate(self, x, t):
-        """Pointwise value u(x, t); x = r belongs to the left block."""
-        c = self.partition.cell_of(x)
-        out = self.base[c] * np.exp(-self.rates[c] * np.asarray(t, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-
-def closed_form_bipartite(r: float, g: InitialCondition, x, t):
-    """Pointwise two-block closed form; see `BipartiteClosedForm`."""
-    return BipartiteClosedForm(r, g).evaluate(x, t)
-
-
 def consensus_diameter(state) -> float:
     """Spread of opinions: max minus min cell value."""
     v = np.asarray(state, dtype=float)
     return float(v.max() - v.min())
-
-
-def mean_value(state) -> float:
-    """Average opinion; conserved along every trajectory."""
-    return float(np.asarray(state, dtype=float).mean())
 
 
 def exceptional_measure(state, eps: float) -> float:
@@ -651,20 +602,6 @@ def detect_consensus(traj: Trajectory, eps: float):
     bad = np.nonzero(~ok)[0]
     start = int(bad[-1]) + 1 if bad.size else 0
     return float(traj.times[start])
-
-
-def limit_state(traj: Trajectory) -> tuple[np.ndarray, bool]:
-    """Final state plus a convergence flag from the trailing grid window.
-
-    The flag is set when every cell's oscillation (max minus min) over the
-    trailing fifth of the grid times stays within LIMIT_TOL.
-    """
-    k = traj.times.size
-    if k < 10:
-        raise ValidationError("limit detection needs at least 10 grid times")
-    tail = traj.states[-max(2, math.ceil(0.2 * k)):]
-    osc = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    return traj.states[-1], osc <= LIMIT_TOL
 
 
 def _phi_a(z: np.ndarray) -> np.ndarray:
@@ -701,13 +638,26 @@ def volterra_residual(kernel: Kernel, traj: Trajectory) -> float:
     form per interval, so constant trajectories give zero residual and
     the residual of a smooth one shrinks as O(dt^2).
 
+    d and h come from the q x q weights of the `pixel_classes`, symmetrised
+    as `discretize_kernel` symmetrises them, and the class sums of the
+    states, so the n x n discretisation is never formed unless q = n,
+    where the weights are that matrix.
+
     This is an oracle for the solvers: it never runs them.
     """
-    beta = discretize_kernel(kernel, traj.n).weights
-    d = beta.sum(axis=1) / traj.n
-    h = traj.states @ beta / traj.n
+    n = traj.n
+    labels, heads, weights = pixel_classes(kernel, n)
+    weights = symmetric_unit_matrix(weights, "weights")
+    if heads.size == n:
+        d = weights.sum(axis=1) / n
+        h = traj.states @ weights / n
+    else:
+        q = heads.size
+        d = (weights @ np.bincount(labels, minlength=q) / n)[labels]
+        sums = np.array([np.bincount(labels, weights=row, minlength=q) for row in traj.states])
+        h = (sums @ weights / n)[:, labels]
     u0 = traj.states[0]
-    acc = np.zeros(traj.n)
+    acc = np.zeros(n)
     worst = 0.0
     for k in range(traj.times.size - 1):
         dt = traj.times[k + 1] - traj.times[k]

@@ -19,7 +19,6 @@ from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
     InitialCondition,
-    Trajectory,
     _check_positive,
     _exceedance,
     _l2_norm,
@@ -95,6 +94,11 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
         check_method(data)
+        if "times" in data:
+            raise ValidationError(
+                "experiment configs take a uniform grid from 'horizon' and "
+                "'num_times'; the key 'times' is not supported"
+            )
         try:
             kernel = make_kernel(data["kernel"])
             initial = make_initial(data["initial"])
@@ -421,29 +425,3 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
         for n in cfg.n_ladder
     )
     return MCResult(rows, fractions, label)
-
-
-def randcond_evaluate(kernel: Kernel, traj: Trajectory, variant: str = "literal") -> float:
-    """Min over grid times of the pairwise-difference functional against W(1-W).
-
-    literal: integrand (u(y,t) - u(x,t)) W(x,y)(1 - W(x,y)), which is
-    antisymmetric in (x, y) against a symmetric weight and therefore
-    integrates to exactly zero; the variant exists to document that.
-    absolute: same with |u(y,t) - u(x,t)|, the form experiments gate on.
-    Both are exact cellwise double sums.
-    """
-    if variant not in ("literal", "absolute"):
-        raise ValidationError("variant must be 'literal' or 'absolute'")
-    step = kernel.as_step()
-    merged, (kc, uc) = common_refinement(step.partition, Partition.uniform(traj.n))
-    w = step.values[np.ix_(kc, kc)]
-    weight = w * (1.0 - w)
-    m = merged.measures
-    best = np.inf
-    for k in range(traj.times.size):
-        u = traj.states[k][uc]
-        diff = u[None, :] - u[:, None]
-        if variant == "absolute":
-            diff = np.abs(diff)
-        best = min(best, float(m @ (diff * weight) @ m))
-    return best

@@ -121,8 +121,8 @@ def symmetric_unit_matrix(values, what: str) -> np.ndarray:
     Asymmetry, the symmetrised sum and its range are then taken in row
     strips of _STRIP rows against that copy, so the only n x n array
     besides the input is the result.  At n = 2048 each whole-matrix
-    temporary costs 32 MB, and every discretisation, W-random sample and
-    `volterra_residual` call validates a matrix.  Non-finite input makes
+    temporary costs 32 MB, and every discretisation and W-random sample
+    validates a matrix.  Non-finite input makes
     the sum non-finite, so `isfinite` over the input runs only to tell it
     apart from a sum that overflowed.
     """
@@ -421,16 +421,6 @@ class WattsStrogatzKernel(Kernel):
 
     def __repr__(self):
         return f"WattsStrogatzKernel(p={self.p})"
-
-
-def direct_sum(parts) -> DirectSumKernel:
-    """Direct sum of (weight, kernel) pairs; weights must sum to one."""
-    return DirectSumKernel(parts)
-
-
-def scale_kernel(kernel: Kernel, factor: float) -> StepKernel:
-    """Step refinement of `kernel` with values multiplied by `factor`."""
-    return kernel.as_step().scaled(factor)
 
 
 def l2_distance(k1: Kernel, k2: Kernel) -> float:

@@ -3,14 +3,18 @@
 Everything here is deliberately naive and avoids the library's own code
 paths: exact rational arithmetic instead of float partition algebra,
 O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series and
-fixed-step RK4 instead of eigendecomposition.  Slow is fine; these run on tiny inputs.  The one
-exception is `dense_eigh_states`, the plain n x n eigendecomposition of
+fixed-step RK4 instead of eigendecomposition.  Slow is fine; these run on tiny inputs.
+The one exception is `dense_eigh_states`, the plain n x n eigendecomposition of
 the library's generator, which gates the solver's twin-quotient path.
-The last five are the plain whole-array expressions that the library's
-discretisation, validator, W-random sampler, trajectory writer and
-twin-quotient synthesis were rewritten from; the rewrites must match them
-bit for bit and byte for byte, or to a stated rounding bound where the
-rewrite changes the operation order.
+Two exact references that no pipeline stage needs live here too:
+`BipartiteClosedForm`, the closed form on the two-block kernel for starts
+with zero mean on each block (`has_balanced_blocks`), and
+`randcond_evaluate`, the pairwise-difference functional against W(1 - W).
+The last six are the plain whole-array expressions that the library's
+discretisation, Volterra residual, validator, W-random sampler, trajectory
+writer and twin-quotient synthesis were rewritten from; the rewrites must
+match them bit for bit and byte for byte, or to a stated rounding bound
+where the rewrite changes the operation order.
 """
 
 import csv
@@ -20,8 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from voterlim import ValidationError, laplacian
-from voterlim.dynamics import _class_flow, _decay
-from voterlim.kernels import SYMMETRY_TOL, Partition, overlap_matrix
+from voterlim.dynamics import _class_flow, _decay, _phi_a, _phi_b
+from voterlim.kernels import SYMMETRY_TOL, Partition, common_refinement, overlap_matrix
+
+ZERO_MEAN_TOL = 1e-12
 
 
 def frac_overlap(bounds_a, bounds_b):
@@ -293,11 +299,91 @@ def naive_volterra_residual(beta, times, states):
     return worst
 
 
+def has_balanced_blocks(g, r, tol=ZERO_MEAN_TOL):
+    """True when the profile g integrates to ~0 over [0, r) and over [r, 1]."""
+    return abs(g.integral(0.0, r)) <= tol and abs(g.integral(r, 1.0)) <= tol
+
+
+class BipartiteClosedForm:
+    """Exact solution on the two-block kernel for block-balanced starts.
+
+    Requires g to integrate to zero over [0, r] and over (r, 1]; then the
+    profile decays in place, at rate 1 - 2r on [0, r] and rate 1 on (r, 1].
+    The solution is a step function on g's partition refined by r.
+    """
+
+    def __init__(self, r, g):
+        if not (0.0 < r < 0.5):
+            raise ValidationError("block boundary r must lie strictly in (0, 1/2)")
+        if not has_balanced_blocks(g, r):
+            raise ValidationError("initial condition must have zero mean on both blocks")
+        self.r = r
+        part, (g_cells, blocks) = common_refinement(g.partition, [0.0, r, 1.0])
+        self.partition = part
+        self.base = g.values[g_cells]
+        self.rates = np.where(blocks == 1, 1.0, 1.0 - 2.0 * r)
+
+    def values_at(self, t):
+        return self.base * np.exp(-self.rates * float(t))
+
+    def evaluate(self, x, t):
+        """Pointwise value u(x, t); x = r belongs to the left block."""
+        c = self.partition.cell_of(x)
+        out = self.base[c] * np.exp(-self.rates[c] * np.asarray(t, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+
+def randcond_evaluate(kernel, traj, variant="literal"):
+    """Min over grid times of the pairwise-difference functional against W(1-W).
+
+    literal: integrand (u(y,t) - u(x,t)) W(x,y)(1 - W(x,y)), which is
+    antisymmetric in (x, y) against a symmetric weight and therefore
+    integrates to exactly zero; the variant exists to document that.
+    absolute: same with |u(y,t) - u(x,t)|.  Both are exact cellwise
+    double sums.
+    """
+    if variant not in ("literal", "absolute"):
+        raise ValidationError("variant must be 'literal' or 'absolute'")
+    step = kernel.as_step()
+    merged, (kc, uc) = common_refinement(step.partition, Partition.uniform(traj.n))
+    w = step.values[np.ix_(kc, kc)]
+    weight = w * (1.0 - w)
+    m = merged.measures
+    best = np.inf
+    for k in range(traj.times.size):
+        u = traj.states[k][uc]
+        diff = u[None, :] - u[:, None]
+        if variant == "absolute":
+            diff = np.abs(diff)
+        best = min(best, float(m @ (diff * weight) @ m))
+    return best
+
+
 def gemm_discretize(kernel, n):
     """Raw n x n discretisation n^2 O V O^T from one product over all pixels."""
     step = kernel.as_step()
     overlap = overlap_matrix(Partition.uniform(n), step.partition)
     return overlap @ step.values @ overlap.T * (n * n)
+
+
+def dense_volterra_residual(beta, times, states):
+    """The library's Volterra residual from the n x n weights beta.
+
+    Degrees as row sums of beta and h as states @ beta, then the same
+    closed-form exponential quadrature per interval.
+    """
+    n = beta.shape[0]
+    d = beta.sum(axis=1) / n
+    h = states @ beta / n
+    acc = np.zeros(n)
+    worst = 0.0
+    for k in range(times.size - 1):
+        dt = times[k + 1] - times[k]
+        z = d * dt
+        acc = np.exp(-z) * acc + dt * (h[k] * _phi_a(z) + (h[k + 1] - h[k]) * _phi_b(z))
+        model = np.exp(-d * times[k + 1]) * states[0] + acc
+        worst = max(worst, float(np.max(np.abs(states[k + 1] - model))))
+    return worst
 
 
 def whole_matrix_symmetric_unit(values, what):

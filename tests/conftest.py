@@ -3,6 +3,8 @@ import pytest
 
 import voterlim as vl
 
+from _oracles import BipartiteClosedForm
+
 
 @pytest.fixture
 def rng():
@@ -48,7 +50,7 @@ def random_initial(rng, n_cells=6, amp=1.0):
 
 def closed_form_errors(cfg):
     """Sup-over-time L2 error of each ladder solve against `BipartiteClosedForm`."""
-    cf = vl.BipartiteClosedForm(cfg.kernel.r, cfg.initial)
+    cf = BipartiteClosedForm(cfg.kernel.r, cfg.initial)
     times = cfg.times()
     errors = []
     for n in cfg.n_ladder:

@@ -410,6 +410,24 @@ class TestFailureModes:
         path = write_config(tmp_path, {**cfg, "method": "expm"})
         assert main([command, "--config", path, "--out", str(tmp_path / "ok")]) == 0
 
+    @pytest.mark.parametrize("command", ["convergence", "proximity", "mc-random"])
+    def test_experiments_refuse_an_explicit_time_grid(self, tmp_path, command):
+        # experiment grids are uniform; an ignored "times" would silently
+        # run the default grid to the spectral-gap horizon instead
+        cfg = {
+            "kernel": {"type": "constant", "c": 0.8},
+            "initial": {"type": "balanced_blocks", "r": 0.5},
+            "n_ladder": [8],
+            "trials": 30,
+            "times": [0, 0.5, 1],
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out", str(out)])
+        err = self.check_error(out, rc, 2, "ValidationError")
+        assert "'times'" in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_exact_reference_overflow_maps_to_solver_exit(self, tmp_path):
         # W = -1 grows deviations like e^t; no reference_n, so the exact
         # continuum solve is the reference and must refuse the overflow

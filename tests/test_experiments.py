@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import voterlim as vl
 
+from _oracles import randcond_evaluate
 from conftest import closed_form_errors, random_step_kernel
 
 
@@ -190,7 +191,7 @@ class TestConsensusProximity:
         assert max(r.max_exceptional_measure for r in rep.rows) <= 1e-12
 
     def test_consensus_not_reached(self):
-        k = vl.direct_sum(
+        k = vl.DirectSumKernel(
             [(0.5, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(1.0))]
         )
         g = vl.InitialCondition([0, 0.5, 1], [0.2, 0.8])
@@ -354,23 +355,23 @@ class TestRandcond:
         g = vl.sample_w_random(k, 24, seed=3)
         u0 = vl.average_initial(vl.InitialCondition.balanced_blocks(0.5), 24)
         traj = vl.solve_finite(g, u0, np.linspace(0, 3, 7))
-        assert abs(vl.randcond_evaluate(k, traj, variant="literal")) <= 1e-12
+        assert abs(randcond_evaluate(k, traj, variant="literal")) <= 1e-12
 
     def test_absolute_form_is_positive_for_uneven_states(self):
         k = vl.ConstantKernel(0.8)
         g = vl.sample_w_random(k, 24, seed=3)
         u0 = vl.average_initial(vl.InitialCondition.balanced_blocks(0.5), 24)
         traj = vl.solve_finite(g, u0, np.array([0.0, 1.0]))
-        assert vl.randcond_evaluate(k, traj, variant="absolute") > 0.0
+        assert randcond_evaluate(k, traj, variant="absolute") > 0.0
 
     def test_sampled_pixel_weight_is_degenerate(self):
         g = vl.sample_w_random(vl.ConstantKernel(0.8), 16, seed=5)
         u0 = vl.average_initial(vl.InitialCondition.balanced_blocks(0.5), 16)
         traj = vl.solve_finite(g, u0, np.array([0.0, 1.0]))
-        assert vl.randcond_evaluate(vl.pixel_kernel(g), traj, "absolute") == 0.0
+        assert randcond_evaluate(vl.pixel_kernel(g), traj, "absolute") == 0.0
 
     def test_variant_validation(self):
         g = vl.sample_w_random(vl.ConstantKernel(0.8), 8, seed=0)
         traj = vl.solve_finite(g, np.zeros(8), np.array([0.0, 1.0]))
         with pytest.raises(vl.ValidationError):
-            vl.randcond_evaluate(vl.pixel_kernel(g), traj, variant="other")
+            randcond_evaluate(vl.pixel_kernel(g), traj, variant="other")

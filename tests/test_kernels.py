@@ -190,18 +190,18 @@ class TestClosedFormFamilies:
             vl.WattsStrogatzKernel(vl.ConstantKernel(1.0), 0.6)
 
     def test_direct_sum_blocks(self):
-        k = vl.direct_sum(
+        k = vl.DirectSumKernel(
             [(0.5, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(0.5))]
         )
         assert k.evaluate(0.2, 0.3) == 1.0
         assert k.evaluate(0.7, 0.9) == 0.5
         assert k.evaluate(0.2, 0.7) == 0.0  # cross-block is zero
         with pytest.raises(vl.ValidationError):
-            vl.direct_sum([(0.4, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(1.0))])
+            vl.DirectSumKernel([(0.4, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(1.0))])
 
     def test_direct_sum_inner_coordinates(self):
         inner = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
-        k = vl.direct_sum([(0.25, inner), (0.75, vl.ConstantKernel(0.0))])
+        k = vl.DirectSumKernel([(0.25, inner), (0.75, vl.ConstantKernel(0.0))])
         # inner cell split at 0.5 maps to the global point 0.125
         assert k.evaluate(0.1, 0.1) == 1.0
         assert k.evaluate(0.1, 0.2) == 0.0
@@ -209,11 +209,11 @@ class TestClosedFormFamilies:
         assert 0.125 in list(s.partition.boundaries)
 
 
-def test_scale_kernel():
-    k = vl.scale_kernel(vl.ConstantKernel(0.5), 0.5)
+def test_scaled_step():
+    k = vl.ConstantKernel(0.5).as_step().scaled(0.5)
     assert k.evaluate(0.1, 0.9) == 0.25
     with pytest.raises(vl.ValidationError):
-        vl.scale_kernel(vl.ConstantKernel(0.8), 2.0)
+        vl.ConstantKernel(0.8).as_step().scaled(2.0)
 
 
 class TestL2Distance:

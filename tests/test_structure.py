@@ -15,7 +15,7 @@ DECOMPOSE_EPS_FACTOR = 4.0
 
 
 def two_block_kernel(w1=0.5, c1=1.0, c2=0.5):
-    return vl.direct_sum(
+    return vl.DirectSumKernel(
         [(w1, vl.ConstantKernel(c1)), (1.0 - w1, vl.ConstantKernel(c2))]
     )
 
@@ -37,7 +37,7 @@ class TestConnectedComponents:
 
     def test_component_kernels_rescale_to_unit_square(self):
         inner = vl.StepKernel([0, 0.5, 1], [[1.0, 0.25], [0.25, 0.0]])
-        k = vl.direct_sum([(0.5, inner), (0.5, vl.ConstantKernel(1.0))])
+        k = vl.DirectSumKernel([(0.5, inner), (0.5, vl.ConstantKernel(1.0))])
         d = vl.connected_components(k)
         sub = d.components[0].kernel
         assert vl.l2_distance(sub, inner) == 0.0
@@ -185,7 +185,7 @@ class TestPredictLimit:
             vl.predict_limit(vl.BipartiteKernel(0.3), vl.InitialCondition.constant(0.0))
 
     def test_frozen_component_inside_a_mixture(self):
-        k = vl.direct_sum([(0.5, vl.ConstantKernel(0.0)), (0.5, vl.ConstantKernel(1.0))])
+        k = vl.DirectSumKernel([(0.5, vl.ConstantKernel(0.0)), (0.5, vl.ConstantKernel(1.0))])
         g = vl.InitialCondition([0, 0.25, 0.5, 0.75, 1], [0.9, -0.9, 0.5, 0.1])
         pred = vl.predict_limit(k, g)
         mids = np.array([0.125, 0.375, 0.75])
@@ -207,7 +207,7 @@ def _interleaved_direct_sum(r, k):
         else vl.ConstantKernel(0.0)
         for kind in kinds
     ]
-    step = vl.direct_sum(list(zip(weights, parts))).as_step()
+    step = vl.DirectSumKernel(list(zip(weights, parts))).as_step()
     perm = r.permutation(step.partition.size)
     bounds = np.concatenate([[0.0], np.cumsum(step.partition.measures[perm])])
     bounds[-1] = 1.0
@@ -228,12 +228,12 @@ def _assert_matches_exact(k, g, times):
 class TestDecomposeSolution:
     def test_matches_direct_solve(self):
         inner = vl.StepKernel([0, 0.5, 1], [[1.0, 0.25], [0.25, 0.75]])
-        k = vl.direct_sum([(0.5, inner), (0.5, vl.ConstantKernel(0.6))])
+        k = vl.DirectSumKernel([(0.5, inner), (0.5, vl.ConstantKernel(0.6))])
         g = vl.InitialCondition([0, 0.25, 0.5, 0.75, 1], [1.0, -1.0, 0.5, -0.5])
         _assert_matches_exact(k, g, np.linspace(0, 4, 9))
 
     def test_three_components(self):
-        k = vl.direct_sum(
+        k = vl.DirectSumKernel(
             [
                 (0.25, vl.ConstantKernel(1.0)),
                 (0.25, vl.ConstantKernel(0.5)),
