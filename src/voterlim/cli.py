@@ -47,6 +47,7 @@ from .graphs import (
     _integer,
     _joined_rows,
     _json_loads,
+    _real,
     discretize_kernel,
     write_edge_list,
 )
@@ -166,7 +167,7 @@ def _number(config, key, kind, default=_REQUIRED):
 def _cmd_simulate(config, out_dir, threads) -> None:
     check_method(config)
     initial = make_initial(config["initial"])
-    eps = _number(config, "eps", float, CONSENSUS_EPS)
+    eps = _number(config, "eps", _real, CONSENSUS_EPS)
     _check_positive("eps", eps)  # before the solve, which may be long
     if "kernel" in config:
         kernel = make_kernel(config["kernel"])
@@ -236,8 +237,8 @@ def _cmd_discretize(config, out_dir, threads) -> None:
 def _cmd_structure(config, out_dir, threads) -> None:
     kernel = make_kernel(config["kernel"])
     initial = make_initial(config["initial"]) if "initial" in config else None
-    zero_tol = _number(config, "zero_tol", float, 0.0)
-    prop_tol = _number(config, "prop_tol", float, PROPORTIONALITY_TOL)
+    zero_tol = _number(config, "zero_tol", _real, 0.0)
+    prop_tol = _number(config, "prop_tol", _real, PROPORTIONALITY_TOL)
     report = structure_report(kernel, initial, zero_tol=zero_tol, prop_tol=prop_tol)
     _write(out_dir, "structure.json", report)
     _write(

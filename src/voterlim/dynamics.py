@@ -16,7 +16,7 @@ then runs one core, `_solve_classes`:
 - `solve_exact(kernel, g, times)`: the cells of the common refinement of
   the kernel and g partitions, in the kernel cells, weighted by measure.
 
-The core records which of three paths ran in `metadata["solver_path"]`,
+The core records which of two paths ran in `metadata["solver_path"]`,
 with the number q of classes:
 
 - "twin_quotient" (q < n, and every `solve_exact`): an exact q x q
@@ -27,14 +27,10 @@ with the number q of classes:
   overlaps (fewer when their weight rows coincide); at other n than
   powers of two, overlaps around a cell boundary can differ in the last
   bit, which leaves q a little larger but still small.
-- "krylov" (a graph with q = n, grid [0, T]): Lanczos with full
-  reorthogonalisation builds exp(T D) u0 from matrix-vector products with
-  the weights.  The Hochbruck-Lubich a-priori error bound gives the
-  largest Krylov dimension; the path runs when that cap is at most n / 4,
-  the dense path below being faster beyond it.  Saad's a-posteriori error
-  estimate stops the loop, mostly well below the cap.
-- "dense_eigh" (a graph with q = n, longer grids or Krylov dimension
-  above n / 4): the n x n symmetric eigendecomposition of the generator.
+- "krylov" (q = n, any grid): Lanczos with full reorthogonalisation
+  builds exp(t D) u0 at every grid time from one basis by products with
+  the weights.  The Hochbruck-Lubich a-priori bound caps the Krylov
+  dimension, at most n, and Saad's a-posteriori estimate stops the loop.
 
 The Volterra integral-equation residual checks any trajectory without
 running a solver.
@@ -52,8 +48,8 @@ from .errors import SolverConvergenceError, ValidationError
 from .graphs import (
     WeightedGraph,
     _check_size,
-    _generator,
     _integer,
+    _real,
     byte_classes,
     pixel_classes,
     twin_classes,
@@ -257,28 +253,27 @@ def _lanczos_bound(m: int, rho_tau: float) -> float:
     return math.inf
 
 
-def _solve_krylov(w, d, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
-    """exp(T D) u0 by Lanczos on weights w with degrees d, or None when the
-    dense path is cheaper.
+def _solve_krylov(w, d, u0, times) -> tuple[np.ndarray, dict]:
+    """exp(t D) u0 on the grid by Lanczos on weights w with degrees d.
 
-    The a-priori dimension is the smallest m whose `_lanczos_bound` is at
-    most KRYLOV_TOL, with rho tau = T (hi - lo) / 4 from the Gershgorin
-    interval [lo, hi] of D, the bound then holding for D - hi I.  It caps
-    the loop, and when it exceeds n / 4 the result is None: there the
-    dense eigendecomposition took less time in measurements up to n = 1024.
-    The loop stops earlier once Saad's a-posteriori estimate of the error,
-    KRYLOV_SAFETY beta_m |e_m^T exp(T T_m) e_1| for the m x m tridiagonal
-    T_m and the residual norm beta_m, is at most KRYLOV_TOL, or on
-    breakdown, when the Krylov space is invariant and the result exact.
-    The estimate is taken at every second step from m^2 >= 4 rho tau on,
-    where the bound is finite, and at the last step; the eigendecomposition
-    of T_m that gave it also gives the result.  Lanczos runs with two full
-    reorthogonalisation passes (one loses orthogonality on near-disconnected
-    graphs and can overflow) on the mean-free part of u0, which D keeps
-    mean-free, and the mean is added back.  The metadata records the
-    dimension reached (`krylov_dim`), the a-priori bound at the cap
-    (`krylov_bound`), why the loop stopped (`krylov_stop`: "estimate",
-    "cap" or "breakdown") and the last estimate taken (`krylov_estimate`).
+    Lanczos on the mean-free part r of u0, which D keeps mean-free, gives
+    u(t) = mean + |r| V_m exp(t T_m) e_1 at every grid time from one basis
+    V_m and the m x m tridiagonal T_m.  The a-priori cap on m is the
+    smallest m < n whose `_lanczos_bound` is at most KRYLOV_TOL, with
+    rho tau = T (hi - lo) / 4 for the horizon T and the Gershgorin interval
+    [lo, hi] of D (the bound holds for D - hi I, and grows with tau); else
+    n, where the space is invariant and the result exact.  The loop stops
+    earlier once Saad's a-posteriori estimate KRYLOV_SAFETY beta_m
+    |e_m^T exp(t T_m) e_1|, at the worst grid time t > 0 and divided by
+    the largest coefficient where the solution grows above 1, is at most
+    KRYLOV_TOL, or on breakdown.  It is taken at every second step from
+    m^2 >= 4 rho tau on, where the bound is finite, and at the last step.
+    Two full reorthogonalisation passes run at each step (one loses
+    orthogonality on near-disconnected graphs and can overflow).  The
+    metadata records `krylov_dim` (the dimension reached), `krylov_bound`
+    (the a-priori bound at the cap; 0.0 at a cap of n, where it does not
+    apply), `krylov_stop` ("estimate", "cap" or "breakdown") and
+    `krylov_estimate` (the last estimate taken).
     """
     n = w.shape[0]
     diag = np.diag(w)
@@ -287,19 +282,15 @@ def _solve_krylov(w, d, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
     # when w >= 0, which spares the n x n np.abs(w)
     radius = -centre if w.min() >= 0.0 else (np.abs(w).sum(axis=1) - np.abs(diag)) / n
     lo, hi = float((centre - radius).min()), float((centre + radius).max())
-    rho_tau = horizon * (hi - lo) / 4.0
-    dim = next(
-        (m for m in range(1, n // 4 + 1) if _lanczos_bound(m, rho_tau) <= KRYLOV_TOL),
-        None,
-    )
-    if dim is None:
-        return None
+    rho_tau = float(times[-1]) * (hi - lo) / 4.0
+    dim = next((m for m in range(1, n) if _lanczos_bound(m, rho_tau) <= KRYLOV_TOL), n)
     mean = u0.mean()
-    final = np.full(n, mean)
     r = u0 - mean
-    beta0 = float(np.linalg.norm(r))
+    beta0 = math.sqrt(r @ r)  # np.linalg.norm's bits, without its overhead
     m, stop, estimate = 0, "breakdown", 0.0
-    if beta0 > 0.0:
+    if beta0 == 0.0:
+        states = np.full((times.size, n), mean)
+    else:
         basis = np.empty((dim, n))
         tri = np.zeros((dim, dim))
         x = np.empty(n)
@@ -315,27 +306,32 @@ def _solve_krylov(w, d, u0, horizon: float) -> tuple[np.ndarray, dict] | None:
             m += 1
             for _ in range(2):  # full reorthogonalisation, twice
                 x -= basis[:m].T @ (basis[:m] @ x)
-            beta = float(np.linalg.norm(x))
+            beta = math.sqrt(x @ x)
             stop = "breakdown" if beta <= breakdown else "cap" if m == dim else None
             # every second step: eigh(T_m) costs about as much as a step at
             # n = 256 by m = 18.  Below m^2 = 4 rho tau the space cannot resolve
             # exp(T D) and the estimate can miss slow modes not yet in it.
             if stop or (m % 2 == 0 and m * m >= 4.0 * rho_tau):
                 theta, s = np.linalg.eigh(tri[:m, :m])
-                coeffs = s @ (np.exp(horizon * theta) * s[0])
-                estimate = KRYLOV_SAFETY * beta * abs(float(coeffs[-1]))
+                coeffs = (np.exp(np.outer(times, theta)) * s[0]) @ s.T
+                # t = 0 is exact (e_1), and its rounding is no error estimate
+                last = float(np.abs(coeffs[1:, -1]).max(initial=0.0))
+                growth = max(1.0, float(np.abs(coeffs).max()))
+                estimate = KRYLOV_SAFETY * beta * last / growth
                 if stop != "breakdown" and estimate <= KRYLOV_TOL:
                     stop = "estimate"
                 if stop:
                     break
             basis[m] = x / beta
             tri[m, m - 1] = tri[m - 1, m] = beta
-        final += beta0 * (coeffs @ basis[:m])
-    return np.stack([u0, final]), {
+        states = coeffs @ basis[:m]  # in place from here: no second T x n array
+        states *= beta0
+        states += mean
+    return states, {
         "solver_path": "krylov",
         "q": n,
         "krylov_dim": m,
-        "krylov_bound": _lanczos_bound(dim, rho_tau),
+        "krylov_bound": _lanczos_bound(dim, rho_tau) if dim < n else 0.0,
         "krylov_stop": stop,
         "krylov_estimate": estimate,
     }
@@ -385,28 +381,17 @@ def _solve_classes(labels, masses, sizes, scale, d, b, u0, times) -> tuple[np.nd
     evolve bit-identically: each distinct (class, start) column, keyed by
     `byte_classes`, is synthesised once, checked and set to its start, and
     one gather expands the T x (distinct columns) result to the n cells.
-    A step kernel at n = 2048 has a few dozen such columns.  A graph whose
-    every vertex is its own class (q = n) has its weight matrix as b and
-    runs `_solve_krylov` when only u(T) is asked for, otherwise the dense
-    eigendecomposition of the generator.  States start exactly at u0;
+    A step kernel at n = 2048 has a few dozen such columns.  When every
+    cell is its own class (q = n), b is the weight matrix and
+    `_solve_krylov` solves on the whole grid.  States start exactly at u0;
     values beyond the float range raise SolverConvergenceError.
     """
     q = sizes.size
-    every_vertex = masses is None and q == u0.size
     start, cols = u0, None  # cols: the synthesised column of each cell
     # overflow is judged below, not reported by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        solved = None
-        if every_vertex and times.size == 2:
-            solved = _solve_krylov(b, d, u0, float(times[1]))
-        if solved is not None:
-            states, detail = solved
-        elif every_vertex:
-            # D is symmetric, so the matrix exponential reduces to eigenmodes.
-            eigvals, eigvecs = np.linalg.eigh(_generator(b))
-            modes = np.exp(np.outer(times, eigvals))
-            states = (modes * (eigvecs.T @ u0)) @ eigvecs.T
-            detail = {"solver_path": "dense_eigh", "q": q}
+        if masses is None and q == u0.size:
+            states, detail = _solve_krylov(b, d, u0, times)
         else:
             weighted = u0 if masses is None else masses * u0
             means = np.bincount(labels, weights=weighted, minlength=q) / sizes
@@ -429,10 +414,11 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     """Solve du/dt = D u exactly on the given time grid.
 
     The graph is reduced to its twin classes and solved by
-    `_solve_classes`.  The metadata records the path taken
-    (`solver_path`) and the number of twin classes `q`, plus on the Krylov
-    path `krylov_dim`, the a-priori `krylov_bound`, `krylov_stop` and
-    `krylov_estimate` (see `_solve_krylov`).
+    `_solve_classes`; a graph without twins runs Lanczos on the whole
+    grid.  The metadata records the path taken (`solver_path`) and the
+    number of twin classes `q`, plus on the Krylov path `krylov_dim`, the
+    a-priori `krylov_bound`, `krylov_stop` and `krylov_estimate` (see
+    `_solve_krylov`).
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
@@ -560,7 +546,7 @@ def resolve_time_grid(
     if horizon is None:
         horizon, source = default_horizon(kernel)
     try:
-        horizon = float(horizon)
+        horizon = _real(horizon)
         # inf would make linspace warn; NaN is refused downstream, where
         # experiment configs call it a horizon that is not positive
         if math.isinf(horizon):
@@ -616,11 +602,17 @@ def _phi_a(z: np.ndarray) -> np.ndarray:
 
 
 def _phi_b(z: np.ndarray) -> np.ndarray:
-    # (1 - exp(-z) (1 + z)) / z^2 with a series branch near 0.
+    # (1 - exp(-z) (1 + z)) / z^2.  The closed form cancels to about eps / z^2
+    # relative below |z| = 1; there the Taylor series, sum over k of
+    # (-z)^k (k + 1) / (k + 2)!, leaves less than 1e-17 after 20 terms.
     out = np.empty_like(z)
-    small = np.abs(z) < 1e-5
+    small = np.abs(z) < 1.0
     zs = z[small]
-    out[small] = 0.5 - zs / 3.0 + zs * zs / 8.0
+    acc = np.zeros_like(zs)
+    for k in range(19, -1, -1):
+        acc *= zs
+        acc += (-1) ** k * (k + 1) / math.factorial(k + 2)
+    out[small] = acc
     zb = z[~small]
     out[~small] = (1.0 - np.exp(-zb) * (1.0 + zb)) / (zb * zb)
     return out

@@ -34,7 +34,7 @@ from .dynamics import (
     solve_finite,
 )
 from .errors import ValidationError
-from .graphs import RNG_ALGORITHM, _integer, _w_random_sampler
+from .graphs import RNG_ALGORITHM, _integer, _real, _w_random_sampler
 from .kernels import Kernel, Partition, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
@@ -113,7 +113,7 @@ class ExperimentConfig:
             given = {
                 key: kind(data[key])
                 for key, kind in (
-                    ("window", float), ("eps", float), ("c", float),
+                    ("window", _real), ("eps", _real), ("c", _real),
                     ("trials", _integer), ("base_seed", _integer),
                 )
                 if key in data

@@ -47,6 +47,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """float(value) for a real number; booleans and strings are a ValueError.
+
+    float() alone would read True as 1.0 and "0.1" as 0.1.
+    """
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{value!r} is not a real number")
+    return float(value)
+
+
 def _float_texts(values) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct float of an array formatted once: (labels, texts).
 
@@ -175,12 +185,7 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     sum of the other entries in its row, so rows and columns sum to zero
     and self-weights cancel out.
     """
-    return _generator(graph.weights)
-
-
-def _generator(w: np.ndarray) -> np.ndarray:
-    """`laplacian` of the graph whose symmetric weight matrix is w."""
-    n = w.shape[0]
+    w, n = graph.weights, graph.n
     d = w / n
     off_sums = w.sum(axis=1) - np.diag(w)
     np.fill_diagonal(d, -off_sums / n)

@@ -5,7 +5,7 @@ paths: exact rational arithmetic instead of float partition algebra,
 O(n^2)/O(n^3) scans instead of sorting tricks, Taylor series and
 fixed-step RK4 instead of eigendecomposition.  Slow is fine; these run on tiny inputs.
 The one exception is `dense_eigh_states`, the plain n x n eigendecomposition of
-the library's generator, which gates the solver's twin-quotient path.
+the library's generator, which gates the solver's twin-quotient and Krylov paths.
 Two exact references that no pipeline stage needs live here too:
 `BipartiteClosedForm`, the closed form on the two-block kernel for starts
 with zero mean on each block (`has_balanced_blocks`), and
@@ -260,8 +260,8 @@ def rk4_states(mat, u0, times, substeps):
 def dense_eigh_states(graph, u0, times):
     """exp(t D) u0 on the grid from the eigendecomposition of the n x n generator.
 
-    The same expression the solver evaluates for graphs without twins, so
-    on those the two agree bit for bit.
+    The solver never forms this matrix: graphs without twins run Lanczos,
+    which must agree with it to 1e-12 max(1, max|u|) at every grid time.
     """
     u0 = np.asarray(u0, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import voterlim as vl
 from voterlim.cli import main
 
-from _oracles import row_equality_classes
+from _oracles import dense_eigh_states, row_equality_classes
 from conftest import closed_form_errors
 
 
@@ -29,9 +29,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def read_json(path):
+    """An artifact parsed as strict JSON: Infinity, -Infinity and NaN are refused."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
 def simulate_config(times=(0.0, 0.5, 1.0)):
@@ -40,6 +45,16 @@ def simulate_config(times=(0.0, 0.5, 1.0)):
         "n": 12,
         "initial": {"type": "balanced_blocks", "r": 1 / 3},
         "times": list(times),
+    }
+
+
+def mc_config():
+    return {
+        "kernel": {"type": "constant", "c": 0.8},
+        "initial": {"type": "balanced_blocks", "r": 0.5},
+        "n_ladder": [8],
+        "horizon": 6.0,
+        "trials": 30,
     }
 
 
@@ -122,6 +137,25 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
+
+    def test_krylov_cap_at_n_records_a_finite_bound(self, tmp_path):
+        # the a-priori bound is inf for every Krylov dimension below n = 12 at
+        # T = 100, so the cap is n, whose space is invariant: bound 0.0, not
+        # Infinity in trajectory_meta.json
+        r = np.random.default_rng(12)
+        w = r.uniform(0.0, 1.0, (12, 12))
+        graph = vl.WeightedGraph((w + w.T) / 2)
+        initial = {"type": "uniform_cells", "values": r.uniform(-1.0, 1.0, 12).tolist()}
+        cfg = {"graph": json.loads(graph.to_json()), "initial": initial, "horizon": 100.0}
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        meta = read_json(out / "trajectory_meta.json")
+        assert meta["solver_path"] == "krylov"
+        assert meta["krylov_bound"] == 0.0
+        assert meta["krylov_dim"] <= 12
+        traj = vl.read_trajectory(out / "trajectory.csv")
+        want = dense_eigh_states(graph, traj.states[0], traj.times)
+        assert np.abs(traj.states - want).max() <= 1e-12
 
 
 class TestDiscretize:
@@ -263,10 +297,9 @@ class TestOtherCommands:
         assert len(lines) == 1 + 2 * 30
         meta = read_json(out / "mc_meta.json")
         assert len(meta["success_fractions"]) == 2
-        # graphs this small need a Krylov space above n / 4 at T = 6, and
-        # some of them have false twins
-        assert meta["solver_paths"] == {"dense_eigh": 38, "twin_quotient": 22}
-        assert meta["max_krylov_dim"] is None
+        # some of these small graphs have false twins; the rest run Lanczos
+        assert meta["solver_paths"] == {"krylov": 38, "twin_quotient": 22}
+        assert 1 < meta["max_krylov_dim"] <= 12
         out2 = tmp_path / "out2"
         rc = main(["mc-random", "--config", cfg, "--out", str(out2), "--threads", "2"])
         assert rc == 0
@@ -287,7 +320,7 @@ class TestOtherCommands:
         out = tmp_path / "out"
         assert main(["mc-random", "--config", cfg, "--out", str(out)]) == 0
         meta = read_json(out / "mc_meta.json")
-        assert meta["solver_paths"] == {"dense_eigh": 15, "twin_quotient": 15, "krylov": 30}
+        assert meta["solver_paths"] == {"twin_quotient": 15, "krylov": 45}
         assert 1 < meta["max_krylov_dim"] <= 256 // 4
         out2 = tmp_path / "out2"
         rc = main(["mc-random", "--config", cfg, "--out", str(out2), "--threads", "2"])
@@ -618,6 +651,12 @@ class TestFailureModes:
             ("simulate", {**simulate_config(), "n": float("inf")}, "'n'"),
             # int() read true as 1 and "3" as 3
             ("simulate", {**simulate_config(), "n": True}, "'n'"),
+            # float() read true as 1.0 and "0.1" as 0.1
+            ("simulate", {**simulate_config(), "eps": True}, "'eps'"),
+            ("simulate", {**simulate_config(), "eps": "0.1"}, "'eps'"),
+            ("simulate", {**simulate_config(), "times": None, "horizon": True}, "time grid"),
+            ("structure", {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": False}, "'zero_tol'"),
+            ("structure", {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": "0"}, "'prop_tol'"),
             ("discretize", {"kernel": {"type": "constant", "c": 1.0}, "n": 4.5}, "'n'"),
             (
                 "mc-random",
@@ -653,6 +692,10 @@ class TestFailureModes:
                 },
                 "'reference_n'",
             ),
+            ("mc-random", {**mc_config(), "eps": True}, "malformed experiment config"),
+            ("mc-random", {**mc_config(), "c": "0.5"}, "malformed experiment config"),
+            ("proximity", {**mc_config(), "window": True}, "malformed experiment config"),
+            ("convergence", {**mc_config(), "horizon": True}, "time grid"),
         ],
     )
     def test_counts_that_are_not_integers(self, tmp_path, command, cfg, fragment):

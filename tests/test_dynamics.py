@@ -1,4 +1,5 @@
 import csv
+import decimal
 import importlib
 import io
 import tempfile
@@ -191,7 +192,7 @@ def _check_against_dense(graph, u0, times, nonneg):
     assert _classes(graph) == classes
     q = len(classes)
     assert traj.metadata["q"] == q
-    path = "dense_eigh" if q == graph.n else "twin_quotient"
+    path = "krylov" if q == graph.n else "twin_quotient"
     assert traj.metadata["solver_path"] == path
     return q
 
@@ -243,15 +244,16 @@ class TestTwinQuotient:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
-    def test_twin_free_graphs_are_bit_identical_to_dense(self, seed, n):
+    def test_twin_free_graphs_match_dense(self, seed, n):
         r = np.random.default_rng(seed)
         graph = vl.WeightedGraph(_random_weights(r, n, False))
         assert len(row_equality_classes(graph.weights)) == n
         u0 = r.uniform(-1.0, 1.0, n)
         times = np.linspace(0.0, 2.0, 5)
         traj = vl.solve_finite(graph, u0, times)
-        assert traj.metadata["solver_path"] == "dense_eigh"
-        assert np.array_equal(traj.states, dense_eigh_states(graph, u0, times))
+        assert traj.metadata["solver_path"] == "krylov"
+        want = dense_eigh_states(graph, u0, times)
+        assert np.abs(traj.states - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_large_random_graphs_with_and_without_twins(self):
         # a W-random graph has no twins; copying three of its vertices adds
@@ -290,13 +292,16 @@ class TestSolverMetadata:
         assert traj.metadata["q"] == 3
         assert traj.metadata["n"] == 64
 
-    def test_random_graph_run_takes_the_dense_path(self):
+    def test_random_graph_run_takes_the_krylov_path(self):
         graph = vl.sample_w_random(vl.ConstantKernel(0.5), 64, seed=3)
         assert len(row_equality_classes(graph.weights)) == 64
         u0 = np.linspace(-1.0, 1.0, 64)
-        traj = vl.solve_finite(graph, u0, np.linspace(0.0, 2.0, 5))
-        assert traj.metadata["solver_path"] == "dense_eigh"
+        times = np.linspace(0.0, 2.0, 5)
+        traj = vl.solve_finite(graph, u0, times)
+        assert traj.metadata["solver_path"] == "krylov"
         assert traj.metadata["q"] == 64
+        want = dense_eigh_states(graph, u0, times)
+        assert np.abs(traj.states - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestPixelClassSolve:
@@ -497,43 +502,49 @@ class TestColumnSynthesis:
         assert len(row_equality_classes(traj.states.T)) <= (2 * 8 - 1) + 2 * (16 - 1)
 
 
-def _check_krylov(graph, u0, horizon, nonneg):
-    """Solve on [0, T] and compare with the dense oracle as `_check_against_dense`
-    does; check the mean and the path metadata.  Returns the metadata, or None
-    when the state leaves the float range, where the solver must refuse."""
-    times = np.array([0.0, horizon])
+def _krylov_cap(graph, horizon):
+    """The a-priori Krylov dimension from the Gershgorin interval of D: the
+    smallest m < n whose Hochbruck-Lubich bound is within KRYLOV_TOL, else n."""
+    gen = vl.laplacian(graph)
+    centre = np.diag(gen)
+    radius = np.abs(gen).sum(axis=1) - np.abs(centre)
+    rho_tau = horizon * float((centre + radius).max() - (centre - radius).min()) / 4.0
+    return next(
+        (
+            m for m in range(1, graph.n)
+            if dynamics._lanczos_bound(m, rho_tau) <= dynamics.KRYLOV_TOL
+        ),
+        graph.n,
+    )
+
+
+def _check_krylov(graph, u0, times):
+    """Solve a graph without twins on the grid and compare with the dense
+    oracle to 1e-12 max(1, max|u|) at every grid time; check the mean and the
+    Krylov metadata.  Returns the metadata, or None when the state leaves the
+    float range, where the solver must refuse."""
     want = dense_eigh_states(graph, u0, times)
     if not np.all(np.isfinite(want)):
         with pytest.raises(vl.SolverConvergenceError):
             vl.solve_finite(graph, u0, times)
         return None
     traj = vl.solve_finite(graph, u0, times)
-    scale = np.abs(u0).max() if nonneg else np.abs(want).max()
+    scale = max(1.0, np.abs(want).max())
     assert np.abs(traj.states - want).max() <= 1e-12 * scale
-    assert abs(traj.states[-1].mean() - u0.mean()) <= 1e-12 * scale
+    assert np.abs(traj.states.mean(axis=1) - u0.mean()).max() <= 1e-12 * scale
     meta = traj.metadata
     assert meta["q"] == graph.n
-    if meta["solver_path"] == "krylov":
-        # the a-priori dimension from the Gershgorin interval of D caps the loop
-        gen = vl.laplacian(graph)
-        centre = np.diag(gen)
-        radius = np.abs(gen).sum(axis=1) - np.abs(centre)
-        rho_tau = horizon * float((centre + radius).max() - (centre - radius).min()) / 4.0
-        cap = next(
-            m for m in range(1, graph.n)
-            if dynamics._lanczos_bound(m, rho_tau) <= dynamics.KRYLOV_TOL
-        )
-        assert 0 <= meta["krylov_dim"] <= cap <= graph.n // 4
-        assert meta["krylov_bound"] <= dynamics.KRYLOV_TOL
-        assert meta["krylov_stop"] in ("estimate", "cap", "breakdown")
-        assert meta["krylov_estimate"] >= 0.0
-        if meta["krylov_stop"] == "estimate":
-            assert meta["krylov_estimate"] <= dynamics.KRYLOV_TOL
-        if meta["krylov_stop"] == "cap":
-            assert meta["krylov_dim"] == cap
-    else:
-        assert meta["solver_path"] == "dense_eigh"
-        assert "krylov_dim" not in meta
+    assert meta["solver_path"] == "krylov"
+    cap = _krylov_cap(graph, float(times[-1]))
+    assert 0 <= meta["krylov_dim"] <= cap
+    # the bound at a cap of n does not apply; that space is invariant
+    assert meta["krylov_bound"] <= dynamics.KRYLOV_TOL if cap < graph.n else meta["krylov_bound"] == 0.0
+    assert meta["krylov_stop"] in ("estimate", "cap", "breakdown")
+    assert meta["krylov_estimate"] >= 0.0
+    if meta["krylov_stop"] == "estimate":
+        assert meta["krylov_estimate"] <= dynamics.KRYLOV_TOL
+    if meta["krylov_stop"] == "cap":
+        assert meta["krylov_dim"] == cap
     return meta
 
 
@@ -562,12 +573,13 @@ class TestKrylovPath:
         st.sampled_from([1, 2, 3, 64, 257, 512]),
         st.sampled_from(["signed", "nonneg", "sampled", "clustered", "bridged"]),
         st.floats(-3.0, 3.0),
+        st.sampled_from([2, 51, 201]),
     )
     # long horizons whose slow modes are not yet in the Krylov space at m = 2,
     # where the a-posteriori estimate alone would stop with errors up to 6e-2
-    @example(11, 512, "sampled", 2.199980025553309)
-    @example(104, 512, "bridged", 2.7335608300111742)
-    def test_final_states_match_dense(self, seed, n, kind, log_t):
+    @example(11, 512, "sampled", 2.199980025553309, 2)
+    @example(104, 512, "bridged", 2.7335608300111742, 2)
+    def test_grid_states_match_dense(self, seed, n, kind, log_t, num_times):
         r = np.random.default_rng(seed)
         if kind == "sampled":
             kernel = random_step_kernel(r, max_cells=4, nonneg=True)
@@ -578,12 +590,8 @@ class TestKrylovPath:
             assume(len(row_equality_classes(graph.weights)) == n)
         else:
             graph = vl.WeightedGraph(_random_weights(r, n, kind == "nonneg"))
-        horizon = 10.0**log_t
-        meta = _check_krylov(graph, r.uniform(-1.0, 1.0, n), horizon, kind != "signed")
-        if n >= 257 and horizon <= 10.0:
-            # weights in [-1, 1] keep the Gershgorin interval within [-2, 2], so
-            # rho tau <= T and the planned dimension stays below n / 4
-            assert meta["solver_path"] == "krylov"
+        times = np.linspace(0.0, 10.0**log_t, num_times)
+        _check_krylov(graph, r.uniform(-1.0, 1.0, n), times)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -591,18 +599,19 @@ class TestKrylovPath:
         st.sampled_from([64, 257, 512]),
         st.sampled_from([1e-2, 1e-3, 1e-4]),
         st.sampled_from([1.0, 10.0, 100.0, 1e3]),
+        st.sampled_from([2, 51, 201]),
     )
     # Lanczos with one reorthogonalisation pass loses orthogonality here and
     # overflows (SolverConvergenceError); the second pass is needed
-    @example(0, 512, 1e-2, 100.0)
-    def test_near_disconnected_two_block_graphons(self, seed, n, cross, horizon):
+    @example(0, 512, 1e-2, 100.0, 2)
+    def test_near_disconnected_two_block_graphons(self, seed, n, cross, horizon, num_times):
         # the slow mode between the blocks must be resolved, not only the fast
         # mixing inside them
         kernel = vl.StepKernel([0.0, 0.5, 1.0], [[0.6, cross], [cross, 0.6]])
         graph = vl.sample_w_random(kernel, n, seed)
         r = np.random.default_rng(seed)
         u0 = np.where(np.arange(n) < n // 2, 1.0, -1.0) + 0.1 * r.uniform(-1.0, 1.0, n)
-        _check_krylov(graph, u0, horizon, True)
+        _check_krylov(graph, u0, np.linspace(0.0, horizon, num_times))
 
     @pytest.mark.parametrize(
         "graph, u0",
@@ -620,8 +629,7 @@ class TestKrylovPath:
     )
     @pytest.mark.parametrize("horizon", [1.0, 10.0])
     def test_invariant_start_breaks_down_at_step_one(self, graph, u0, horizon):
-        meta = _check_krylov(graph, u0, horizon, True)
-        assert meta["solver_path"] == "krylov"
+        meta = _check_krylov(graph, u0, np.array([0.0, horizon]))
         assert meta["krylov_dim"] == 1
 
     @pytest.mark.parametrize("weak", [1e-6, 1e-8])
@@ -631,34 +639,54 @@ class TestKrylovPath:
         w = np.kron(np.eye(2), np.ones((128, 128)) - np.eye(128))
         w[0, 128] = w[128, 0] = weak
         u0 = np.repeat([0.7, -0.2], 128)
-        meta = _check_krylov(vl.WeightedGraph(w), u0, 10.0, True)
-        assert meta["solver_path"] == "krylov"
+        meta = _check_krylov(vl.WeightedGraph(w), u0, np.array([0.0, 10.0]))
         assert meta["krylov_dim"] > 1
 
     @pytest.mark.parametrize("c", [0.25, 0.1, -3.7])
     def test_constant_start_stays_put(self, c):
         graph = vl.sample_w_random(vl.ConstantKernel(0.5), 256, seed=1)
-        meta = _check_krylov(graph, np.full(256, c), 10.0, True)
-        assert meta["solver_path"] == "krylov"
+        meta = _check_krylov(graph, np.full(256, c), np.array([0.0, 10.0]))
         assert meta["krylov_dim"] <= 1
 
     @pytest.mark.parametrize("n, horizon", [(1, 1.0), (2, 1.0), (3, 1.0), (64, 1e3)])
-    def test_large_krylov_dimension_takes_the_dense_path(self, n, horizon):
+    @pytest.mark.parametrize("num_times", [2, 51])
+    def test_krylov_cap_reaches_n(self, n, horizon, num_times):
+        # no dimension below n meets KRYLOV_TOL, so Lanczos may run to n
         r = np.random.default_rng(n)
         graph = vl.WeightedGraph(_random_weights(r, n, True))
-        u0 = r.uniform(-1.0, 1.0, n)
-        times = np.array([0.0, horizon])
-        traj = vl.solve_finite(graph, u0, times)
-        assert traj.metadata["solver_path"] == "dense_eigh"
-        assert np.array_equal(traj.states, dense_eigh_states(graph, u0, times))
+        assert _krylov_cap(graph, horizon) == n
+        meta = _check_krylov(graph, r.uniform(-1.0, 1.0, n), np.linspace(0.0, horizon, num_times))
+        assert meta["krylov_bound"] == 0.0
 
     def test_random_graph_final_state_takes_the_krylov_path(self):
         graph = vl.sample_w_random(vl.ConstantKernel(0.5), 512, seed=3)
         u0 = np.linspace(-1.0, 1.0, 512)
-        meta = _check_krylov(graph, u0, 10.0, True)
-        assert meta["solver_path"] == "krylov"
+        meta = _check_krylov(graph, u0, np.array([0.0, 10.0]))
         assert meta["n"] == 512
         assert 1 < meta["krylov_dim"] <= 128
+
+    def test_twin_free_grid_solve_pays_no_dense_eigendecomposition(self, monkeypatch):
+        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 1024, seed=3)
+        u0 = np.linspace(-1.0, 1.0, 1024)
+        times = np.linspace(0.0, 10.0, 201)
+        eigh, sizes = np.linalg.eigh, []
+
+        def recording_eigh(a, *args, **kwargs):
+            sizes.append(max(np.shape(a)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        tracemalloc.start()
+        try:
+            traj = vl.solve_finite(graph, u0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes and max(sizes) <= traj.metadata.get("krylov_dim", 0)
+        # the states and the basis at the a-priori cap; the 1024 x 1024
+        # generator alone would be 8 MiB, 5x the states
+        basis = _krylov_cap(graph, 10.0) * graph.n * 8
+        assert peak <= 2 * traj.states.nbytes + basis
 
 
 class TestClosedForm:
@@ -949,7 +977,7 @@ class TestVolterraResidual:
         # the residual reads d and h off the q x q class weights; against
         # the n x n matrix they differ by reordered sums, ~n eps each,
         # which _phi_b amplifies by up to 1 / z^2 on its closed-form
-        # branch (|z| >= 1e-5)
+        # branch (|z| >= 1)
         rng = np.random.default_rng(seed)
         k = random_step_kernel(rng, max_cells=int(rng.integers(2, 12)))
         g = random_initial(rng, n_cells=int(rng.integers(1, 9)))
@@ -963,10 +991,25 @@ class TestVolterraResidual:
             assert got == want  # the class weights are the n x n matrix
         d = beta.sum(axis=1) / n
         z = np.abs(d) * np.diff(traj.times).min()
-        z = z[z >= 1e-5]
+        z = z[z >= 1.0]
         amplified = n + (1.0 / z.min() ** 2 if z.size else 0.0)
         growth = np.exp(max(0.0, -d.min()) * horizon) * max(1.0, np.abs(traj.states).max())
         assert abs(got - want) <= np.finfo(float).eps * (1 + horizon) * growth * amplified
+
+    def test_phi_functions_match_a_decimal_oracle(self):
+        # both signs: signed kernels have negative degrees; the closed form of
+        # _phi_b cancels to about eps / z^2 relative below |z| = 1
+        z = np.concatenate([np.logspace(-8.0, 0.0, 161), np.linspace(0.9, 1.1, 21), [1.01e-5]])
+        z = np.concatenate([z, -z])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for phi, exact in (
+                (dynamics._phi_a, lambda x: (1 - (-x).exp()) / x),
+                (dynamics._phi_b, lambda x: (1 - (-x).exp() * (1 + x)) / (x * x)),
+            ):
+                for zi, got in zip(z.tolist(), phi(z).tolist()):
+                    want = exact(decimal.Decimal(zi))
+                    assert abs((decimal.Decimal(got) - want) / want) <= 1e-15, (phi, zi)
 
     def test_no_n_by_n_matrix_at_n_2048(self):
         rng = np.random.default_rng(5)
