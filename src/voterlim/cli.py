@@ -12,13 +12,12 @@ import json
 import os
 import sys
 
+from ._schema import OPTIONAL, REQUIRED, as_is, count, loads, positive, read, real, solver
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
-    _check_positive,
     average_initial,
-    check_method,
     consensus_diameter,
     detect_consensus,
     make_initial,
@@ -35,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    _EXPERIMENT,
     MC_MAX_THREADS,
     ExperimentConfig,
     consensus_proximity,
@@ -42,15 +42,7 @@ from .experiments import (
     experiment_metadata,
     random_consensus_mc,
 )
-from .graphs import (
-    WeightedGraph,
-    _integer,
-    _joined_rows,
-    _json_loads,
-    _real,
-    discretize_kernel,
-    write_edge_list,
-)
+from .graphs import WeightedGraph, _joined_rows, discretize_kernel, write_edge_list
 from .kernels import make_kernel
 from .structure import PROPORTIONALITY_TOL, structure_report
 
@@ -60,8 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SIZE = 3
 EXIT_SOLVER = 4
-
-_REQUIRED = object()
 
 
 def _write(out_dir, name, payload) -> None:
@@ -140,156 +130,101 @@ def _read(path, what: str) -> str:
         raise ValidationError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
-def _load_config(path) -> dict:
-    try:
-        data = _json_loads(_read(path, "config"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("config must be a JSON object")
-    return data
+def _graph(spec) -> WeightedGraph:
+    """The graph of a simulate config: {"path": file} of a saved graph, or inline."""
+    if isinstance(spec, dict) and "path" in spec:
+        path = read(spec, {"path": (as_is, REQUIRED)}, "graph spec").path
+        return WeightedGraph.from_json(_read(path, "graph"))
+    return WeightedGraph._from_dict(spec)
 
 
-def _number(config, key, kind, default=_REQUIRED):
-    """config[key] as `kind`, or ValidationError; no default means required.
-
-    A None default lets an absent or null value through as None.
-    """
-    value = config[key] if default is _REQUIRED else config.get(key, default)
-    if value is None and default is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed config value for {key!r}: {exc}") from exc
-
-
-def _cmd_simulate(config, out_dir, threads) -> None:
-    check_method(config)
-    initial = make_initial(config["initial"])
-    eps = _number(config, "eps", _real, CONSENSUS_EPS)
-    _check_positive("eps", eps)  # before the solve, which may be long
-    if "kernel" in config:
-        kernel = make_kernel(config["kernel"])
-        if "n" not in config:
-            raise ValidationError("simulate with a kernel needs a resolution n")
-        n = _number(config, "n", _integer)
-    elif "graph" in config:
-        gspec = config["graph"]
-        if isinstance(gspec, dict) and "path" in gspec:
-            graph = WeightedGraph.from_json(_read(gspec["path"], "graph"))
-        else:
-            graph = WeightedGraph._from_dict(gspec)
-        kernel, n = None, graph.n
+def _cmd_simulate(cfg, out_dir, threads) -> None:
+    if cfg.graph is None and (cfg.kernel is None or cfg.n is None):
+        raise ValidationError("simulate config needs a 'graph', or a 'kernel' and its 'n'")
+    n = cfg.n if cfg.graph is None else cfg.graph.n
+    times, horizon, source = resolve_time_grid(cfg.kernel, cfg.horizon, cfg.num_times, cfg.times)
+    if cfg.graph is not None:
+        traj = solve_finite(cfg.graph, average_initial(cfg.initial, n), times)
+        traj.metadata["initial"] = cfg.initial.spec()
     else:
-        raise ValidationError("simulate config needs a 'kernel' or a 'graph'")
-    times, horizon, source = resolve_time_grid(
-        kernel,
-        config.get("horizon"),
-        config.get("num_times", DEFAULT_NUM_TIMES),
-        config.get("times"),
-    )
-    if kernel is None:
-        traj = solve_finite(graph, average_initial(initial, n), times)
-        traj.metadata["initial"] = initial.spec()
-    else:
-        traj = solve_continuum(kernel, initial, n, times)
-    traj.metadata.update(
-        {
-            "library_version": __version__,
-            "resolved": {
-                "n": n,
-                "horizon": horizon,
-                "horizon_source": source,
-                "num_times": int(times.size),
-                "eps": eps,
-            },
-            "summary": {
-                "final_diameter": consensus_diameter(traj.states[-1]),
-                "consensus_time": detect_consensus(traj, eps),
-            },
-        }
-    )
+        traj = solve_continuum(cfg.kernel, cfg.initial, n, times)
+    final, settled = consensus_diameter(traj.states[-1]), detect_consensus(traj, cfg.eps)
+    summary = {"final_diameter": final, "consensus_time": settled}
+    resolved = dict(n=n, horizon=horizon, horizon_source=source, num_times=times.size, eps=cfg.eps)
+    traj.metadata.update(library_version=__version__, resolved=resolved, summary=summary)
     write_trajectory(traj, os.path.join(out_dir, "trajectory.csv"))
     _write(out_dir, "trajectory_meta.json", traj.metadata)
 
 
-def _cmd_discretize(config, out_dir, threads) -> None:
-    kernel = make_kernel(config["kernel"])
-    n = _number(config, "n", _integer)
-    graph = discretize_kernel(kernel, n)
+def _cmd_discretize(cfg, out_dir, threads) -> None:
+    graph = discretize_kernel(cfg.kernel, cfg.n)
     simple = graph.is_simple()
     _write(out_dir, "graph.json", graph.to_json() + "\n")
     if simple:
         write_edge_list(graph, os.path.join(out_dir, "edges.csv"))
-    _write(
-        out_dir,
-        "graph_meta.json",
-        {
-            "kernel": kernel.spec(),
-            "n": n,
-            "simple": simple,
-            "library_version": __version__,
-        },
-    )
+    meta = {"kernel": cfg.kernel.spec(), "n": cfg.n, "simple": simple}
+    _write(out_dir, "graph_meta.json", {**meta, "library_version": __version__})
 
 
-def _cmd_structure(config, out_dir, threads) -> None:
-    kernel = make_kernel(config["kernel"])
-    initial = make_initial(config["initial"]) if "initial" in config else None
-    zero_tol = _number(config, "zero_tol", _real, 0.0)
-    prop_tol = _number(config, "prop_tol", _real, PROPORTIONALITY_TOL)
-    report = structure_report(kernel, initial, zero_tol=zero_tol, prop_tol=prop_tol)
-    _write(out_dir, "structure.json", report)
-    _write(
-        out_dir,
-        "structure_meta.json",
-        {
-            "kernel": kernel.spec(),
-            "initial": initial.spec() if initial is not None else None,
-            "zero_tol": zero_tol,
-            "prop_tol": prop_tol,
-            "library_version": __version__,
-        },
-    )
+def _cmd_structure(cfg, out_dir, threads) -> None:
+    tols = {"zero_tol": cfg.zero_tol, "prop_tol": cfg.prop_tol}
+    _write(out_dir, "structure.json", structure_report(cfg.kernel, cfg.initial, **tols))
+    initial = cfg.initial.spec() if cfg.initial is not None else None
+    meta = {"kernel": cfg.kernel.spec(), "initial": initial, **tols}
+    _write(out_dir, "structure_meta.json", {**meta, "library_version": __version__})
 
 
-def _cmd_convergence(config, out_dir, threads) -> None:
-    cfg = ExperimentConfig.from_dict(config)
-    table = convergence_study(cfg, _number(config, "reference_n", _integer, None))
+def _cmd_convergence(cfg, out_dir, threads) -> None:
+    experiment = ExperimentConfig._of(cfg)
+    table = convergence_study(experiment, cfg.reference_n)
     _write(out_dir, "error_table.csv", table.csv_text())
-    _write(
-        out_dir,
-        "convergence_meta.json",
-        experiment_metadata(cfg, reference=table.reference),
-    )
+    meta = experiment_metadata(experiment, reference=table.reference)
+    _write(out_dir, "convergence_meta.json", meta)
 
 
-def _cmd_proximity(config, out_dir, threads) -> None:
-    cfg = ExperimentConfig.from_dict(config)
-    report = consensus_proximity(cfg, _number(config, "reference_n", _integer, None))
+def _cmd_proximity(cfg, out_dir, threads) -> None:
+    experiment = ExperimentConfig._of(cfg)
+    report = consensus_proximity(experiment, cfg.reference_n)
     _write(out_dir, "proximity.csv", report.csv_text())
-    _write(
-        out_dir,
-        "proximity_meta.json",
-        experiment_metadata(cfg, report=report.to_dict()),
-    )
+    meta = experiment_metadata(experiment, report=report.to_dict())
+    _write(out_dir, "proximity_meta.json", meta)
 
 
-def _cmd_mc_random(config, out_dir, threads) -> None:
-    cfg = ExperimentConfig.from_dict(config)
-    result = random_consensus_mc(cfg, threads=threads)
+def _cmd_mc_random(cfg, out_dir, threads) -> None:
+    experiment = ExperimentConfig._of(cfg)
+    result = random_consensus_mc(experiment, threads=threads)
     _write(out_dir, "mc.csv", result.csv_text())
-    _write(out_dir, "mc_meta.json", experiment_metadata(cfg, **result.diagnostics()))
+    _write(out_dir, "mc_meta.json", experiment_metadata(experiment, **result.diagnostics()))
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "discretize": _cmd_discretize,
-    "structure": _cmd_structure,
-    "convergence": _cmd_convergence,
-    "proximity": _cmd_proximity,
-    "mc-random": _cmd_mc_random,
+# Each subcommand: (handler, what its config is called in errors, its keys).
+# Builders run through their module names, so that patched names see the calls.
+_SIMULATE = {
+    "kernel": (lambda spec: make_kernel(spec), OPTIONAL),
+    "n": (count, OPTIONAL),
+    "graph": (_graph, OPTIONAL, "kernel", "n"),
+    "initial": (lambda spec: make_initial(spec), REQUIRED),
+    "horizon": (as_is, None),
+    "num_times": (as_is, DEFAULT_NUM_TIMES),
+    "times": (as_is, None, "horizon", "num_times"),
+    "eps": (positive, CONSENSUS_EPS),
+    "method": (solver, "expm"),
+}
+_STRUCTURE = {
+    "kernel": (lambda spec: make_kernel(spec), REQUIRED),
+    "initial": (lambda spec: make_initial(spec), OPTIONAL),
+    "zero_tol": (real, 0.0),
+    "prop_tol": (real, PROPORTIONALITY_TOL),
+}
+_DISCRETIZE = {"kernel": (lambda spec: make_kernel(spec), REQUIRED), "n": (count, REQUIRED)}
+_WITH_REFERENCE = {**_EXPERIMENT, "reference_n": (count, None)}
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate config", _SIMULATE),
+    "discretize": (_cmd_discretize, "discretize config", _DISCRETIZE),
+    "structure": (_cmd_structure, "structure config", _STRUCTURE),
+    "convergence": (_cmd_convergence, "experiment config", _WITH_REFERENCE),
+    "proximity": (_cmd_proximity, "experiment config", _WITH_REFERENCE),
+    "mc-random": (_cmd_mc_random, "experiment config", _EXPERIMENT),
 }
 
 
@@ -299,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Voter dynamics on weighted graphs and graph limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument(
@@ -336,10 +271,9 @@ def main(argv=None) -> int:
     try:
         if not 1 <= args.threads <= MC_MAX_THREADS:
             raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
-        config = _load_config(args.config)
-        _HANDLERS[args.command](config, out_dir, args.threads)
-    except KeyError as exc:
-        return _fail(out_dir, ValidationError(f"config missing field {exc}"), EXIT_CONFIG)
+        handler, what, table = _COMMANDS[args.command]
+        config = loads(_read(args.config, "config"), "config")
+        handler(read(config, table, what), out_dir, args.threads)
     except (ValidationError, DomainError, UnsupportedVariantError) as exc:
         return _fail(out_dir, exc, EXIT_CONFIG)
     except SizeLimitError as exc:

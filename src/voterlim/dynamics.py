@@ -44,12 +44,11 @@ import math
 
 import numpy as np
 
+from ._schema import REQUIRED, build, count, positive, real, reals
 from .errors import SolverConvergenceError, ValidationError
 from .graphs import (
     WeightedGraph,
     _check_size,
-    _integer,
-    _real,
     byte_classes,
     pixel_classes,
     twin_classes,
@@ -145,28 +144,19 @@ class InitialCondition:
 
 
 def make_initial(spec: dict) -> InitialCondition:
-    """Build an initial condition from its JSON description."""
-    if not isinstance(spec, dict):
-        raise ValidationError("initial-condition spec must be a JSON object")
-    kind = spec.get("type")
-    try:
-        if kind == "step":
-            return InitialCondition(spec["boundaries"], spec["values"])
-        if kind == "constant":
-            return InitialCondition.constant(spec["c"])
-        if kind == "uniform_cells":
-            return InitialCondition.from_cell_values(spec["values"])
-        if kind == "balanced_blocks":
-            return InitialCondition.balanced_blocks(
-                spec["r"],
-                left_amp=spec.get("left_amp", 0.5),
-                right_amp=spec.get("right_amp", 0.5),
-            )
-    except KeyError as exc:
-        raise ValidationError(f"initial-condition spec missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed initial-condition spec: {exc}") from exc
-    raise ValidationError(f"unknown initial-condition type {kind!r}")
+    """Initial condition of a JSON spec: a "type" and the keys `_INITIALS` gives it."""
+    return build(spec, _INITIALS, "initial-condition")
+
+
+_INITIALS = {
+    "step": (InitialCondition, {"boundaries": (reals, REQUIRED), "values": (reals, REQUIRED)}),
+    "constant": (InitialCondition.constant, {"c": (real, REQUIRED)}),
+    "uniform_cells": (InitialCondition.from_cell_values, {"values": (reals, REQUIRED)}),
+    "balanced_blocks": (
+        InitialCondition.balanced_blocks,
+        {"r": (real, REQUIRED), "left_amp": (real, 0.5), "right_amp": (real, 0.5)},
+    ),
+}
 
 
 class Trajectory:
@@ -434,24 +424,12 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     return Trajectory._trusted(t, states, {"n": n, **detail})
 
 
-def _check_positive(name: str, value: float) -> None:
-    """ValidationError unless value is a positive finite number."""
-    if not 0.0 < value < math.inf:  # NaN and Infinity fail too
-        raise ValidationError(f"{name} must be positive and finite")
-
-
-def check_method(config: dict) -> None:
-    """Refuse a run config whose "method" names a solver other than "expm".
-
-    Configs written for earlier versions may carry "method": "expm", the
-    exact solver that is now the only one; any other value would silently
-    switch solver, so it is a ValidationError.
-    """
-    method = config.get("method", "expm")
-    if method != "expm":
-        raise ValidationError(
-            f"config value for 'method' must be 'expm', the only solver, not {method!r}"
-        )
+def _check_positive(name: str, value) -> None:
+    """ValidationError unless value is a positive finite number, not a boolean."""
+    try:
+        positive(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be positive and finite") from exc
 
 
 def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
@@ -546,12 +524,12 @@ def resolve_time_grid(
     if horizon is None:
         horizon, source = default_horizon(kernel)
     try:
-        horizon = _real(horizon)
+        horizon = real(horizon)
         # inf would make linspace warn; NaN is refused downstream, where
         # experiment configs call it a horizon that is not positive
         if math.isinf(horizon):
             raise ValidationError("time grid must be finite")
-        return np.linspace(0.0, horizon, _integer(num_times)), horizon, source
+        return np.linspace(0.0, horizon, count(num_times)), horizon, source
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed time grid: {exc}") from exc
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._schema import REQUIRED, as_is, checked, count, read, real, solver
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
@@ -23,7 +24,6 @@ from .dynamics import (
     _exceedance,
     _l2_norm,
     average_initial,
-    check_method,
     consensus_diameter,
     csv_text,
     exceptional_measure,
@@ -34,19 +34,11 @@ from .dynamics import (
     solve_finite,
 )
 from .errors import ValidationError
-from .graphs import RNG_ALGORITHM, _integer, _real, _w_random_sampler
+from .graphs import RNG_ALGORITHM, _w_random_sampler
 from .kernels import Kernel, Partition, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
 MC_MAX_THREADS = 64
-
-
-def _count(name: str, value) -> int:
-    """`_integer(value)`, or a ValidationError naming `name`."""
-    try:
-        return _integer(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an integer: {exc}") from exc
 
 
 @dataclass
@@ -72,7 +64,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            ladder = tuple(_integer(n) for n in self.n_ladder)
+            ladder = tuple(count(n) for n in self.n_ladder)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"n_ladder must list integer sizes: {exc}") from exc
         if not ladder or any(n < 1 for n in ladder):
@@ -83,7 +75,7 @@ class ExperimentConfig:
         for name in ("horizon", "window", "eps", "c"):
             _check_positive(name, getattr(self, name))
         for name in ("trials", "base_seed", "num_times"):
-            setattr(self, name, _count(name, getattr(self, name)))
+            setattr(self, name, checked(count, name, getattr(self, name), "experiment config"))
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
         if self.num_times < 2:
@@ -91,44 +83,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValidationError("experiment config must be a JSON object")
-        check_method(data)
-        if "times" in data:
-            raise ValidationError(
-                "experiment configs take a uniform grid from 'horizon' and "
-                "'num_times'; the key 'times' is not supported"
-            )
-        try:
-            kernel = make_kernel(data["kernel"])
-            initial = make_initial(data["initial"])
-            ladder = data["n_ladder"]
-        except KeyError as exc:
-            raise ValidationError(f"experiment config missing field {exc}") from exc
-        times, horizon, source = resolve_time_grid(
-            kernel, data.get("horizon"), data.get("num_times", DEFAULT_NUM_TIMES)
-        )
-        try:
-            # only the keys the config gives; the rest keep the field defaults
-            given = {
-                key: kind(data[key])
-                for key, kind in (
-                    ("window", _real), ("eps", _real), ("c", _real),
-                    ("trials", _integer), ("base_seed", _integer),
-                )
-                if key in data
-            }
-            return cls(
-                kernel=kernel,
-                initial=initial,
-                n_ladder=tuple(ladder),
-                horizon=horizon,
-                num_times=times.size,
-                horizon_source=source,
-                **given,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed experiment config: {exc}") from exc
+        """Config of a JSON experiment config, with the keys of `_EXPERIMENT`."""
+        return cls._of(read(data, _EXPERIMENT, "experiment config"))
+
+    @classmethod
+    def _of(cls, spec) -> "ExperimentConfig":
+        """Config of the `_EXPERIMENT` keys as `read` gives them."""
+        times, horizon, source = resolve_time_grid(spec.kernel, spec.horizon, spec.num_times)
+        rest = (spec.window, spec.eps, spec.c, spec.trials, spec.base_seed, times.size, source)
+        return cls(spec.kernel, spec.initial, spec.n_ladder, horizon, *rest)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.num_times)
@@ -142,6 +105,22 @@ class ExperimentConfig:
             n_ladder=list(self.n_ladder),
         )
         return out
+
+
+# Builders run through their module names, so that patched names see the calls.
+_EXPERIMENT = {
+    "kernel": (lambda spec: make_kernel(spec), REQUIRED),
+    "initial": (lambda spec: make_initial(spec), REQUIRED),
+    "n_ladder": (tuple, REQUIRED),
+    "horizon": (as_is, None),
+    "num_times": (as_is, DEFAULT_NUM_TIMES),
+    "window": (real, ExperimentConfig.window),
+    "eps": (real, ExperimentConfig.eps),
+    "c": (real, ExperimentConfig.c),
+    "trials": (count, ExperimentConfig.trials),
+    "base_seed": (count, ExperimentConfig.base_seed),
+    "method": (solver, "expm"),
+}
 
 
 def experiment_metadata(cfg: ExperimentConfig, **extra) -> dict:
@@ -159,7 +138,7 @@ def _reference(cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
     `reference_n`, which must be at least 4x the largest ladder n."""
     if reference_n is None:
         return ("exact", *solve_exact(cfg.kernel, cfg.initial, times))
-    n = _count("reference_n", reference_n)
+    n = checked(count, "reference_n", reference_n)
     if n < 4 * max(cfg.n_ladder):
         raise ValidationError("reference_n must be at least 4x the largest ladder n")
     traj = solve_continuum(cfg.kernel, cfg.initial, n, times)

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from ._schema import REQUIRED, count, loads, read, reals
 from .errors import SizeLimitError, ValidationError
 from .kernels import (
     Kernel,
@@ -28,33 +29,12 @@ DEFAULT_N_MAX = 4096
 # recorded in experiment metadata alongside the seed.
 RNG_ALGORITHM = "philox4x64-10 (numpy.random.Philox)"
 
+_GRAPH = {"n": (count, REQUIRED), "weights": (reals, REQUIRED)}  # keys of graph JSON
+
 
 def _check_size(n: int) -> None:
     if n > DEFAULT_N_MAX:
         raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={DEFAULT_N_MAX}")
-
-
-def _integer(value) -> int:
-    """int(value) for a count; a float that is not integral is a ValueError.
-
-    int() alone would read 2.7 as 2, True as 1 and "3" as 3; NaN, Infinity,
-    booleans and strings are refused the same way.
-    """
-    if isinstance(value, (bool, np.bool_, str, bytes)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _real(value) -> float:
-    """float(value) for a real number; booleans and strings are a ValueError.
-
-    float() alone would read True as 1.0 and "0.1" as 0.1.
-    """
-    if isinstance(value, (bool, np.bool_, str, bytes)):
-        raise ValueError(f"{value!r} is not a real number")
-    return float(value)
 
 
 def _float_texts(values) -> tuple[np.ndarray, np.ndarray]:
@@ -82,22 +62,6 @@ def _joined_rows(values, sep: str) -> list[str]:
     cells = texts[labels].reshape(heads.size, values.shape[1]).tolist()
     joined = [sep.join(row) for row in cells]
     return [joined[k] for k in rows.tolist()]
-
-
-class _FloatMemo(dict):
-    """Float of each number token, parsed once: repeats share one object."""
-
-    def __missing__(self, token):
-        value = self[token] = float(token)
-        return value
-
-
-def _json_loads(text: str):
-    """`json.loads(text)`, with each distinct float token parsed once.
-
-    The same scanner gives the same values, types and errors.
-    """
-    return json.loads(text, parse_float=_FloatMemo().__getitem__)
 
 
 class WeightedGraph:
@@ -152,27 +116,18 @@ class WeightedGraph:
     def from_json(cls, text: str) -> "WeightedGraph":
         """Inverse of `to_json`, parsing each distinct number token once.
 
-        Malformed text, a count that is not an integer and weights whose
-        shape disagrees with it raise ValidationError.
+        Text that is not such a graph raises ValidationError (`_schema.read`).
         """
-        try:
-            data = _json_loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed graph JSON: {exc}") from exc
-        return cls._from_dict(data)
+        return cls._from_dict(loads(text, "graph"))
 
     @classmethod
     def _from_dict(cls, data) -> "WeightedGraph":
         """Graph of a parsed `{"n": ..., "weights": ...}` spec."""
-        try:
-            n = _integer(data["n"])
-            _check_size(n)
-            w = np.asarray(data["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed graph JSON: {exc}") from exc
-        if w.shape != (n, n):
+        spec = read(data, _GRAPH, "graph JSON")
+        _check_size(spec.n)
+        if spec.weights.shape != (spec.n, spec.n):
             raise ValidationError("graph JSON: weights shape disagrees with n")
-        return cls(w)
+        return cls(spec.weights)
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n})"

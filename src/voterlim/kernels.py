@@ -13,6 +13,7 @@ import functools
 
 import numpy as np
 
+from ._schema import REQUIRED, build, read, real, reals
 from .errors import DomainError, UnsupportedVariantError, ValidationError
 
 # Tolerance for sums/symmetry checks on user-supplied floats.
@@ -450,35 +451,25 @@ def l2_distance(k1: Kernel, k2: Kernel) -> float:
 
 
 def make_kernel(spec: dict) -> Kernel:
-    """Build a kernel from its JSON description.
+    """Kernel of a JSON spec: a "type" and the keys `_KERNELS` gives it."""
+    return build(spec, _KERNELS, "kernel")
 
-    Accepted forms: {"type": "step", "boundaries": [...], "values": [[...]]},
-    {"type": "constant", "c": c}, {"type": "bipartite", "r": r},
-    {"type": "product", "boundaries": [...], "f": [...]},
-    {"type": "direct_sum", "parts": [{"weight": a, "kernel": {...}}, ...]} and
-    {"type": "ws_mix", "p": p, "base": {...}}.
-    """
-    if not isinstance(spec, dict):
-        raise ValidationError("kernel spec must be a JSON object")
-    kind = spec.get("type")
-    try:
-        if kind == "step":
-            return StepKernel(spec["boundaries"], spec["values"])
-        if kind == "constant":
-            return ConstantKernel(spec["c"])
-        if kind == "bipartite":
-            return BipartiteKernel(spec["r"])
-        if kind == "product":
-            return ProductKernel(spec["boundaries"], spec["f"])
-        if kind == "direct_sum":
-            parts = [
-                (p["weight"], make_kernel(p["kernel"])) for p in spec["parts"]
-            ]
-            return DirectSumKernel(parts)
-        if kind == "ws_mix":
-            return WattsStrogatzKernel(make_kernel(spec["base"]), spec["p"])
-    except KeyError as exc:
-        raise ValidationError(f"kernel spec missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed kernel spec: {exc}") from exc
-    raise ValidationError(f"unknown kernel type {kind!r}")
+
+def _parts(parts) -> list:
+    """direct_sum parts, [{"weight": a, "kernel": {...}}, ...], as (a, Kernel) pairs."""
+    pairs = (read(part, _PART, "direct_sum part") for part in parts)
+    return [(pair.weight, pair.kernel) for pair in pairs]
+
+
+_PART = {"weight": (real, REQUIRED), "kernel": (make_kernel, REQUIRED)}
+_KERNELS = {
+    "step": (StepKernel, {"boundaries": (reals, REQUIRED), "values": (reals, REQUIRED)}),
+    "constant": (ConstantKernel, {"c": (real, REQUIRED)}),
+    "bipartite": (BipartiteKernel, {"r": (real, REQUIRED)}),
+    "product": (
+        lambda boundaries, f: ProductKernel(boundaries, f),
+        {"boundaries": (reals, REQUIRED), "f": (reals, REQUIRED)},
+    ),
+    "direct_sum": (DirectSumKernel, {"parts": (_parts, REQUIRED)}),
+    "ws_mix": (WattsStrogatzKernel, {"base": (make_kernel, REQUIRED), "p": (real, REQUIRED)}),
+}

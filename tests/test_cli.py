@@ -808,11 +808,12 @@ class TestFailureModes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["mc-random", "simulate"])
     def test_infinite_horizon_is_refused_before_the_grid(self, tmp_path, command):
+        size = {"mc-random": '"n_ladder": [8], "trials": 30', "simulate": '"n": 8'}[command]
         path = tmp_path / "config.json"
         path.write_text(
-            '{"kernel": {"type": "constant", "c": 0.8}, "n": 8,'
+            '{"kernel": {"type": "constant", "c": 0.8},'
             ' "initial": {"type": "balanced_blocks", "r": 0.5},'
-            ' "n_ladder": [8], "trials": 30, "horizon": 1e400}'
+            f' {size}, "horizon": 1e400}}'
         )
         out = tmp_path / "out"
         rc = main([command, "--config", str(path), "--out", str(out)])

@@ -1050,7 +1050,7 @@ class TestConsensusOps:
         traj = vl.Trajectory(times, states)
         assert vl.detect_consensus(traj, 0.05) is None
 
-    @pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-3, np.inf])
+    @pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-3, np.inf, True, np.True_, "0.1"])
     def test_eps_must_be_positive(self, eps):
         traj = vl.Trajectory([0.0, 1.0], [[0.0, 1.0], [0.5, 0.5]])
         with pytest.raises(vl.ValidationError, match="eps"):

@@ -51,6 +51,13 @@ class TestExperimentConfig:
         with pytest.raises(vl.ValidationError, match=name):
             bipartite_config(**{name: value})
 
+    @pytest.mark.parametrize("name", ["horizon", "window", "eps", "c"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_booleans_are_not_lengths_or_tolerances(self, name, value):
+        # 0 < True < inf held, so a boolean ran as 1.0
+        with pytest.raises(vl.ValidationError, match=name):
+            bipartite_config(**{name: value})
+
     @pytest.mark.parametrize(
         "key,value",
         [("trials", 30.5), ("base_seed", 1.5), ("num_times", 2.7), ("n_ladder", [6.5]),

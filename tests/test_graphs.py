@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
-from voterlim import graphs
+from voterlim import _schema, graphs
 
 from voterlim.kernels import Partition, overlap_matrix, symmetric_unit_matrix
 
@@ -155,13 +155,13 @@ class TestGraphJson:
     @given(st.lists(st.sampled_from(JSON_TOKENS), max_size=12), st.booleans())
     def test_json_loads_matches_on_repeated_and_aliased_tokens(self, tokens, as_object):
         text = token_text(tokens, as_object)
-        assert same_json(graphs._json_loads(text), json.loads(text))
+        assert same_json(_schema._json_loads(text), json.loads(text))
 
     @settings(max_examples=100, deadline=None)
     @given(json_values)
     def test_json_loads_matches_on_dumped_values(self, value):
         for text in (json.dumps(value), json.dumps(value, indent=2, ensure_ascii=False)):
-            assert same_json(graphs._json_loads(text), json.loads(text))
+            assert same_json(_schema._json_loads(text), json.loads(text))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -174,7 +174,7 @@ class TestGraphJson:
         text = token_text(tokens, as_object)
         text = text[:cut] + junk
         outcomes = []
-        for loads in (graphs._json_loads, json.loads):
+        for loads in (_schema._json_loads, json.loads):
             try:
                 outcomes.append(("value", loads(text)))
             except json.JSONDecodeError as exc:
@@ -184,7 +184,7 @@ class TestGraphJson:
         assert same_json(ours, want) if kind == "value" else ours == want
 
     def test_repeated_tokens_share_one_float(self):
-        a = graphs._json_loads("[0.25, 0.25, 0.250, 0.25]")
+        a = _schema._json_loads("[0.25, 0.25, 0.250, 0.25]")
         assert a[0] is a[1] is a[3]
         assert a[2] == 0.25
 

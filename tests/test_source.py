@@ -32,3 +32,36 @@ def test_imports_are_used_and_all_is_unique():
     repeated = [name for name, count in Counter(vl.__all__).items() if count > 1]
     assert repeated == []
     assert [name for name in vl.__all__ if not hasattr(vl, name)] == []
+
+
+CONFIG_READERS = ("from_dict", "_from_dict", "make_kernel", "make_initial")
+
+
+def _raw_reads(function):
+    """Subscripts and .get calls of the function's own parameters."""
+    params = {arg.arg for arg in function.args.args + function.args.kwonlyargs}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value if node.func.attr == "get" else None
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in params:
+            yield f"{function.name}: {ast.unparse(node)}"
+
+
+def test_config_readers_leave_raw_mappings_to_the_schema():
+    # a raw config[...] or config.get(...) would read a key that no table
+    # declares, so a misspelt or unknown key would pass unnoticed
+    readers, raw = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name in CONFIG_READERS or node.name.startswith("_cmd_")
+            ):
+                readers.append(node.name)
+                raw += [f"{path.name}: {read}" for read in _raw_reads(node)]
+    assert raw == []
+    assert set(CONFIG_READERS) <= set(readers)
+    assert len([name for name in readers if name.startswith("_cmd_")]) == 6
