@@ -41,9 +41,29 @@ def positive(value) -> float:
     return value
 
 
+def _holds_bool(value) -> bool:
+    """True where value is a boolean or holds one at any depth; one set of
+    element types per list, so rows of numbers cost no Python loop."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool
+    if not isinstance(value, (list, tuple)):
+        return isinstance(value, (bool, np.bool_))
+    types = set(map(type, value))
+    if types & {bool, np.bool_}:
+        return True
+    return bool(types & {list, tuple, np.ndarray}) and any(map(_holds_bool, value))
+
+
+def numbers(value):
+    """A value of numbers, as given; a boolean at any depth is a ValueError."""
+    if _holds_bool(value):
+        raise ValueError("must hold numbers, not booleans")
+    return value
+
+
 def reals(value) -> np.ndarray:
-    """An array of real numbers."""
-    return np.asarray(value, dtype=float)
+    """An array of real numbers; a boolean at any depth is a ValueError."""
+    return np.asarray(numbers(value), dtype=float)
 
 
 def as_is(value):
@@ -134,23 +154,8 @@ def _json_loads(text: str):
 
 
 def loads(text: str, what: str):
-    """Parsed `what` JSON text; malformed text, and true or false in an array,
-    are a ValidationError.  Arrays are walked only if the text has `true` or `false`."""
+    """Parsed `what` JSON text; malformed text is a ValidationError."""
     try:
-        data = _json_loads(text)
+        return _json_loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed {what} JSON: {exc}") from exc
-    if "true" in text or "false" in text:
-        _refuse_booleans(data, None)
-    return data
-
-
-def _refuse_booleans(value, key) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _refuse_booleans(v, k)
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, bool):
-                raise ValidationError(f"value for {key!r} must hold numbers, not booleans")
-            _refuse_booleans(item, key)

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from ._schema import OPTIONAL, REQUIRED, as_is, count, loads, positive, read, real, solver
+from ._schema import OPTIONAL, REQUIRED, as_is, count, loads, numbers, positive, read, real, solver
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
@@ -206,7 +206,7 @@ _SIMULATE = {
     "initial": (lambda spec: make_initial(spec), REQUIRED),
     "horizon": (as_is, None),
     "num_times": (as_is, DEFAULT_NUM_TIMES),
-    "times": (as_is, None, "horizon", "num_times"),
+    "times": (numbers, None, "horizon", "num_times"),
     "eps": (positive, CONSENSUS_EPS),
     "method": (solver, "expm"),
 }

@@ -5,12 +5,11 @@ dynamics generator; the continuum model is its kernel limit.  Every exact
 solve reduces its input to classes of cells with identical weight rows,
 then runs one core, `_solve_classes`:
 
-- `solve_finite(graph, u0, times)`: the vertices, in the graph's
-  `twin_classes`;
+- `solve_finite(graph, u0, times)`: the vertices, in the graph's twin
+  classes (`byte_classes` of its weights);
 - `solve_continuum(kernel, g, n, times)`: the pixels of the discretisation
-  at n, in the classes `graphs.pixel_classes` reads off the kernel's
-  partition, merged where the symmetrised rows coincide.  That is the
-  graph's own twin classes, so the trajectory and metadata equal those of
+  at n, in the same twin classes, which `graphs.pixel_classes` reads off
+  the kernel's partition, so the trajectory and metadata equal those of
   `solve_finite` on `discretize_kernel`, bit for bit; the n x n matrix is
   formed only when the kernel has at least n cells;
 - `solve_exact(kernel, g, times)`: the cells of the common refinement of
@@ -44,23 +43,10 @@ import math
 
 import numpy as np
 
-from ._schema import REQUIRED, build, count, positive, real, reals
+from ._schema import REQUIRED, build, checked, count, positive, real, reals
 from .errors import SolverConvergenceError, ValidationError
-from .graphs import (
-    WeightedGraph,
-    _check_size,
-    byte_classes,
-    pixel_classes,
-    twin_classes,
-)
-from .kernels import (
-    Kernel,
-    Partition,
-    _closure,
-    common_refinement,
-    overlap_matrix,
-    symmetric_unit_matrix,
-)
+from .graphs import WeightedGraph, _check_size, byte_classes, pixel_classes
+from .kernels import Kernel, Partition, _closure, common_refinement, overlap_matrix
 
 # Default tolerances; every consumer that overrides them records the value
 # it used in its output metadata.
@@ -400,15 +386,40 @@ def _solve_classes(labels, masses, sizes, scale, d, b, u0, times) -> tuple[np.nd
     return (states if cols is None else states[:, cols]), detail
 
 
+def _class_degrees(labels, weights) -> np.ndarray:
+    """Degrees of the q classes of a graph given by its vertex classes and
+    their q x q weights: each head's row expanded to the n vertices and
+    summed in the order the graph's own row sum takes, divided by n."""
+    n = labels.size
+    rows = weights if weights.shape[0] == n else np.take(weights, labels, axis=1)
+    return rows.sum(axis=1) / n
+
+
+def _solve_twins(labels, weights, u0, times) -> tuple[np.ndarray, dict]:
+    """`_solve_classes` on a graph given by vertex classes and their weights.
+
+    The classes must have identical weight rows.  n x n weights (each
+    vertex its own class) are first reduced to the twin classes, so a
+    graph without twins runs Lanczos on the whole grid.
+    """
+    n = labels.size
+    d = _class_degrees(labels, weights)
+    if weights.shape[0] == n:
+        labels, heads = byte_classes(weights)
+        d = d[heads]  # the head rows are the classes' rows: no q x n expansion
+        if heads.size < n:
+            weights = weights[np.ix_(heads, heads)]
+    return _solve_classes(labels, None, np.bincount(labels), n, d, weights, u0, times)
+
+
 def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     """Solve du/dt = D u exactly on the given time grid.
 
     The graph is reduced to its twin classes and solved by
-    `_solve_classes`; a graph without twins runs Lanczos on the whole
-    grid.  The metadata records the path taken (`solver_path`) and the
-    number of twin classes `q`, plus on the Krylov path `krylov_dim`, the
-    a-priori `krylov_bound`, `krylov_stop` and `krylov_estimate` (see
-    `_solve_krylov`).
+    `_solve_classes` (`_solve_twins`).  The metadata records the path
+    taken (`solver_path`) and the number of twin classes `q`, plus on the
+    Krylov path `krylov_dim`, the a-priori `krylov_bound`, `krylov_stop`
+    and `krylov_estimate` (see `_solve_krylov`).
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
@@ -416,11 +427,7 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     if u.shape != (n,):
         raise ValidationError(f"state has {u.size} cells, graph has {n}")
     _check_size(n)
-    labels, heads = twin_classes(graph)
-    w = graph.weights
-    b = w if heads.size == n else w[np.ix_(heads, heads)]
-    d = w.sum(axis=1)[heads] / n  # the bits of w[heads].sum(axis=1), without its copy
-    states, detail = _solve_classes(labels, None, np.bincount(labels), n, d, b, u, t)
+    states, detail = _solve_twins(np.arange(n), graph.weights, u, t)
     return Trajectory._trusted(t, states, {"n": n, **detail})
 
 
@@ -438,23 +445,14 @@ def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Traje
     The same trajectory, bit for bit and with the same metadata, as
     `solve_finite(discretize_kernel(kernel, n), average_initial(g, n),
     times)`, but solved on the discretisation's twin classes, without
-    forming its n x n matrix unless the kernel has at least n cells.  The
-    `pixel_classes` weights are symmetrised and clipped as the graph's
-    are, and classes whose weight rows then coincide are merged, which
-    gives the graph's own `twin_classes`; `_solve_classes` solves on them
-    from the q x q class weights and the class degrees, each summed over
-    its head's row expanded to the n pixels.
+    forming its n x n matrix unless the kernel has at least n cells:
+    `_solve_twins` solves on the graph's twin classes and their q x q
+    weights, which `pixel_classes` returns.
     """
-    pixels, _, weights = pixel_classes(kernel, n)
+    labels, _, weights = pixel_classes(kernel, n)
     u0 = average_initial(g, n)
     t = _validate_times(times)
-    weights = symmetric_unit_matrix(weights, "weights")
-    merged, first = byte_classes(weights)
-    labels = merged[pixels]
-    # degrees summed over the n pixels, in the order the graph sums them
-    d = np.take(weights[first], pixels, axis=1).sum(axis=1) / n
-    b = weights if first.size == n else weights[np.ix_(first, first)]
-    states, detail = _solve_classes(labels, None, np.bincount(labels), n, d, b, u0, t)
+    states, detail = _solve_twins(labels, weights, u0, t)
     try:
         spec = kernel.spec()
     except NotImplementedError:
@@ -523,14 +521,15 @@ def resolve_time_grid(
     source = "config"
     if horizon is None:
         horizon, source = default_horizon(kernel)
+    horizon = checked(real, "horizon", horizon, "time grid")
+    # inf would make linspace warn; NaN is refused downstream, where
+    # experiment configs call it a horizon that is not positive
+    if math.isinf(horizon):
+        raise ValidationError("time grid must be finite")
+    num_times = checked(count, "num_times", num_times, "time grid")
     try:
-        horizon = real(horizon)
-        # inf would make linspace warn; NaN is refused downstream, where
-        # experiment configs call it a horizon that is not positive
-        if math.isinf(horizon):
-            raise ValidationError("time grid must be finite")
-        return np.linspace(0.0, horizon, count(num_times)), horizon, source
-    except (TypeError, ValueError) as exc:
+        return np.linspace(0.0, horizon, num_times), horizon, source
+    except ValueError as exc:
         raise ValidationError(f"malformed time grid: {exc}") from exc
 
 
@@ -608,24 +607,18 @@ def volterra_residual(kernel: Kernel, traj: Trajectory) -> float:
     form per interval, so constant trajectories give zero residual and
     the residual of a smooth one shrinks as O(dt^2).
 
-    d and h come from the q x q weights of the `pixel_classes`, symmetrised
-    as `discretize_kernel` symmetrises them, and the class sums of the
-    states, so the n x n discretisation is never formed unless q = n,
-    where the weights are that matrix.
+    d and h come from the q x q class weights of the `pixel_classes`
+    (`_class_degrees`) and the class sums of the states, so the n x n
+    discretisation is never formed unless the kernel has at least n cells.
 
     This is an oracle for the solvers: it never runs them.
     """
     n = traj.n
     labels, heads, weights = pixel_classes(kernel, n)
-    weights = symmetric_unit_matrix(weights, "weights")
-    if heads.size == n:
-        d = weights.sum(axis=1) / n
-        h = traj.states @ weights / n
-    else:
-        q = heads.size
-        d = (weights @ np.bincount(labels, minlength=q) / n)[labels]
-        sums = np.array([np.bincount(labels, weights=row, minlength=q) for row in traj.states])
-        h = (sums @ weights / n)[:, labels]
+    d = _class_degrees(labels, weights)[labels]
+    q = heads.size
+    sums = np.array([np.bincount(labels, weights=row, minlength=q) for row in traj.states])
+    h = (sums @ weights / n)[:, labels]
     u0 = traj.states[0]
     acc = np.zeros(n)
     worst = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._schema import REQUIRED, as_is, checked, count, read, real, solver
+from ._schema import REQUIRED, as_is, checked, count, numbers, read, real, solver
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
@@ -111,7 +111,7 @@ class ExperimentConfig:
 _EXPERIMENT = {
     "kernel": (lambda spec: make_kernel(spec), REQUIRED),
     "initial": (lambda spec: make_initial(spec), REQUIRED),
-    "n_ladder": (tuple, REQUIRED),
+    "n_ladder": (lambda value: tuple(numbers(value)), REQUIRED),
     "horizon": (as_is, None),
     "num_times": (as_is, DEFAULT_NUM_TIMES),
     "window": (real, ExperimentConfig.window),

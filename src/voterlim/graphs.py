@@ -148,24 +148,8 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     return d
 
 
-# Entries per row compared before whole rows in `twin_classes`.
-_TWIN_PROBE = 64
-
-
-def twin_classes(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of vertices whose weight rows are bit-for-bit identical.
-
-    Returns (labels, heads): labels[i] is the class of vertex i and
-    heads[k] the smallest vertex of class k, classes numbered in order of
-    their heads.  Rows are keyed by their bytes, so 0.0 and -0.0 count as
-    different entries.
-    """
-    w = graph.weights
-    # Rows whose first entries already differ are not twins; W-random
-    # graphs stop here without copying whole rows.
-    if len(set(_row_keys(w[:, :_TWIN_PROBE]))) == graph.n:
-        return np.arange(graph.n), np.arange(graph.n)
-    return byte_classes(w)
+# Entries per row compared before whole rows in `byte_classes`.
+_PROBE = 64
 
 
 def _row_keys(rows) -> list[bytes]:
@@ -185,8 +169,16 @@ def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
     """Classes of bit-for-bit identical rows of a 2-D array: (labels, heads).
 
     labels[i] is the class of row i and heads[k] the first row of class k,
-    classes numbered in order of their heads.
+    classes numbered in order of their heads.  Rows are keyed by their
+    bytes, so 0.0 and -0.0 count as different entries; on a graph's
+    weights the classes are its twin classes.
     """
+    rows = np.asarray(rows)
+    n = rows.shape[0]
+    # Rows whose first entries already differ are distinct; W-random
+    # graphs stop here without copying whole rows.
+    if rows.shape[1] > _PROBE and len(set(_row_keys(rows[:, :_PROBE]))) == n:
+        return np.arange(n), np.arange(n)
     first: dict[bytes, int] = {}
     labels = np.array(
         [first.setdefault(key, len(first)) for key in _row_keys(rows)], dtype=np.intp
@@ -199,26 +191,35 @@ def pixel_classes(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Pixels (cells of the uniform n-partition) whose overlaps with the
     cells of `kernel.as_step()` are bit-identical get identical weight
-    rows, so the q classes they form carry the whole discretisation.
-    Returns (labels, heads, weights): labels[i] is the class of pixel i,
-    heads[k] the first pixel of class k (classes numbered in that order)
-    and weights the raw q x q matrix n^2 O V O^T over the heads' overlap
-    rows O, before `symmetric_unit_matrix`.  A partition with at least n
-    cells is not keyed: every pixel is its own class and weights is the
-    n x n discretisation.
+    rows.  The weights between their first pixels, n^2 O V O^T over the
+    overlap rows O, are symmetrised and validated once, and classes whose
+    rows then coincide are merged, which leaves the graph's own twin
+    classes.  Returns (labels, heads, weights): labels[i] is the class of
+    pixel i, heads[k] the first pixel of class k (classes numbered in that
+    order) and weights the q x q class weights, so that
+    weights[labels][:, labels] is `discretize_kernel(kernel, n).weights`
+    bit for bit.  A partition with at least n cells is not keyed: every
+    pixel is its own class and weights is the n x n discretisation.
     """
     if n < 1:
         raise ValidationError("discretisation needs n >= 1")
     _check_size(n)
     step = kernel.as_step()
     overlap = overlap_matrix(Partition.uniform(n), step.partition)
-    if step.partition.size >= n:
-        labels = heads = np.arange(n)
-    else:
+    keyed = step.partition.size < n
+    if keyed:
         labels, heads = byte_classes(overlap)
         overlap = overlap[heads]
+    else:
+        labels = heads = np.arange(n)
     weights = overlap @ step.values @ overlap.T
+    del overlap  # n x n when not keyed: freed before the symmetrised copy
     weights *= n * n  # in place: one array fewer, the same bits
+    # absorbs the rounding asymmetry of the class weights
+    weights = symmetric_unit_matrix(weights, "weights")
+    if keyed:
+        merged, first = byte_classes(weights)
+        labels, heads, weights = merged[labels], heads[first], weights[np.ix_(first, first)]
     return labels, heads, weights
 
 
@@ -227,15 +228,10 @@ def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
 
     The integral is evaluated exactly through the kernel's step refinement
     and the overlap of its partition with the uniform n-partition, once
-    per pair of `pixel_classes` and then expanded to the n pixels, so
-    pixels with identical overlaps get bit-identical weight rows.  The
-    class weights are symmetrised and validated before the expansion: each
-    entry takes the operations it would take after it, and the n x n
-    result is the only n x n array built.
+    per pair of `pixel_classes`, whose class weights are expanded to the
+    n pixels; the n x n result is the only n x n array built.
     """
     labels, heads, weights = pixel_classes(kernel, n)
-    # absorbs the rounding asymmetry of the class weights
-    weights = symmetric_unit_matrix(weights, "weights")
     if heads.size < n:
         weights = np.take(np.take(weights, labels, axis=0), labels, axis=1)
     return WeightedGraph._trusted(weights)

@@ -14,6 +14,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +174,8 @@ def test_true_in_place_of_any_number_exits_2(data):
         ("simulate", {**simulate_config(), "max_halvings": 8}, "'max_halvings'"),
         ("mc-random", {**mc_config(), "reference_n": 32}, "'reference_n'"),
         ("simulate", {**simulate_config(), "times": [0.0, True]}, "'times'"),
+        ("simulate", {**simulate_config(), "times": None, "horizon": True}, "'horizon'"),
+        ("simulate", {**simulate_config(), "times": None, "num_times": True}, "'num_times'"),
         ("mc-random", {**mc_config(), "n_ladder": [True]}, "'n_ladder'"),
         ("discretize", {"kernel": KERNELS[4], "n": 4, "graph": GRAPH}, "'graph'"),
         ("simulate", {**simulate_config(), "kernel": {"c": 0.5, "tipe": "constant"}}, "'tipe'"),
@@ -183,6 +186,22 @@ def test_reported_defects_exit_2_naming_the_key(command, config, key):
     rc, message = run(command, config)
     assert rc == 2
     assert key in message
+
+
+@pytest.mark.parametrize(
+    "build,spec,key",
+    [
+        (vl.make_kernel, {"type": "step", "boundaries": [0, 1], "values": [[True]]}, "'values'"),
+        (vl.make_kernel, {"type": "product", "boundaries": [0, 1], "f": np.array([True])}, "'f'"),
+        (vl.make_initial, {"type": "uniform_cells", "values": [0.5, np.True_]}, "'values'"),
+        (vl.make_initial, {"type": "step", "boundaries": [0, True, 1], "values": [1, 2]},
+         "'boundaries'"),
+    ],
+)
+def test_python_callers_get_no_booleans_as_numbers(build, spec, key):
+    # a boolean inside an array was read as 1.0 unless it came through JSON text
+    with pytest.raises(vl.ValidationError, match=key):
+        build(spec)
 
 
 @pytest.mark.parametrize(

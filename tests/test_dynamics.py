@@ -177,7 +177,7 @@ class TestSolveFinite:
 
 
 def _classes(graph):
-    labels, heads = graphs.twin_classes(graph)
+    labels, heads = graphs.byte_classes(graph.weights)
     assert np.array_equal(labels[heads], np.arange(heads.size))
     return sorted(np.nonzero(labels == k)[0].tolist() for k in range(heads.size))
 
@@ -434,7 +434,7 @@ class TestColumnSynthesis:
             )
             graph = vl.discretize_kernel(kernel, 8 * 2 ** int(r.integers(1, 6)))
             horizon = float(r.choice([50.0, 1e3, 1e5]))
-            labels, _ = graphs.twin_classes(graph)
+            labels, _ = graphs.byte_classes(graph.weights)
             u0 = r.choice(_START_PALETTE, labels.max() + 1)[labels]
             if r.integers(2):
                 u0[r.integers(graph.n)] = 0.125
@@ -458,7 +458,7 @@ class TestColumnSynthesis:
         g = vl.InitialCondition(bounds, r.choice(_START_PALETTE, bounds.size - 1))
         times = np.linspace(0.0, float(r.choice([2.0, 50.0, 1e3])), 9)
         graph = vl.discretize_kernel(kernel, n)
-        assume(graphs.twin_classes(graph)[1].size < n)
+        assume(graphs.byte_classes(graph.weights)[1].size < n)
         want = per_cell_graph_states(graph, vl.average_initial(g, n), times)
         self._check(lambda: vl.solve_continuum(kernel, g, n, times), want)
 

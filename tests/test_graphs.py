@@ -262,18 +262,44 @@ class TestPixelClasses:
         labels, heads, weights = graphs.pixel_classes(kernel, n)
         raw = gemm_discretize(kernel, n)
         if kernel.partition.size >= n:
-            # not keyed: the one product over all pixels, bit for bit
+            # not keyed: the one product over all pixels, symmetrised, bit for bit
             assert np.array_equal(labels, np.arange(n))
-            assert weights.tobytes() == raw.tobytes()
             want = whole_matrix_symmetric_unit(raw, "weights")
+            assert weights.tobytes() == want.tobytes()
             assert vl.discretize_kernel(kernel, n).weights.tobytes() == want.tobytes()
             return
+        # pixels with equal overlaps share a class, and classes with equal
+        # symmetrised weight rows are merged
         overlap = overlap_matrix(Partition.uniform(n), kernel.partition)
+        for pixels in row_equality_classes(overlap):
+            assert np.unique(labels[pixels]).size == 1
+        assert len(row_equality_classes(weights)) == heads.size
         classes = [np.nonzero(labels == k)[0].tolist() for k in range(heads.size)]
-        assert classes == sorted(row_equality_classes(overlap))
         assert np.array_equal(heads, [c[0] for c in classes])
+        assert np.all(np.diff(heads) > 0)
+        want = whole_matrix_symmetric_unit(raw, "weights")[np.ix_(heads, heads)]
         bound = 4 * np.finfo(float).eps * np.abs(kernel.values).max()
-        assert np.abs(weights - raw[np.ix_(heads, heads)]).max() <= bound
+        assert np.abs(weights - want).max() <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([1, 7, 64, 255, 333]),
+        st.booleans(),
+    )
+    # overlap classes that the merge joins: 11 to 8, and 29 to 28
+    @example(seed=6, m=3, n=255, aligned=True)
+    @example(seed=8, m=8, n=333, aligned=True)
+    def test_classes_are_the_graphs_twin_classes(self, seed, m, n, aligned):
+        kernel = signed_zero_step_kernel(np.random.default_rng(seed), m, aligned)
+        labels, heads, weights = graphs.pixel_classes(kernel, n)
+        graph = vl.discretize_kernel(kernel, n)
+        assert weights[np.ix_(labels, labels)].tobytes() == graph.weights.tobytes()
+        if kernel.partition.size < n:
+            want_labels, want_heads = graphs.byte_classes(graph.weights)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(heads, want_heads)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -460,12 +486,23 @@ class TestBlowUp:
             vl.blow_up(g, [1, 1], [[-1.0], [1.0]])
 
 
-class TestTwinClasses:
+class TestByteClasses:
     def test_hand_case(self):
         w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        labels, heads = graphs.twin_classes(vl.WeightedGraph(w))
+        labels, heads = graphs.byte_classes(vl.WeightedGraph(w).weights)
         assert labels.tolist() == [0, 1, 0]
         assert heads.tolist() == [0, 1]
+
+    def test_twins_narrower_than_the_probe(self):
+        # 40 entries per row, fewer than the probe compares: whole rows keyed
+        rows = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 40))
+        rows[:, 7] = 0.0
+        rows[3] = rows[1]
+        rows[4] = rows[1]
+        rows[4, 7] = -0.0  # differs from row 1 only in the sign of a zero
+        labels, heads = graphs.byte_classes(rows)
+        assert labels.tolist() == [0, 1, 2, 1, 3]
+        assert heads.tolist() == [0, 1, 2, 4]
 
     @pytest.mark.parametrize("twins", [False, True])
     def test_rows_equal_only_in_their_first_entries(self, twins):
@@ -478,7 +515,7 @@ class TestTwinClasses:
             w[1, 80:] = w[0, 80:]
         w[80:, :80] = w[:80, 80:].T
         w[80:, 80:] = 0.5
-        labels, heads = graphs.twin_classes(vl.WeightedGraph(w))
+        labels, heads = graphs.byte_classes(vl.WeightedGraph(w).weights)
         classes = sorted(np.nonzero(labels == k)[0].tolist() for k in range(heads.size))
         assert classes == row_equality_classes(w)
         assert len(classes) == (129 if twins else 130)

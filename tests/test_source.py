@@ -1,4 +1,5 @@
-"""Source hygiene that a linter would check: no dead imports, a clean `__all__`."""
+"""Source hygiene that a linter would check: no dead imports, a clean `__all__`,
+and one module deciding the bits of the discretisation."""
 
 import ast
 from collections import Counter
@@ -65,3 +66,33 @@ def test_config_readers_leave_raw_mappings_to_the_schema():
     assert raw == []
     assert set(CONFIG_READERS) <= set(readers)
     assert len([name for name in readers if name.startswith("_cmd_")]) == 6
+
+
+def _referenced_names(tree):
+    """Names a parsed module binds, reads or reaches as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+    yield from _imported_names(tree)
+
+
+def test_one_module_decides_the_discretisation_bits():
+    # the discretisation's weights are symmetrised once, in
+    # graphs.pixel_classes, and a graph's twin classes are found by one
+    # function, graphs.byte_classes
+    symmetrising, twin_searches = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if "symmetric_unit_matrix" in set(_referenced_names(tree)):
+            symmetrising.append(path.name)
+        twin_searches += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "twin_classes"
+        ]
+    assert symmetrising == ["graphs.py", "kernels.py"]
+    assert twin_searches == []
