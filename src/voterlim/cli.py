@@ -130,6 +130,14 @@ def _read(path, what: str) -> str:
         raise ValidationError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
+def _make_dir(path) -> None:
+    """Make the output directory; a path that cannot be one is a ValidationError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output directory {path} cannot be made: {exc}") from exc
+
+
 def _graph(spec) -> WeightedGraph:
     """The graph of a simulate config: {"path": file} of a saved graph, or inline."""
     if isinstance(spec, dict) and "path" in spec:
@@ -267,8 +275,8 @@ def _fail(out_dir, exc, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
     try:
+        _make_dir(out_dir)
         if not 1 <= args.threads <= MC_MAX_THREADS:
             raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
         handler, what, table = _COMMANDS[args.command]

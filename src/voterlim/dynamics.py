@@ -45,7 +45,7 @@ import numpy as np
 
 from ._schema import REQUIRED, build, checked, count, positive, real, reals
 from .errors import SolverConvergenceError, ValidationError
-from .graphs import WeightedGraph, _check_size, byte_classes, pixel_classes
+from .graphs import WeightedGraph, _size, byte_classes, pixel_classes
 from .kernels import Kernel, Partition, _closure, common_refinement, overlap_matrix
 
 # Default tolerances; every consumer that overrides them records the value
@@ -151,8 +151,8 @@ class Trajectory:
     def __init__(self, times, states, metadata=None):
         t = _validate_times(times)
         s = np.asarray(states, dtype=float)
-        if s.ndim != 2 or s.shape[0] != t.size:
-            raise ValidationError("need one state row per grid time")
+        if s.ndim != 2 or s.shape[0] != t.size or s.shape[1] < 1:
+            raise ValidationError("need one state row of at least one cell per grid time")
         t = t.copy()
         t.setflags(write=False)
         s = s.copy()
@@ -189,8 +189,7 @@ class Trajectory:
 
 def average_initial(g: InitialCondition, n: int) -> np.ndarray:
     """Cell averages of g on the uniform n-partition: n * integral over each cell."""
-    if n < 1:
-        raise ValidationError("averaging needs n >= 1")
+    n = _size(n, "averaging")
     overlap = overlap_matrix(Partition.uniform(n), g.partition)
     return n * (overlap @ g.values)
 
@@ -423,10 +422,9 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     """
     t = _validate_times(times)
     u = np.asarray(u0, dtype=float)
-    n = graph.n
+    n = _size(graph.n, "finite solve")
     if u.shape != (n,):
         raise ValidationError(f"state has {u.size} cells, graph has {n}")
-    _check_size(n)
     states, detail = _solve_twins(np.arange(n), graph.weights, u, t)
     return Trajectory._trusted(t, states, {"n": n, **detail})
 
@@ -450,14 +448,15 @@ def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Traje
     weights, which `pixel_classes` returns.
     """
     labels, _, weights = pixel_classes(kernel, n)
-    u0 = average_initial(g, n)
+    u0 = average_initial(g, labels.size)
     t = _validate_times(times)
     states, detail = _solve_twins(labels, weights, u0, t)
     try:
         spec = kernel.spec()
     except NotImplementedError:
         spec = None
-    return Trajectory._trusted(t, states, {"n": n, **detail, "kernel": spec, "initial": g.spec()})
+    meta = {"n": labels.size, **detail, "kernel": spec, "initial": g.spec()}
+    return Trajectory._trusted(t, states, meta)
 
 
 def _kernel_cells(kernel: Kernel):
@@ -533,9 +532,17 @@ def resolve_time_grid(
         raise ValidationError(f"malformed time grid: {exc}") from exc
 
 
+def _cells(state) -> np.ndarray:
+    """A state as a float array; a state without cells is a ValidationError."""
+    v = np.asarray(state, dtype=float)
+    if v.size < 1:
+        raise ValidationError("a state needs at least one cell")
+    return v
+
+
 def consensus_diameter(state) -> float:
     """Spread of opinions: max minus min cell value."""
-    v = np.asarray(state, dtype=float)
+    v = _cells(state)
     return float(v.max() - v.min())
 
 
@@ -546,7 +553,7 @@ def exceptional_measure(state, eps: float) -> float:
     closed window of width eps, so the result is (n - kept) / n.
     """
     _check_positive("eps", eps)
-    v = np.sort(np.asarray(state, dtype=float))
+    v = np.sort(_cells(state))
     n = v.size
     kept = np.searchsorted(v, v + eps, side="right") - np.arange(n)
     return float(n - kept.max()) / n

@@ -34,7 +34,7 @@ from .dynamics import (
     solve_finite,
 )
 from .errors import ValidationError
-from .graphs import RNG_ALGORITHM, _w_random_sampler
+from .graphs import RNG_ALGORITHM, _seed, _size, _w_random_sampler
 from .kernels import Kernel, Partition, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
@@ -63,15 +63,10 @@ class ExperimentConfig:
     horizon_source: str = "config"
 
     def __post_init__(self):
-        try:
-            ladder = tuple(count(n) for n in self.n_ladder)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"n_ladder must list integer sizes: {exc}") from exc
-        if not ladder or any(n < 1 for n in ladder):
-            raise ValidationError("n_ladder must list positive sizes")
-        if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ValidationError("n_ladder must be strictly increasing")
-        self.n_ladder = ladder
+        ladder = checked(tuple, "n_ladder", self.n_ladder, "experiment config")
+        self.n_ladder = ladder = tuple(_size(n, "n_ladder") for n in ladder)
+        if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ValidationError("n_ladder must be non-empty and strictly increasing")
         for name in ("horizon", "window", "eps", "c"):
             _check_positive(name, getattr(self, name))
         for name in ("trials", "base_seed", "num_times"):
@@ -138,7 +133,7 @@ def _reference(cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
     `reference_n`, which must be at least 4x the largest ladder n."""
     if reference_n is None:
         return ("exact", *solve_exact(cfg.kernel, cfg.initial, times))
-    n = checked(count, "reference_n", reference_n)
+    n = _size(reference_n, "reference_n")
     if n < 4 * max(cfg.n_ladder):
         raise ValidationError("reference_n must be at least 4x the largest ladder n")
     traj = solve_continuum(cfg.kernel, cfg.initial, n, times)
@@ -354,6 +349,8 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
         raise ValidationError(f"fraction estimates need at least {MC_MIN_TRIALS} trials")
     if not 1 <= threads <= MC_MAX_THREADS:
         raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
+    for seed in (cfg.base_seed, cfg.base_seed + cfg.trials - 1):  # before any solve
+        _seed(seed)
     times = np.array([0.0, cfg.horizon])
     label, ref_part, ref_values = _reference(cfg, times)
     ref_final = ref_values[-1]

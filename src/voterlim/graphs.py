@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from ._schema import REQUIRED, count, loads, read, reals
+from ._schema import REQUIRED, as_is, checked, count, loads, read, reals
 from .errors import SizeLimitError, ValidationError
 from .kernels import (
     Kernel,
@@ -29,12 +29,26 @@ DEFAULT_N_MAX = 4096
 # recorded in experiment metadata alongside the seed.
 RNG_ALGORITHM = "philox4x64-10 (numpy.random.Philox)"
 
-_GRAPH = {"n": (count, REQUIRED), "weights": (reals, REQUIRED)}  # keys of graph JSON
+_GRAPH = {"n": (as_is, REQUIRED), "weights": (reals, REQUIRED)}  # graph JSON; `_size` reads n
 
 
-def _check_size(n: int) -> None:
+def _size(n, what: str) -> int:
+    """n as a Python int, the size of a `what`: a count from 1 to DEFAULT_N_MAX,
+    which is read at each call."""
+    n = checked(count, "n", n, what)
+    if n < 1:
+        raise ValidationError(f"{what} needs n >= 1, not {n}")
     if n > DEFAULT_N_MAX:
-        raise SizeLimitError(f"n={n} exceeds dense-storage guard n_max={DEFAULT_N_MAX}")
+        raise SizeLimitError(f"{what}: n={n} exceeds dense-storage guard n_max={DEFAULT_N_MAX}")
+    return n
+
+
+def _seed(seed) -> int:
+    """seed as a Python int: a Philox key, a count in [0, 2**128)."""
+    seed = checked(count, "seed", seed, "sampling")
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed {seed} lies outside the Philox keys [0, 2**128)")
+    return seed
 
 
 def _float_texts(values) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +138,8 @@ class WeightedGraph:
     def _from_dict(cls, data) -> "WeightedGraph":
         """Graph of a parsed `{"n": ..., "weights": ...}` spec."""
         spec = read(data, _GRAPH, "graph JSON")
-        _check_size(spec.n)
-        if spec.weights.shape != (spec.n, spec.n):
+        n = _size(spec.n, "graph JSON")
+        if spec.weights.shape != (n, n):
             raise ValidationError("graph JSON: weights shape disagrees with n")
         return cls(spec.weights)
 
@@ -201,9 +215,7 @@ def pixel_classes(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     bit for bit.  A partition with at least n cells is not keyed: every
     pixel is its own class and weights is the n x n discretisation.
     """
-    if n < 1:
-        raise ValidationError("discretisation needs n >= 1")
-    _check_size(n)
+    n = _size(n, "discretisation")
     step = kernel.as_step()
     overlap = overlap_matrix(Partition.uniform(n), step.partition)
     keyed = step.partition.size < n
@@ -247,8 +259,8 @@ def sample_w_random(kernel: Kernel, n: int, seed: int) -> WeightedGraph:
 
     Edge (i, j), 1 <= i < j <= n, appears independently with probability
     W(i/n, j/n).  Decisions are drawn in row-major i < j order from a
-    counter-based generator (see RNG_ALGORITHM) keyed by `seed`, so a
-    given (kernel, n, seed) always yields the same graph.
+    counter-based generator (see RNG_ALGORITHM) keyed by `seed`, a count
+    in [0, 2**128), so a given (kernel, n, seed) always yields the same graph.
     """
     return _w_random_sampler(kernel, n)(seed)
 
@@ -261,9 +273,7 @@ def _w_random_sampler(kernel: Kernel, n: int):
     0/1 matrix it builds is symmetric by construction, so the graph skips
     `symmetric_unit_matrix`, whose result would have the same bits.
     """
-    if n < 1:
-        raise ValidationError("sampling needs n >= 1")
-    _check_size(n)
+    n = _size(n, "sampling")
     if not kernel.is_graphon():
         raise ValidationError("sampling requires a graphon (values in [0, 1])")
     step = kernel.as_step()
@@ -272,7 +282,7 @@ def _w_random_sampler(kernel: Kernel, n: int):
     probs = step.values[np.ix_(cells, cells)][upper]
 
     def sample(seed: int) -> WeightedGraph:
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = np.random.Generator(np.random.Philox(key=_seed(seed)))
         edges = np.zeros((n, n), dtype=bool)
         edges[upper] = rng.random(probs.size) < probs
         return WeightedGraph._trusted((edges | edges.T).astype(float))
@@ -289,17 +299,13 @@ def blow_up(graph: WeightedGraph, copies, scale=None) -> WeightedGraph:
     u == v, and must stay within [-1, 1].  With unit scales and one copy
     per vertex this is the identity.
     """
-    counts = [int(c) for c in copies]
-    if len(counts) != graph.n or any(c < 1 for c in counts):
-        raise ValidationError("copies must give a positive count per vertex")
-    _check_size(sum(counts))
+    counts = [_size(c, "blow-up copies") for c in copies]
+    _size(sum(counts), "blow-up")
     if scale is None:
         scale = [[1.0] * c for c in counts]
     scale = [list(map(float, s)) for s in scale]
-    if len(scale) != graph.n or any(
-        len(s) != c for s, c in zip(scale, counts)
-    ):
-        raise ValidationError("scale must give one multiplier per copy")
+    if len(counts) != graph.n or list(map(len, scale)) != counts:
+        raise ValidationError("copies must give a count per vertex, scale a multiplier per copy")
     if any(v <= 0.0 for s in scale for v in s):
         raise ValidationError("scale multipliers must be positive")
     origin = np.repeat(np.arange(graph.n), counts)
@@ -325,7 +331,7 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
 
 def read_edge_list(path, n: int) -> WeightedGraph:
     """Inverse of `write_edge_list`; vertices without edges stay isolated."""
-    _check_size(n)
+    n = _size(n, "edge list")
     w = np.zeros((n, n))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from ._schema import REQUIRED, build, read, real, reals
+from ._schema import REQUIRED, build, checked, count, read, real, reals
 from .errors import DomainError, UnsupportedVariantError, ValidationError
 
 # Tolerance for sums/symmetry checks on user-supplied floats.
@@ -51,6 +51,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, n: int) -> "Partition":
+        n = checked(count, "n", n, "uniform partition")
         if n < 1:
             raise ValidationError("uniform partition needs n >= 1")
         # arange/n, not linspace: correctly rounded division makes k/n

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import checked, real
 from .dynamics import InitialCondition, _validate_times, solve_exact
 from .errors import UnsupportedVariantError, ValidationError
 from .kernels import DirectSumKernel, Kernel, Partition, StepKernel, _closure, common_refinement
@@ -99,14 +100,16 @@ class NecessaryConditionReport:
         }
 
 
-def _check_tol(name: str, tol: float) -> None:
+def _tol(name: str, tol) -> float:
+    tol = checked(real, name, tol, "tolerance")
     if not 0.0 <= tol < np.inf:  # NaN and Infinity fail too
         raise ValidationError(f"{name} must be a non-negative finite number")
+    return tol
 
 
 def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDecomposition:
     """Support-graph components of the step refinement, smallest cell first."""
-    _check_tol("zero_tol", zero_tol)
+    zero_tol = _tol("zero_tol", zero_tol)
     step = kernel.as_step()
     v = step.values
     labels = _closure(np.abs(v) > zero_tol)
@@ -148,7 +151,7 @@ def find_maximal_twin_sets(
     with the dominant entry of row j, and a zero sign means no link.
     Maximal sets are the transitive closure of the pairwise relation.
     """
-    _check_tol("prop_tol", prop_tol)
+    prop_tol = _tol("prop_tol", prop_tol)
     step = kernel.as_step()
     v = step.values
     norms = np.linalg.norm(v, axis=1)
@@ -176,23 +179,20 @@ def find_maximal_twin_sets(
     return TwinSetPartition(step, tuple(sets))
 
 
-def _component_mean(g: InitialCondition, step: StepKernel, cells) -> float:
-    bounds = step.partition.boundaries
-    total = 0.0
-    weight = 0.0
-    for c in cells:
-        total += g.integral(bounds[c], bounds[c + 1])
-        weight += bounds[c + 1] - bounds[c]
-    return total / weight
+def _refined_means(decomp: ComponentDecomposition, g: InitialCondition):
+    """(mean of g over each component, common refinement with g, kernel cell
+    and g cell of each refined cell); the means by two bincounts."""
+    part, (cells, g_cells) = common_refinement(decomp.source.partition, g.partition)
+    comp, mass = decomp.labels[cells], part.measures  # every component has a cell here
+    means = np.bincount(comp, mass * g.values[g_cells]) / np.bincount(comp, mass)
+    return means, part, cells, g_cells
 
 
 def _mean_check(
     decomp: ComponentDecomposition, g: InitialCondition
 ) -> NecessaryConditionReport:
     """The necessary condition evaluated on the components of `decomp`."""
-    means = tuple(
-        _component_mean(g, decomp.source, comp.cells) for comp in decomp.components
-    )
+    means = tuple(_refined_means(decomp, g)[0].tolist())
     spread = float(max(means) - min(means)) if means else 0.0
     return NecessaryConditionReport(spread <= MEAN_MATCH_TOL, means, spread)
 
@@ -212,8 +212,8 @@ def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
     """Long-time profile predicted from the component structure of a graphon.
 
     Each component with any mass relaxes to the mean of g over it; a
-    component with an all-zero kernel has frozen dynamics and keeps g
-    unchanged there.  Requires nonnegative values.
+    component with an all-zero kernel (a cell with a zero row) has frozen
+    dynamics and keeps g unchanged there.  Requires nonnegative values.
     """
     step = kernel.as_step()
     if step.values.min() < 0.0:
@@ -221,13 +221,10 @@ def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
             "limit prediction requires a graphon (no negative values)"
         )
     decomp = connected_components(step)
-    frozen = np.array([not np.any(c.kernel.values) for c in decomp.components])
-    means = np.array([_component_mean(g, step, c.cells) for c in decomp.components])
-    merged, (k_cells, g_cells) = common_refinement(step.partition, g.partition)
-    comp_idx = decomp.labels[k_cells]
-    values = means[comp_idx]
-    frozen_mask = frozen[comp_idx]
-    values[frozen_mask] = g.values[g_cells][frozen_mask]
+    means, merged, cells, g_cells = _refined_means(decomp, g)
+    values = means[decomp.labels[cells]]
+    frozen = ~step.values.any(axis=1)[cells]
+    values[frozen] = g.values[g_cells][frozen]
     return InitialCondition(merged, values)
 
 

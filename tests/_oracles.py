@@ -267,8 +267,10 @@ def dense_eigh_states(graph, u0, times):
     times = np.asarray(times, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(laplacian(graph))
     coeffs = eigvecs.T @ u0
-    modes = np.exp(np.outer(times, eigvals))
-    states = (modes * coeffs) @ eigvecs.T
+    # a growing mode may overflow: the caller reads the non-finite states
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes = np.exp(np.outer(times, eigvals))
+        states = (modes * coeffs) @ eigvecs.T
     states[0] = u0
     return states
 

@@ -96,3 +96,23 @@ def test_one_module_decides_the_discretisation_bits():
         ]
     assert symmetrising == ["graphs.py", "kernels.py"]
     assert twin_searches == []
+
+
+def test_one_reader_decides_the_size_guard():
+    # graphs._size reads every vertex count and alone raises SizeLimitError,
+    # so the ceiling and its message are the same on every entry path
+    raisers, size_checks = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            if function.name == "_check_size":
+                size_checks.append(path.name)
+            raisers += [
+                f"{path.name}: {function.name}"
+                for node in ast.walk(function)
+                if isinstance(node, ast.Raise)
+                and "SizeLimitError" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            ]
+    assert raisers == ["graphs.py: _size"]
+    assert size_checks == []
