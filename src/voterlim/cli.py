@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from ._schema import OPTIONAL, REQUIRED, as_is, count, loads, numbers, positive, read, real, solver
+from ._schema import OPTIONAL, REQUIRED, as_is, count, loads, numbers, positive, read, solver
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
@@ -44,7 +44,7 @@ from .experiments import (
 )
 from .graphs import WeightedGraph, _joined_rows, discretize_kernel, write_edge_list
 from .kernels import make_kernel
-from .structure import PROPORTIONALITY_TOL, structure_report
+from .structure import structure_report
 
 OUT_DIR_ENV = "VOTERLIM_OUT"
 
@@ -175,10 +175,9 @@ def _cmd_discretize(cfg, out_dir, threads) -> None:
 
 
 def _cmd_structure(cfg, out_dir, threads) -> None:
-    tols = {"zero_tol": cfg.zero_tol, "prop_tol": cfg.prop_tol}
-    _write(out_dir, "structure.json", structure_report(cfg.kernel, cfg.initial, **tols))
+    _write(out_dir, "structure.json", structure_report(cfg.kernel, cfg.initial))
     initial = cfg.initial.spec() if cfg.initial is not None else None
-    meta = {"kernel": cfg.kernel.spec(), "initial": initial, **tols}
+    meta = {"kernel": cfg.kernel.spec(), "initial": initial}
     _write(out_dir, "structure_meta.json", {**meta, "library_version": __version__})
 
 
@@ -221,8 +220,6 @@ _SIMULATE = {
 _STRUCTURE = {
     "kernel": (lambda spec: make_kernel(spec), REQUIRED),
     "initial": (lambda spec: make_initial(spec), OPTIONAL),
-    "zero_tol": (real, 0.0),
-    "prop_tol": (real, PROPORTIONALITY_TOL),
 }
 _DISCRETIZE = {"kernel": (lambda spec: make_kernel(spec), REQUIRED), "n": (count, REQUIRED)}
 _WITH_REFERENCE = {**_EXPERIMENT, "reference_n": (count, None)}
@@ -236,8 +233,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ValidationErrors, so that they take
+    `main`'s error path instead of argparse's usage line and exit."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="voterlim",
         description="Voter dynamics on weighted graphs and graph limits.",
     )
@@ -265,6 +270,7 @@ def _fail(out_dir, exc, code: int) -> int:
         }
     }
     try:
+        os.makedirs(out_dir, exist_ok=True)
         _write(out_dir, "error.json", payload)
     except OSError:
         pass
@@ -272,10 +278,23 @@ def _fail(out_dir, exc, code: int) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
+def _out_dir(argv) -> str:
+    """The output directory: --out if it parses, else $VOTERLIM_OUT, else the
+    working directory.  Read apart from the other arguments, so that their
+    errors are written there too."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--out")
     try:
+        out = parser.parse_known_args(argv)[0].out
+    except ValidationError:
+        out = None
+    return out or os.environ.get(OUT_DIR_ENV) or "."
+
+
+def main(argv=None) -> int:
+    out_dir = _out_dir(argv)
+    try:
+        args = _build_parser().parse_args(argv)
         _make_dir(out_dir)
         if not 1 <= args.threads <= MC_MAX_THREADS:
             raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")

@@ -91,18 +91,17 @@ class InitialCondition:
         return cls(Partition.uniform(values.size), values)
 
     @classmethod
-    def balanced_blocks(
-        cls, r: float, left_amp: float = 0.5, right_amp: float = 0.5
-    ) -> "InitialCondition":
+    def balanced_blocks(cls, r: float) -> "InitialCondition":
         """Profile with zero mean on [0, r) and on [r, 1] separately.
 
-        Each block is split in half and assigned +/- its amplitude, the
-        simplest profile that the two-block kernel lets decay in place.
+        Each block is split in half and assigned +0.5 and -0.5, the
+        simplest profile that the two-block kernel lets decay in place;
+        other amplitudes are a "step" profile.
         """
         if not (0.0 < r < 1.0):
             raise ValidationError("split point r must lie in (0, 1)")
         bounds = [0.0, r / 2.0, r, (1.0 + r) / 2.0, 1.0]
-        return cls(bounds, [left_amp, -left_amp, right_amp, -right_amp])
+        return cls(bounds, [0.5, -0.5, 0.5, -0.5])
 
     def evaluate(self, x):
         return self.values[self.partition.cell_of(x)]
@@ -138,10 +137,7 @@ _INITIALS = {
     "step": (InitialCondition, {"boundaries": (reals, REQUIRED), "values": (reals, REQUIRED)}),
     "constant": (InitialCondition.constant, {"c": (real, REQUIRED)}),
     "uniform_cells": (InitialCondition.from_cell_values, {"values": (reals, REQUIRED)}),
-    "balanced_blocks": (
-        InitialCondition.balanced_blocks,
-        {"r": (real, REQUIRED), "left_amp": (real, 0.5), "right_amp": (real, 0.5)},
-    ),
+    "balanced_blocks": (InitialCondition.balanced_blocks, {"r": (real, REQUIRED)}),
 }
 
 

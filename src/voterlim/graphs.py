@@ -189,8 +189,10 @@ def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.asarray(rows)
     n = rows.shape[0]
-    # Rows whose first entries already differ are distinct; W-random
-    # graphs stop here without copying whole rows.
+    # The probe exits only when the first _PROBE entries of every row are
+    # distinct; then no whole row is copied.  One repeated prefix sends all
+    # rows to whole-row keys: a W-random graph repeats them when its first
+    # _PROBE columns lie in a kernel cell of edge probability near 1.
     if rows.shape[1] > _PROBE and len(set(_row_keys(rows[:, :_PROBE]))) == n:
         return np.arange(n), np.arange(n)
     first: dict[bytes, int] = {}
@@ -327,25 +329,3 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
         writer.writerow(["i", "j", "beta"])
         for i, j in zip(iu, ju):
             writer.writerow([i + 1, j + 1, 1])
-
-
-def read_edge_list(path, n: int) -> WeightedGraph:
-    """Inverse of `write_edge_list`; vertices without edges stay isolated."""
-    n = _size(n, "edge list")
-    w = np.zeros((n, n))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "j", "beta"]:
-            raise ValidationError("edge list must start with header i,j,beta")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                i, j, beta = int(row[0]) - 1, int(row[1]) - 1, float(row[2])
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"malformed edge row {row}: {exc}") from exc
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"edge ({i + 1}, {j + 1}) outside 1..{n}")
-            w[i, j] = w[j, i] = beta
-    return WeightedGraph(w)

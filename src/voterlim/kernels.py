@@ -2,9 +2,8 @@
 
 Every built-in family refines exactly to a step kernel, i.e. a symmetric
 matrix of values on a finite partition of [0,1].  Degrees, L2 distances
-and discretisations are therefore closed-form partition arithmetic; grid
-quadrature exists only as a fallback for kernels without a step
-refinement and is documented as approximate.
+and discretisations are therefore closed-form partition arithmetic; a
+kernel without a step refinement raises UnsupportedVariantError there.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ WEIGHT_SUM_TOL = 1e-12
 
 # Rows per strip when `symmetric_unit_matrix` validates a matrix.
 _STRIP = 128
-
-# Default cell count for the quadrature fallback of l2_distance.
-DEFAULT_L2_RESOLUTION = 256
 
 
 class Partition:
@@ -426,25 +422,13 @@ class WattsStrogatzKernel(Kernel):
 
 
 def l2_distance(k1: Kernel, k2: Kernel) -> float:
-    """L2([0,1]^2) distance between two kernels.
+    """L2([0,1]^2) distance between two kernels, exactly, by
+    common-refinement arithmetic on their step refinements.
 
-    Exact (common-refinement arithmetic) whenever both kernels provide a
-    step refinement, which covers every built-in family.  Otherwise falls
-    back to midpoint quadrature on an m x m uniform grid
-    (m = DEFAULT_L2_RESOLUTION) whose bias is O(1/m) for piecewise-constant
-    integrands.
+    A kernel without a step refinement raises UnsupportedVariantError
+    (`Kernel.as_step`).
     """
-    try:
-        s1 = k1.as_step()
-        s2 = k2.as_step()
-    except UnsupportedVariantError:
-        m = DEFAULT_L2_RESOLUTION
-        mids = (np.arange(m) + 0.5) / m
-        xg, yg = np.meshgrid(mids, mids, indexing="ij")
-        diff = np.asarray(k1.evaluate(xg, yg), dtype=float) - np.asarray(
-            k2.evaluate(xg, yg), dtype=float
-        )
-        return float(np.sqrt(np.mean(diff * diff)))
+    s1, s2 = k1.as_step(), k2.as_step()
     merged, (i1, i2) = common_refinement(s1.partition, s2.partition)
     dv = s1.values[np.ix_(i1, i1)] - s2.values[np.ix_(i2, i2)]
     mm = merged.measures

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import checked, real
 from .dynamics import InitialCondition, _validate_times, solve_exact
-from .errors import UnsupportedVariantError, ValidationError
+from .errors import UnsupportedVariantError
 from .kernels import DirectSumKernel, Kernel, Partition, StepKernel, _closure, common_refinement
 
 PROPORTIONALITY_TOL = 1e-10
@@ -100,19 +99,15 @@ class NecessaryConditionReport:
         }
 
 
-def _tol(name: str, tol) -> float:
-    tol = checked(real, name, tol, "tolerance")
-    if not 0.0 <= tol < np.inf:  # NaN and Infinity fail too
-        raise ValidationError(f"{name} must be a non-negative finite number")
-    return tol
+def connected_components(kernel: Kernel) -> ComponentDecomposition:
+    """Support-graph components of the step refinement, smallest cell first.
 
-
-def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDecomposition:
-    """Support-graph components of the step refinement, smallest cell first."""
-    zero_tol = _tol("zero_tol", zero_tol)
+    Cells are linked where the kernel is nonzero, exactly: the support of
+    Janson's definition of connectivity.
+    """
     step = kernel.as_step()
     v = step.values
-    labels = _closure(np.abs(v) > zero_tol)
+    labels = _closure(v != 0.0)
     labels.setflags(write=False)
     measures = step.partition.measures
     components = []
@@ -129,33 +124,31 @@ def connected_components(kernel: Kernel, zero_tol: float = 0.0) -> ComponentDeco
     return ComponentDecomposition(step, tuple(components), labels)
 
 
-def is_connected(kernel: Kernel, zero_tol: float = 0.0) -> bool:
+def is_connected(kernel: Kernel) -> bool:
     """True when the cell support graph is connected.
 
     Note the degenerate edge: an all-zero kernel refines to a single cell,
     and a one-cell support graph counts as connected here even though no
     mass crosses any split of it.
     """
-    return len(connected_components(kernel, zero_tol).components) == 1
+    return len(connected_components(kernel).components) == 1
 
 
-def find_maximal_twin_sets(
-    kernel: Kernel, prop_tol: float = PROPORTIONALITY_TOL
-) -> TwinSetPartition:
+def find_maximal_twin_sets(kernel: Kernel) -> TwinSetPartition:
     """Partition of the cells into maximal sets with proportional rows.
 
     Rows i and j pass the pairwise test when
-    | v_i * ||v_j|| - sigma * v_j * ||v_i|| | <= prop_tol componentwise,
-    with the sign sigma read off the dominant entry; zero rows (norm at
-    most prop_tol) form their own single set.  Each pair i < j is tested
-    with the dominant entry of row j, and a zero sign means no link.
-    Maximal sets are the transitive closure of the pairwise relation.
+    | v_i * ||v_j|| - sigma * v_j * ||v_i|| | <= PROPORTIONALITY_TOL
+    componentwise, with the sign sigma read off the dominant entry; zero
+    rows (norm at most PROPORTIONALITY_TOL) form their own single set.
+    Each pair i < j is tested with the dominant entry of row j, and a zero
+    sign means no link.  Maximal sets are the transitive closure of the
+    pairwise relation.
     """
-    prop_tol = _tol("prop_tol", prop_tol)
     step = kernel.as_step()
     v = step.values
     norms = np.linalg.norm(v, axis=1)
-    zero = norms <= prop_tol
+    zero = norms <= PROPORTIONALITY_TOL
     related = np.outer(zero, zero)
     for j in range(1, len(v)):
         if zero[j]:
@@ -164,9 +157,9 @@ def find_maximal_twin_sets(
         sigma = np.sign(v[:j, p]) * np.sign(v[j, p])
         # Column p alone rules out most rows; only the rest get the full test.
         at_p = np.abs(v[:j, p] * norms[j] - sigma * v[j, p] * norms[:j])
-        rows = np.flatnonzero((at_p <= prop_tol) & (sigma != 0.0) & ~zero[:j])
+        rows = np.flatnonzero((at_p <= PROPORTIONALITY_TOL) & (sigma != 0.0) & ~zero[:j])
         dev = np.abs(v[rows] * norms[j] - sigma[rows, None] * v[j] * norms[rows, None])
-        related[j, rows] = dev.max(axis=1) <= prop_tol
+        related[j, rows] = dev.max(axis=1) <= PROPORTIONALITY_TOL
     sets = []
     for cells in _classes(_closure(related | related.T)):
         rep = cells[0]
@@ -257,15 +250,10 @@ def decompose_solution(kernel: Kernel, g: InitialCondition, times) -> tuple[Part
     return part, values
 
 
-def structure_report(
-    kernel: Kernel,
-    g: InitialCondition | None = None,
-    zero_tol: float = 0.0,
-    prop_tol: float = PROPORTIONALITY_TOL,
-) -> dict:
+def structure_report(kernel: Kernel, g: InitialCondition | None = None) -> dict:
     """JSON-ready summary: components, twin-sets and the optional mean check."""
-    decomp = connected_components(kernel, zero_tol)
-    twins = find_maximal_twin_sets(kernel, prop_tol)
+    decomp = connected_components(kernel)
+    twins = find_maximal_twin_sets(kernel)
     report = {
         "connected": len(decomp.components) == 1,
         "twin_kernel": twins.is_twin_kernel,

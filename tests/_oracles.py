@@ -130,8 +130,9 @@ def brute_exceptional(values, eps):
     return (n - best_kept) / n
 
 
-def brute_components(values, zero_tol=0.0):
-    """Connected cell groups of a block matrix via breadth-first search."""
+def brute_components(values):
+    """Connected cell groups of a block matrix via breadth-first search,
+    linking cells where the matrix is nonzero."""
     m = np.asarray(values, dtype=float)
     n = m.shape[0]
     seen = [False] * n
@@ -146,7 +147,7 @@ def brute_components(values, zero_tol=0.0):
             i = queue.pop()
             comp.append(i)
             for j in range(n):
-                if not seen[j] and i != j and abs(m[i, j]) > zero_tol:
+                if not seen[j] and i != j and m[i, j] != 0.0:
                     seen[j] = True
                     queue.append(j)
         groups.append(sorted(comp))

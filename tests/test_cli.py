@@ -210,23 +210,23 @@ class TestOtherCommands:
         assert report["connected"] is False
         assert len(report["components"]) == 2
         assert report["necessary_condition"] is not None
-        assert read_json(out / "structure_meta.json")["prop_tol"] == 1e-10
+        meta = read_json(out / "structure_meta.json")
+        assert sorted(meta) == ["initial", "kernel", "library_version"]
 
-    def test_structure_zero_tol_reaches_the_mean_check(self, tmp_path):
+    def test_structure_mean_check_reads_the_components(self, tmp_path):
         cfg = write_config(
             tmp_path,
             {
                 "kernel": {
                     "type": "step",
                     "boundaries": [0.0, 0.5, 1.0],
-                    "values": [[1.0, 1e-9], [1e-9, 1.0]],
+                    "values": [[1.0, 0.0], [0.0, 1.0]],
                 },
                 "initial": {
                     "type": "step",
                     "boundaries": [0.0, 0.5, 1.0],
                     "values": [1.0, -1.0],
                 },
-                "zero_tol": 1e-6,
             },
         )
         out = tmp_path / "out"
@@ -354,6 +354,45 @@ class TestFailureModes:
         if expected_type is not None:
             assert err["type"] == expected_type
         return err
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["simulate", "--config", "c.json", "--threads", "abc"], "invalid int value: 'abc'"),
+            (["mc-random", "--config", "c.json", "--threads", "2.5"], "invalid int value: '2.5'"),
+            (["simulate", "--threads", "2"], "required: --config"),
+            (["simulate", "--threads", "2", "--config"], "--config: expected one argument"),
+            (["nope", "--config", "c.json"], "invalid choice: 'nope'"),
+            (["simulate", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        ],
+    )
+    def test_argument_errors_take_the_error_path(self, tmp_path, capsys, argv, fragment):
+        # argparse printed a usage line and exited 2 without an error.json
+        out = tmp_path / "out"
+        err = self.check_error(out, main(argv + ["--out", str(out)]), 2, "ValidationError")
+        assert fragment in err["message"]
+        assert json.loads(capsys.readouterr().err)["error"] == err
+
+    def test_argument_errors_fall_back_to_the_env_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VOTERLIM_OUT", str(tmp_path / "env"))
+        rc = main(["simulate", "--config", "c.json", "--out"])
+        err = self.check_error(tmp_path / "env", rc, 2, "ValidationError")
+        assert "--out: expected one argument" in err["message"]
+
+    def test_argument_errors_fall_back_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOTERLIM_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["structure", "--threads", "x", "--config", "c.json"])
+        err = self.check_error(tmp_path, rc, 2, "ValidationError")
+        assert "--threads" in err["message"]
+
+    def test_help_still_exits_0(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path):
         out = tmp_path / "out"
@@ -540,11 +579,6 @@ class TestFailureModes:
                 },
                 "'reference_n'",
             ),
-            (
-                "structure",
-                {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": "x"},
-                "'prop_tol'",
-            ),
         ],
     )
     def test_malformed_values_map_to_config_exit(self, tmp_path, command, cfg, fragment):
@@ -558,24 +592,6 @@ class TestFailureModes:
         "command,cfg,fragment,artifact",
         [
             ("simulate", {**simulate_config(), "eps": float("nan")}, "eps", "trajectory.csv"),
-            (
-                "structure",
-                {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": float("nan")},
-                "zero_tol",
-                "structure.json",
-            ),
-            (
-                "structure",
-                {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": -1.0},
-                "zero_tol",
-                "structure.json",
-            ),
-            (
-                "structure",
-                {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": float("nan")},
-                "prop_tol",
-                "structure.json",
-            ),
         ],
     )
     def test_tolerances_that_are_nan_or_negative(
@@ -593,18 +609,6 @@ class TestFailureModes:
         "command,cfg,fragment,artifact",
         [
             ("simulate", {**simulate_config(), "eps": float("inf")}, "eps", "trajectory.csv"),
-            (
-                "structure",
-                {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": float("inf")},
-                "zero_tol",
-                "structure.json",
-            ),
-            (
-                "structure",
-                {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": float("inf")},
-                "prop_tol",
-                "structure.json",
-            ),
             (
                 "proximity",
                 {
@@ -655,8 +659,6 @@ class TestFailureModes:
             ("simulate", {**simulate_config(), "eps": True}, "'eps'"),
             ("simulate", {**simulate_config(), "eps": "0.1"}, "'eps'"),
             ("simulate", {**simulate_config(), "times": None, "horizon": True}, "time grid"),
-            ("structure", {"kernel": {"type": "constant", "c": 1.0}, "zero_tol": False}, "'zero_tol'"),
-            ("structure", {"kernel": {"type": "constant", "c": 1.0}, "prop_tol": "0"}, "'prop_tol'"),
             ("discretize", {"kernel": {"type": "constant", "c": 1.0}, "n": 4.5}, "'n'"),
             (
                 "mc-random",

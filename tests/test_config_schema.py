@@ -46,7 +46,7 @@ INITIALS = [
     {"type": "step", "boundaries": [0.0, 0.3, 1.0], "values": [1.0, -1.0]},
     {"type": "constant", "c": 0.25},
     {"type": "uniform_cells", "values": [0.5, -0.5, 0.25]},
-    {"type": "balanced_blocks", "r": 0.5, "left_amp": 0.5, "right_amp": 0.25},
+    {"type": "balanced_blocks", "r": 0.5},
 ]
 GRAPH = {"n": 2, "weights": [[0.0, 1.0], [1.0, 0.0]]}
 
@@ -77,8 +77,7 @@ def valid_cases():
             ("simulate", {"graph": GRAPH, "initial": initial, "times": [0.0, 1.0]}),
             ("simulate", {"graph": {"path": "graph.json"}, "initial": initial, "horizon": 1.0,
                           "num_times": 3}),
-            ("structure", {"kernel": KERNELS[4], "initial": initial, "zero_tol": 0.0,
-                           "prop_tol": 1e-10}),
+            ("structure", {"kernel": KERNELS[4], "initial": initial}),
         ]
     for command in ("convergence", "proximity"):
         cases.append((command, {**experiment(KERNELS[2], INITIALS[3]), "reference_n": 32}))
@@ -230,7 +229,6 @@ def test_a_repeated_key_exits_2_naming_it(text, key):
         ("simulate", {**simulate_config(), "graph": None}, 2),
         ("convergence", {**mc_config(), "reference_n": None}, 0),
         ("structure", {"kernel": KERNELS[1], "initial": None}, 2),
-        ("structure", {"kernel": KERNELS[1], "zero_tol": None}, 2),
         ("mc-random", {**mc_config(), "horizon": None}, 0),
         ("mc-random", {**mc_config(), "trials": None}, 2),
     ],
@@ -238,6 +236,30 @@ def test_a_repeated_key_exits_2_naming_it(text, key):
 def test_null_keeps_its_meaning(command, config, rc):
     # null means "the default" only where the default is no value at all
     assert run(command, config)[0] == rc
+
+
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("structure", {"kernel": KERNELS[1], "zero_tol": 0.0}, "zero_tol"),
+        ("structure", {"kernel": KERNELS[1], "prop_tol": 1e-10}, "prop_tol"),
+        ("simulate", {**simulate_config(), "initial": {**INITIALS[3], "left_amp": 0.5}},
+         "left_amp"),
+        ("mc-random", {**mc_config(), "initial": {**INITIALS[3], "right_amp": 0.5}},
+         "right_amp"),
+    ],
+)
+def test_removed_keys_exit_2_naming_them(command, config, key):
+    # the structure tolerances and the block amplitudes are constants
+    rc, message = run(command, config)
+    assert rc == 2
+    assert message.endswith(f"has unknown key {key!r}")
+
+
+@pytest.mark.parametrize("key", ["left_amp", "right_amp"])
+def test_python_callers_get_no_block_amplitudes(key):
+    with pytest.raises(vl.ValidationError, match=f"unknown key '{key}'"):
+        vl.make_initial({**INITIALS[3], key: 1.0})
 
 
 @pytest.mark.parametrize(

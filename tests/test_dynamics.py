@@ -37,6 +37,12 @@ from conftest import random_initial, random_step_kernel, signed_zero_step_kernel
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _blocks(r, left, right):
+    """`balanced_blocks(r)` with amplitudes left and right for its two blocks."""
+    bounds = [0.0, r / 2.0, r, (1.0 + r) / 2.0, 1.0]
+    return vl.InitialCondition(bounds, [left, -left, right, -right])
+
+
 class TestInitialCondition:
     def test_adjacent_equal_values_merge(self):
         g = vl.InitialCondition([0, 0.3, 0.6, 1], [0.5, 0.5, -1.0])
@@ -81,7 +87,7 @@ class TestInitialCondition:
             {"type": "constant", "c": -0.3},
             {"type": "step", "boundaries": [0, 0.4, 1], "values": [1.0, -1.0]},
             {"type": "uniform_cells", "values": [0.1, 0.2, 0.3]},
-            {"type": "balanced_blocks", "r": 0.25, "left_amp": 1.0},
+            {"type": "balanced_blocks", "r": 0.25},
         ):
             g = vl.make_initial(spec)
             again = vl.make_initial(g.spec())
@@ -710,7 +716,7 @@ class TestClosedForm:
 
     def test_closed_form_object_matches_pointwise(self):
         r = 0.25
-        g = vl.InitialCondition.balanced_blocks(r, left_amp=1.0, right_amp=0.25)
+        g = _blocks(r, 1.0, 0.25)
         cf = BipartiteClosedForm(r, g)
         for t in (0.0, 0.7, 3.0):
             vals = cf.values_at(t)
@@ -833,7 +839,7 @@ class TestExactSolve:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.01, 0.49), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_two_block_kernel_matches_closed_form(self, r, left, right):
-        g = vl.InitialCondition.balanced_blocks(r, left_amp=left, right_amp=right)
+        g = _blocks(r, left, right)
         times = np.linspace(0.0, 5.0, 11)
         part, values = vl.solve_exact(vl.BipartiteKernel(r), g, times)
         cf = BipartiteClosedForm(r, g)

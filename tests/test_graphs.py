@@ -531,14 +531,6 @@ class TestSizeGuards:
             with pytest.raises(vl.SizeLimitError):
                 vl.WeightedGraph.from_json(json.dumps({"n": n, "weights": [[0.0]]}))
 
-    def test_read_edge_list(self, tmp_path):
-        p = tmp_path / "edges.csv"
-        vl.write_edge_list(vl.sample_w_random(vl.ConstantKernel(0.4), 5, seed=1), p)
-        assert vl.read_edge_list(p, 5).n == 5
-        for n in (vl.DEFAULT_N_MAX + 1, 10**9):
-            with pytest.raises(vl.SizeLimitError):
-                vl.read_edge_list(p, n)
-
     def test_sample_w_random(self):
         assert vl.sample_w_random(vl.ConstantKernel(0.5), 5, seed=0).n == 5
         tracemalloc.start()
@@ -560,14 +552,19 @@ class TestSizeGuards:
 
 
 class TestEdgeList:
-    def test_round_trip(self, tmp_path):
+    def test_lists_each_edge_once(self, tmp_path):
         g = vl.sample_w_random(vl.ConstantKernel(0.4), 30, seed=5)
         p = tmp_path / "edges.csv"
         vl.write_edge_list(g, p)
-        header = p.read_text().splitlines()[0]
+        header, *rows = p.read_text().splitlines()
         assert header == "i,j,beta"
-        back = vl.read_edge_list(p, 30)
-        assert np.array_equal(back.weights, g.weights)
+        back = np.zeros((30, 30))
+        for row in rows:
+            i, j, beta = map(int, row.split(","))
+            assert 1 <= i < j <= 30 and beta == 1
+            back[i - 1, j - 1] = back[j - 1, i - 1] = beta
+        assert len(rows) == np.count_nonzero(g.weights) // 2
+        assert np.array_equal(back, g.weights)
 
     def test_rejects_weighted(self, tmp_path):
         g = vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]])

@@ -1,6 +1,5 @@
-"""Every entry path reads a size, a seed or a tolerance through one reader and
-refuses the same values with the same error (`graphs._size`, `graphs._seed`,
-the tolerance check of `structure`)."""
+"""Every entry path reads a size or a seed through one reader and refuses the
+same values with the same error (`graphs._size`, `graphs._seed`)."""
 
 import json
 from fractions import Fraction
@@ -20,24 +19,17 @@ GRAPHON = vl.ConstantKernel(0.5)
 START = vl.InitialCondition.balanced_blocks(0.3)
 
 
-def _edge_list(tmp_path):
-    path = tmp_path / "edges.csv"
-    path.write_text("i,j,beta\n")
-    return path
-
-
-# Each size entry as a function of (n, tmp_path), returning the n it records.
+# Each size entry as a function of n, returning the n it records.
 SIZE_ENTRIES = {
-    "pixel_classes": lambda n, _: graphs.pixel_classes(KERNEL, n)[0].size,
-    "discretize_kernel": lambda n, _: vl.discretize_kernel(KERNEL, n).n,
-    "solve_continuum": lambda n, _: vl.solve_continuum(KERNEL, START, n, [0.0, 1.0]).metadata["n"],
-    "sample_w_random": lambda n, _: vl.sample_w_random(GRAPHON, n, 0).n,
-    "average_initial": lambda n, _: vl.average_initial(START, n).size,
-    "graph JSON": lambda n, _: vl.WeightedGraph._from_dict({"n": n, "weights": np.zeros((4, 4))}).n,
-    "read_edge_list": lambda n, tmp_path: vl.read_edge_list(_edge_list(tmp_path), n).n,
-    "blow_up": lambda n, _: vl.blow_up(vl.WeightedGraph([[0.0]]), [n]).n,
-    "n_ladder": lambda n, _: vl.ExperimentConfig(KERNEL, START, [n], 1.0).n_ladder[0],
-    "reference_n": lambda n, _: vl.convergence_study(
+    "pixel_classes": lambda n: graphs.pixel_classes(KERNEL, n)[0].size,
+    "discretize_kernel": lambda n: vl.discretize_kernel(KERNEL, n).n,
+    "solve_continuum": lambda n: vl.solve_continuum(KERNEL, START, n, [0.0, 1.0]).metadata["n"],
+    "sample_w_random": lambda n: vl.sample_w_random(GRAPHON, n, 0).n,
+    "average_initial": lambda n: vl.average_initial(START, n).size,
+    "graph JSON": lambda n: vl.WeightedGraph._from_dict({"n": n, "weights": np.zeros((4, 4))}).n,
+    "blow_up": lambda n: vl.blow_up(vl.WeightedGraph([[0.0]]), [n]).n,
+    "n_ladder": lambda n: vl.ExperimentConfig(KERNEL, START, [n], 1.0).n_ladder[0],
+    "reference_n": lambda n: vl.convergence_study(
         vl.ExperimentConfig(KERNEL, START, [1], 1.0, num_times=3), reference_n=n
     ).reference,
 }
@@ -45,24 +37,22 @@ SIZE_ENTRIES = {
 
 @pytest.mark.parametrize("entry", SIZE_ENTRIES)
 @pytest.mark.parametrize("n", [True, 2.5, "3", 0, -1])
-def test_size_entries_refuse_what_is_not_a_size(entry, n, tmp_path):
+def test_size_entries_refuse_what_is_not_a_size(entry, n):
     with pytest.raises(vl.ValidationError):
-        SIZE_ENTRIES[entry](n, tmp_path)
+        SIZE_ENTRIES[entry](n)
 
 
 @pytest.mark.parametrize("entry", SIZE_ENTRIES)
-def test_size_entries_refuse_sizes_above_the_ceiling(entry, tmp_path):
+def test_size_entries_refuse_sizes_above_the_ceiling(entry):
     with pytest.raises(vl.SizeLimitError, match="n_max"):
-        SIZE_ENTRIES[entry](vl.DEFAULT_N_MAX + 1, tmp_path)
+        SIZE_ENTRIES[entry](vl.DEFAULT_N_MAX + 1)
 
 
 @pytest.mark.parametrize("entry", SIZE_ENTRIES)
 @pytest.mark.parametrize("n", [np.int64(4), 4.0])
-def test_size_entries_record_a_python_int(entry, n, tmp_path):
+def test_size_entries_record_a_python_int(entry, n):
     # json.dumps refuses an np.int64 and writes 4.0 or True as such
-    assert json.dumps(SIZE_ENTRIES[entry](n, tmp_path)) == json.dumps(
-        SIZE_ENTRIES[entry](4, tmp_path)
-    )
+    assert json.dumps(SIZE_ENTRIES[entry](n)) == json.dumps(SIZE_ENTRIES[entry](4))
 
 
 def test_blow_up_refuses_a_fractional_copy_count():
@@ -148,19 +138,6 @@ def test_cli_ladder_above_the_ceiling_exits_3_before_the_reference_solve(
     out = tmp_path / "out"
     assert main(["convergence", "--config", str(config), "--out", str(out)]) == 3
     assert json.loads((out / "error.json").read_text())["error"]["type"] == "SizeLimitError"
-
-
-@pytest.mark.parametrize("tol", [True, "0.1", None])
-def test_tolerances_are_read_as_real_numbers(tol):
-    # prop_tol=True ran at tolerance 1.0 and merged two orthogonal rows
-    k = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(vl.ValidationError, match="prop_tol"):
-        vl.find_maximal_twin_sets(k, prop_tol=tol)
-    with pytest.raises(vl.ValidationError, match="zero_tol"):
-        vl.connected_components(k, zero_tol=tol)
-    with pytest.raises(vl.ValidationError, match="prop_tol"):
-        vl.structure_report(k, prop_tol=tol)
-    assert len(vl.find_maximal_twin_sets(k, prop_tol=np.float64(1e-10)).sets) == 2
 
 
 def test_out_naming_a_file_exits_2_with_the_error_on_stderr(tmp_path, capsys):

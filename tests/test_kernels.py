@@ -242,7 +242,7 @@ class TestL2Distance:
             want = np.sqrt(merged.measures @ diff2 @ merged.measures)
             assert got == pytest.approx(want, abs=1e-13)
 
-    def test_fallback_quadrature_for_opaque_kernels(self):
+    def test_opaque_kernels_are_unsupported(self):
         class Smooth(vl.Kernel):
             def evaluate(self, x, y):
                 return np.asarray(x) * np.asarray(y) * 0.0 + 0.5
@@ -259,8 +259,11 @@ class TestL2Distance:
             def spec(self):
                 return {"type": "opaque"}
 
-        d = vl.l2_distance(Smooth(), vl.ConstantKernel(0.0))
-        assert d == pytest.approx(0.5, abs=1e-12)
+        # no quadrature fallback: a kernel without a step refinement is
+        # refused here as everywhere else
+        for pair in ((Smooth(), vl.ConstantKernel(0.0)), (vl.ConstantKernel(0.0), Smooth())):
+            with pytest.raises(vl.UnsupportedVariantError, match="Smooth"):
+                vl.l2_distance(*pair)
 
 
 @settings(max_examples=25, deadline=None)

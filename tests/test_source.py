@@ -1,5 +1,6 @@
 """Source hygiene that a linter would check: no dead imports, a clean `__all__`,
-and one module deciding the bits of the discretisation."""
+one module deciding the bits of the discretisation and no unlisted defaulted
+parameter in the public API."""
 
 import ast
 from collections import Counter
@@ -116,3 +117,47 @@ def test_one_reader_decides_the_size_guard():
             ]
     assert raisers == ["graphs.py: _size"]
     assert size_checks == []
+
+
+# Every defaulted parameter of the public API (`voterlim.__all__`): its
+# functions, and the public methods and __init__ of its classes; dataclass
+# fields are not parameters here.  A default that no caller varies is a
+# setting to make a constant, so a new one is listed here on purpose.
+DEFAULTED = [
+    "InitialCondition.integral(a)",
+    "InitialCondition.integral(b)",
+    "Trajectory.__init__(metadata)",
+    "blow_up(scale)",
+    "consensus_proximity(reference_n)",
+    "convergence_study(reference_n)",
+    "default_horizon(kernel)",
+    "random_consensus_mc(threads)",
+    "structure_report(g)",
+]
+
+
+def _defaulted(function, owner=""):
+    """`owner.name(param)` for each parameter of a parsed function with a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    params = positional[len(positional) - len(args.defaults):]
+    params += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return [f"{owner}{function.name}({arg.arg})" for arg in params]
+
+
+def test_public_defaulted_parameters_are_listed():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", None)
+            if name not in vl.__all__ or getattr(vl, name).__module__ != f"voterlim.{path.stem}":
+                continue
+            if isinstance(node, ast.FunctionDef):
+                found += _defaulted(node)
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and (
+                        not method.name.startswith("_") or method.name == "__init__"
+                    ):
+                        found += _defaulted(method, f"{node.name}.")
+    assert sorted(found) == DEFAULTED

@@ -58,23 +58,17 @@ class TestConnectedComponents:
             want = brute_components(k.values)
             assert sorted(got) == want
 
-    def test_zero_tol_reclassifies_weak_links(self):
-        k = vl.StepKernel([0, 0.5, 1], [[1.0, 1e-12], [1e-12, 1.0]])
-        assert vl.is_connected(k)
-        assert not vl.is_connected(k, zero_tol=1e-9)
-
-    @pytest.mark.parametrize("tol", [np.nan, -1e-12, -1.0, np.inf])
-    def test_tolerances_must_be_non_negative_numbers(self, tol):
-        # a negative zero_tol would link every cell, a NaN or infinite one none
-        k = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(vl.ValidationError, match="zero_tol"):
-            vl.connected_components(k, tol)
-        with pytest.raises(vl.ValidationError, match="zero_tol"):
-            vl.structure_report(k, zero_tol=tol)
-        with pytest.raises(vl.ValidationError, match="prop_tol"):
-            vl.find_maximal_twin_sets(k, tol)
-        with pytest.raises(vl.ValidationError, match="prop_tol"):
-            vl.structure_report(k, prop_tol=tol)
+    @pytest.mark.parametrize(
+        "link,connected",
+        [(1e-300, True), (5e-324, True), (-5e-324, True), (0.0, False), (-0.0, False)],
+    )
+    def test_support_is_exact(self, link, connected):
+        # any nonzero value links its cells, a subnormal one too
+        k = vl.StepKernel([0, 0.5, 1], [[1.0, link], [link, 1.0]])
+        assert vl.is_connected(k) is connected
+        assert [list(c.cells) for c in vl.connected_components(k).components] == (
+            brute_components(k.values)
+        )
 
     def test_all_zero_kernel_single_cell(self):
         # one all-zero cell is reported as one (frozen) component
@@ -107,6 +101,15 @@ class TestTwinSets:
     def test_bipartite_blocks_are_not_twins(self):
         ts = vl.find_maximal_twin_sets(vl.BipartiteKernel(1 / 3).as_step())
         assert sorted(sorted(s.cells) for s in ts.sets) == [[0], [1]]
+
+    @pytest.mark.parametrize("gap,sets", [(0.0, 1), (1e-11, 1), (-1e-11, 1), (1e-9, 2), (-1e-9, 2)])
+    def test_proportionality_is_read_within_its_tolerance(self, gap, sets):
+        # rows (1, 0.5) and (0.5, 0.25 + gap) deviate by about gap, which
+        # PROPORTIONALITY_TOL = 1e-10 tells apart
+        k = vl.StepKernel([0, 0.5, 1], [[1.0, 0.5], [0.5, 0.25 + gap]])
+        twins = vl.find_maximal_twin_sets(k).sets
+        assert len(twins) == sets
+        assert [list(s.cells) for s in twins] == brute_twin_sets(k.values)
 
     def test_matches_definitional_oracle(self, rng):
         for _ in range(4):
@@ -266,16 +269,16 @@ def test_structure_report_shape():
 
 
 def test_structure_report_checks_means_on_its_components():
-    # zero_tol cuts the weak link, so the report sees two components
-    k = vl.StepKernel([0.0, 0.5, 1.0], [[1.0, 1e-9], [1e-9, 1.0]])
+    # a zero link splits the report's components; a weak one joins them
     g = vl.InitialCondition([0.0, 0.5, 1.0], [1.0, -1.0])
-    rep = vl.structure_report(k, g, zero_tol=1e-6)
+    cut = vl.StepKernel([0.0, 0.5, 1.0], [[1.0, 0.0], [0.0, 1.0]])
+    rep = vl.structure_report(cut, g)
     assert len(rep["components"]) == 2
     assert rep["necessary_condition"]["component_means"] == [1.0, -1.0]
     assert rep["necessary_condition"]["satisfied"] is False
-    # without a zero_tol the link counts and the means agree
-    assert vl.structure_report(k, g)["necessary_condition"]["satisfied"] is True
-    assert vl.necessary_condition(k, g).component_means == (0.0,)
+    weak = vl.StepKernel([0.0, 0.5, 1.0], [[1.0, 1e-9], [1e-9, 1.0]])
+    assert vl.structure_report(weak, g)["necessary_condition"]["satisfied"] is True
+    assert vl.necessary_condition(weak, g).component_means == (0.0,)
 
 
 def test_structure_report_without_initial():
@@ -301,13 +304,8 @@ def planted_twin_kernel(r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.floats(0.0, 0.5),
-    st.floats(1e-13, 1e-6),
-    st.floats(1e-13, 0.5),
-)
-def test_components_and_twins_agree_with_oracles(seed, zero_tol, prop_tol, loose_tol):
+@given(st.integers(0, 2**32 - 1), st.floats(-11.0, -3.0))
+def test_components_and_twins_agree_with_oracles(seed, log_scale):
     r = np.random.default_rng(seed)
     sparse = random_step_kernel(r, max_cells=6)
     vals = sparse.values.copy()
@@ -316,20 +314,17 @@ def test_components_and_twins_agree_with_oracles(seed, zero_tol, prop_tol, loose
     for k in (sparse, planted_twin_kernel(r)):
         # The oracles return groups with ascending cells, sorted by smallest
         # cell: the order the library promises, so no re-sorting here.
-        decomp = vl.connected_components(k, zero_tol)
-        assert [list(c.cells) for c in decomp.components] == brute_components(
-            k.values, zero_tol
-        )
+        decomp = vl.connected_components(k)
+        assert [list(c.cells) for c in decomp.components] == brute_components(k.values)
         for index, comp in enumerate(decomp.components):
             assert all(decomp.labels[c] == index for c in comp.cells)
         assert decomp.labels.shape == (k.values.shape[0],)
-        twins = vl.find_maximal_twin_sets(k, prop_tol).sets
-        assert [list(s.cells) for s in twins] == brute_twin_sets(k.values, prop_tol)
+        twins = vl.find_maximal_twin_sets(k).sets
+        assert [list(s.cells) for s in twins] == brute_twin_sets(k.values)
         assert all(s.representative == s.cells[0] for s in twins)
-        # A loose tolerance reaches rows whose norms are not far above it,
+        # Scaled down, rows have norms not far above PROPORTIONALITY_TOL,
         # where only the library's own pairwise rule (i < j, no link on a
         # zero sign) is the reference.
-        loose = vl.find_maximal_twin_sets(k, loose_tol).sets
-        assert [list(s.cells) for s in loose] == pairwise_twin_sets(
-            k.values, loose_tol
-        )
+        small = vl.StepKernel(k.partition.boundaries, k.values * 10.0**log_scale)
+        tiny = vl.find_maximal_twin_sets(small).sets
+        assert [list(s.cells) for s in tiny] == pairwise_twin_sets(small.values)
