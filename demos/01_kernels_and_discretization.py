@@ -12,7 +12,7 @@ import numpy as np
 import voterlim as vl
 
 # The two-block family: -1 on the square [0, r)^2, +1 everywhere else.
-kernel = vl.BipartiteKernel(1 / 3)
+kernel = vl.StepKernel.bipartite(1 / 3)
 print("degree at x=0.1:", kernel.degree(0.1))
 print("degree at x=0.9:", kernel.degree(0.9))
 

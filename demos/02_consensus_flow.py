@@ -13,7 +13,7 @@ import numpy as np
 import voterlim as vl
 
 r = 1 / 3
-kernel = vl.BipartiteKernel(r)
+kernel = vl.StepKernel.bipartite(r)
 g = vl.InitialCondition.balanced_blocks(r)
 
 times = np.linspace(0.0, 10.0, 101)

@@ -46,7 +46,7 @@ import numpy as np
 from ._schema import REQUIRED, build, checked, count, positive, real, reals
 from .errors import SolverConvergenceError, ValidationError
 from .graphs import WeightedGraph, _size, byte_classes, pixel_classes
-from .kernels import Kernel, Partition, _closure, common_refinement, overlap_matrix
+from .kernels import Partition, StepKernel, _closure, common_refinement, overlap_matrix
 
 # Default tolerances; every consumer that overrides them records the value
 # it used in its output metadata.
@@ -433,7 +433,7 @@ def _check_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be positive and finite") from exc
 
 
-def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Trajectory:
+def solve_continuum(kernel: StepKernel, g: InitialCondition, n: int, times) -> Trajectory:
     """Finite-n approximation of the kernel dynamics started from g.
 
     The same trajectory, bit for bit and with the same metadata, as
@@ -447,22 +447,17 @@ def solve_continuum(kernel: Kernel, g: InitialCondition, n: int, times) -> Traje
     u0 = average_initial(g, labels.size)
     t = _validate_times(times)
     states, detail = _solve_twins(labels, weights, u0, t)
-    try:
-        spec = kernel.spec()
-    except NotImplementedError:
-        spec = None
-    meta = {"n": labels.size, **detail, "kernel": spec, "initial": g.spec()}
+    meta = {"n": labels.size, **detail, "kernel": kernel.spec(), "initial": g.spec()}
     return Trajectory._trusted(t, states, meta)
 
 
-def _kernel_cells(kernel: Kernel):
-    """(step refinement, cell measures, cell degrees) of a kernel."""
-    step = kernel.as_step()
-    sizes = step.partition.measures
-    return step, sizes, step.values @ sizes
+def _kernel_cells(kernel: StepKernel):
+    """(cell measures, cell degrees) of a kernel."""
+    sizes = kernel.partition.measures
+    return sizes, kernel.values @ sizes
 
 
-def solve_exact(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, np.ndarray]:
+def solve_exact(kernel: StepKernel, g: InitialCondition, times) -> tuple[Partition, np.ndarray]:
     """Exact continuum solution from g: (partition, cell values per time).
 
     u(., t) is a step function on the common refinement of the kernel and
@@ -471,14 +466,14 @@ def solve_exact(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, 
     each deviation from them decays at its kernel cell's degree.
     """
     t = _validate_times(times)
-    step, sizes, d = _kernel_cells(kernel)
-    part, (cells, g_cells) = common_refinement(step.partition, g.partition)
+    sizes, d = _kernel_cells(kernel)
+    part, (cells, g_cells) = common_refinement(kernel.partition, g.partition)
     u0 = g.values[g_cells]
-    values, _ = _solve_classes(cells, part.measures, sizes, 1.0, d, step.values, u0, t)
+    values, _ = _solve_classes(cells, part.measures, sizes, 1.0, d, kernel.values, u0, t)
     return part, values
 
 
-def default_horizon(kernel: Kernel | None = None) -> tuple[float, str]:
+def default_horizon(kernel: StepKernel | None = None) -> tuple[float, str]:
     """Config default for the horizon: 10 / spectral gap when estimable, else 20.
 
     The gap is the slowest strictly decaying rate of the continuum
@@ -488,9 +483,9 @@ def default_horizon(kernel: Kernel | None = None) -> tuple[float, str]:
     """
     if kernel is None:
         return 20.0, "fallback"
-    step, sizes, d = _kernel_cells(kernel)
+    sizes, d = _kernel_cells(kernel)
     # spectrum only: the empty grid evolves no means
-    quotient, _ = _class_flow(step.values, d, sizes, 1.0, np.zeros_like(d), np.empty(0))
+    quotient, _ = _class_flow(kernel.values, d, sizes, 1.0, np.zeros_like(d), np.empty(0))
     eigvals = np.concatenate([quotient, -d])
     if eigvals.max() > 1e-12:
         return 20.0, "fallback"
@@ -501,7 +496,7 @@ def default_horizon(kernel: Kernel | None = None) -> tuple[float, str]:
 
 
 def resolve_time_grid(
-    kernel: Kernel | None, horizon=None, num_times=DEFAULT_NUM_TIMES, times=None
+    kernel: StepKernel | None, horizon=None, num_times=DEFAULT_NUM_TIMES, times=None
 ) -> tuple[np.ndarray, float, str]:
     """Time grid of a run config: (times, horizon, horizon_source).
 
@@ -598,7 +593,7 @@ def _phi_b(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def volterra_residual(kernel: Kernel, traj: Trajectory) -> float:
+def volterra_residual(kernel: StepKernel, traj: Trajectory) -> float:
     """Worst deviation of a trajectory from its integral-equation form.
 
     Each cell value must satisfy

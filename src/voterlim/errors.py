@@ -14,7 +14,7 @@ class DomainError(VoterlimError):
 
 
 class UnsupportedVariantError(VoterlimError):
-    """Operation requires an exact step refinement the kernel cannot provide."""
+    """Operation not defined for this kernel, such as limit prediction on a signed one."""
 
 
 class SizeLimitError(VoterlimError):

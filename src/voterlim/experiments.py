@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .graphs import RNG_ALGORITHM, _seed, _size, _w_random_sampler
-from .kernels import Kernel, Partition, common_refinement, make_kernel
+from .kernels import Partition, StepKernel, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
 MC_MAX_THREADS = 64
@@ -50,7 +50,7 @@ class ExperimentConfig:
     exceptional mass (the success cut-off is c squared).
     """
 
-    kernel: Kernel
+    kernel: StepKernel
     initial: InitialCondition
     n_ladder: tuple[int, ...]
     horizon: float

@@ -14,13 +14,7 @@ import numpy as np
 
 from ._schema import REQUIRED, as_is, checked, count, loads, read, reals
 from .errors import SizeLimitError, ValidationError
-from .kernels import (
-    Kernel,
-    Partition,
-    StepKernel,
-    overlap_matrix,
-    symmetric_unit_matrix,
-)
+from .kernels import Partition, StepKernel, overlap_matrix, symmetric_unit_matrix
 
 # Dense-storage guard: discretisation and solvers refuse larger systems.
 DEFAULT_N_MAX = 4096
@@ -202,11 +196,11 @@ def byte_classes(rows) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.unique(labels, return_index=True)[1]
 
 
-def pixel_classes(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pixel_classes(kernel: StepKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twin classes of the discretisation at n, read off the kernel's partition.
 
     Pixels (cells of the uniform n-partition) whose overlaps with the
-    cells of `kernel.as_step()` are bit-identical get identical weight
+    cells of the kernel's partition are bit-identical get identical weight
     rows.  The weights between their first pixels, n^2 O V O^T over the
     overlap rows O, are symmetrised and validated once, and classes whose
     rows then coincide are merged, which leaves the graph's own twin
@@ -218,15 +212,14 @@ def pixel_classes(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     pixel is its own class and weights is the n x n discretisation.
     """
     n = _size(n, "discretisation")
-    step = kernel.as_step()
-    overlap = overlap_matrix(Partition.uniform(n), step.partition)
-    keyed = step.partition.size < n
+    overlap = overlap_matrix(Partition.uniform(n), kernel.partition)
+    keyed = kernel.partition.size < n
     if keyed:
         labels, heads = byte_classes(overlap)
         overlap = overlap[heads]
     else:
         labels = heads = np.arange(n)
-    weights = overlap @ step.values @ overlap.T
+    weights = overlap @ kernel.values @ overlap.T
     del overlap  # n x n when not keyed: freed before the symmetrised copy
     weights *= n * n  # in place: one array fewer, the same bits
     # absorbs the rounding asymmetry of the class weights
@@ -237,11 +230,11 @@ def pixel_classes(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return labels, heads, weights
 
 
-def discretize_kernel(kernel: Kernel, n: int) -> WeightedGraph:
+def discretize_kernel(kernel: StepKernel, n: int) -> WeightedGraph:
     """Weighted graph of cell averages: beta_ij = n^2 * integral of W over I_i x I_j.
 
-    The integral is evaluated exactly through the kernel's step refinement
-    and the overlap of its partition with the uniform n-partition, once
+    The integral is evaluated exactly through the kernel's cell values and
+    the overlap of its partition with the uniform n-partition, once
     per pair of `pixel_classes`, whose class weights are expanded to the
     n pixels; the n x n result is the only n x n array built.
     """
@@ -256,7 +249,7 @@ def pixel_kernel(graph: WeightedGraph) -> StepKernel:
     return StepKernel(Partition.uniform(graph.n), graph.weights)
 
 
-def sample_w_random(kernel: Kernel, n: int, seed: int) -> WeightedGraph:
+def sample_w_random(kernel: StepKernel, n: int, seed: int) -> WeightedGraph:
     """Random simple graph with edge probabilities read off the kernel.
 
     Edge (i, j), 1 <= i < j <= n, appears independently with probability
@@ -267,7 +260,7 @@ def sample_w_random(kernel: Kernel, n: int, seed: int) -> WeightedGraph:
     return _w_random_sampler(kernel, n)(seed)
 
 
-def _w_random_sampler(kernel: Kernel, n: int):
+def _w_random_sampler(kernel: StepKernel, n: int):
     """`sample_w_random(kernel, n, seed)` as a function of the seed.
 
     The edge probabilities of the n(n-1)/2 pairs i < j, in row-major
@@ -278,10 +271,9 @@ def _w_random_sampler(kernel: Kernel, n: int):
     n = _size(n, "sampling")
     if not kernel.is_graphon():
         raise ValidationError("sampling requires a graphon (values in [0, 1])")
-    step = kernel.as_step()
-    cells = step.partition.cell_of(np.arange(1, n + 1) / n)
+    cells = kernel.partition.cell_of(np.arange(1, n + 1) / n)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # masks read row-major
-    probs = step.values[np.ix_(cells, cells)][upper]
+    probs = kernel.values[np.ix_(cells, cells)][upper]
 
     def sample(seed: int) -> WeightedGraph:
         rng = np.random.Generator(np.random.Philox(key=_seed(seed)))

@@ -1,19 +1,21 @@
-"""Kernel (graph limit) families with exact piecewise-constant calculus.
+"""Step kernels (graph limits) with exact piecewise-constant calculus.
 
-Every built-in family refines exactly to a step kernel, i.e. a symmetric
-matrix of values on a finite partition of [0,1].  Degrees, L2 distances
-and discretisations are therefore closed-form partition arithmetic; a
-kernel without a step refinement raises UnsupportedVariantError there.
+A kernel is a `StepKernel`: a symmetric matrix of values on a finite
+partition of [0,1].  The named families (`constant`, `bipartite`,
+`product`, `direct_sum`, `ws_mix`) are its classmethods and keep their
+spec.  Degrees, L2 distances and discretisations are closed-form
+partition arithmetic.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
 
 from ._schema import REQUIRED, build, checked, count, read, real, reals
-from .errors import DomainError, UnsupportedVariantError, ValidationError
+from .errors import DomainError, ValidationError
 
 # Tolerance for sums/symmetry checks on user-supplied floats.
 SYMMETRY_TOL = 1e-12
@@ -183,51 +185,15 @@ def _closure(related: np.ndarray) -> np.ndarray:
     return labels
 
 
-class Kernel:
-    """Symmetric measurable function on [0,1]^2 with values in [-1, 1].
+class StepKernel:
+    """Symmetric kernel on [0,1]^2, constant on the cells of a partition.
 
-    Kernels are immutable values.  Subclasses provide an exact step
-    refinement through `_to_step`; everything else (evaluation, degree,
-    range checks) is derived from it.
+    Kernels are immutable values with entries in [-1, 1].  The named
+    families are classmethods that build the values and keep their own
+    spec, which `spec` returns for `make_kernel` to read back.
     """
 
-    _step_cache: "StepKernel | None" = None
-
-    def _to_step(self) -> "StepKernel":
-        raise UnsupportedVariantError(
-            f"{type(self).__name__} has no exact step refinement"
-        )
-
-    def as_step(self) -> "StepKernel":
-        """Exact piecewise-constant representation of this kernel."""
-        if self._step_cache is None:
-            self._step_cache = self._to_step()
-        return self._step_cache
-
-    def evaluate(self, x, y):
-        """Pointwise value W(x, y); cell boundaries resolve to the left cell."""
-        return self.as_step().evaluate(x, y)
-
-    def degree(self, x):
-        """Normalised degree d_W(x): the exact integral of W(x, .) over [0,1]."""
-        return self.as_step().degree(x)
-
-    def value_range(self) -> tuple[float, float]:
-        v = self.as_step().values
-        return float(v.min()), float(v.max())
-
-    def is_graphon(self) -> bool:
-        """True when the value range lies within [0, 1]."""
-        lo, hi = self.value_range()
-        return lo >= 0.0 and hi <= 1.0
-
-    def spec(self) -> dict:
-        """JSON-serialisable description accepted by `make_kernel`."""
-        raise NotImplementedError
-
-
-class StepKernel(Kernel):
-    """Piecewise-constant kernel on a finite partition of [0, 1]."""
+    _spec: dict | None = None
 
     def __init__(self, boundaries, values):
         part = boundaries if isinstance(boundaries, Partition) else Partition(boundaries)
@@ -240,109 +206,50 @@ class StepKernel(Kernel):
         self.partition = part
         self.values = symmetric_unit_matrix(v, "kernel values")
 
-    def as_step(self) -> "StepKernel":
-        return self
+    @classmethod
+    def _named(cls, boundaries, values, spec: dict) -> "StepKernel":
+        kernel = cls(boundaries, values)
+        kernel._spec = spec
+        return kernel
 
-    def evaluate(self, x, y):
-        i = self.partition.cell_of(x)
-        j = self.partition.cell_of(y)
-        return self.values[i, j]
-
-    def degree(self, x):
-        i = self.partition.cell_of(x)
-        return self.values[i] @ self.partition.measures
-
-    def scaled(self, factor: float) -> "StepKernel":
-        """Step kernel with all values multiplied by `factor` (range re-checked)."""
-        return StepKernel(self.partition, self.values * float(factor))
-
-    def spec(self) -> dict:
-        return {
-            "type": "step",
-            "boundaries": self.partition.boundaries.tolist(),
-            "values": self.values.tolist(),
-        }
-
-    def __repr__(self):
-        return f"StepKernel({self.partition.size} cells)"
-
-
-class ConstantKernel(Kernel):
-    """Kernel identically equal to a constant c in [-1, 1]."""
-
-    def __init__(self, c: float):
+    @classmethod
+    def constant(cls, c: float) -> "StepKernel":
+        """Kernel identically equal to a constant c in [-1, 1]."""
         c = float(c)
         if not np.isfinite(c) or abs(c) > 1.0:
             raise ValidationError("constant must lie in [-1, 1]")
-        self.c = c
+        return cls._named([0.0, 1.0], [[c]], {"type": "constant", "c": c})
 
-    def _to_step(self) -> StepKernel:
-        return StepKernel([0.0, 1.0], [[self.c]])
-
-    def spec(self) -> dict:
-        return {"type": "constant", "c": self.c}
-
-    def __repr__(self):
-        return f"ConstantKernel({self.c})"
-
-
-class BipartiteKernel(Kernel):
-    """Two-block kernel: -1 on [0,r]^2 and +1 elsewhere, for r in (0, 1/2)."""
-
-    def __init__(self, r: float):
+    @classmethod
+    def bipartite(cls, r: float) -> "StepKernel":
+        """Two-block kernel: -1 on [0,r]^2 and +1 elsewhere, for r in (0, 1/2)."""
         r = float(r)
         if not (0.0 < r < 0.5):
             raise ValidationError("block boundary r must lie strictly in (0, 1/2)")
-        self.r = r
+        spec = {"type": "bipartite", "r": r}
+        return cls._named([0.0, r, 1.0], [[-1.0, 1.0], [1.0, 1.0]], spec)
 
-    def _to_step(self) -> StepKernel:
-        return StepKernel([0.0, self.r, 1.0], [[-1.0, 1.0], [1.0, 1.0]])
-
-    def spec(self) -> dict:
-        return {"type": "bipartite", "r": self.r}
-
-    def __repr__(self):
-        return f"BipartiteKernel(r={self.r})"
-
-
-class ProductKernel(Kernel):
-    """Rank-one kernel W(x, y) = f(x) f(y) for a step function f."""
-
-    def __init__(self, boundaries, f_values):
+    @classmethod
+    def product(cls, boundaries, f) -> "StepKernel":
+        """Rank-one kernel W(x, y) = f(x) f(y) for a step function f."""
         part = boundaries if isinstance(boundaries, Partition) else Partition(boundaries)
-        f = np.asarray(f_values, dtype=float)
+        f = np.asarray(f, dtype=float)
         if f.shape != (part.size,):
             raise ValidationError("need one factor value per cell")
         if not np.all(np.isfinite(f)) or np.max(np.abs(f)) > 1.0 + SYMMETRY_TOL:
             raise ValidationError("factor values must lie in [-1, 1]")
-        f = f.copy()
-        f.setflags(write=False)
-        self.partition = part
-        self.f_values = f
+        spec = {"type": "product", "boundaries": part.boundaries.tolist(), "f": f.tolist()}
+        return cls._named(part, np.outer(f, f), spec)
 
-    def _to_step(self) -> StepKernel:
-        return StepKernel(self.partition, np.outer(self.f_values, self.f_values))
+    @classmethod
+    def direct_sum(cls, parts) -> "StepKernel":
+        """Weighted direct sum: block-diagonal placement of kernels on [0, 1].
 
-    def spec(self) -> dict:
-        return {
-            "type": "product",
-            "boundaries": self.partition.boundaries.tolist(),
-            "f": self.f_values.tolist(),
-        }
-
-    def __repr__(self):
-        return f"ProductKernel({self.partition.size} cells)"
-
-
-class DirectSumKernel(Kernel):
-    """Weighted direct sum: block-diagonal placement of kernels on [0, 1].
-
-    Part i occupies a block of width a_i (weights sum to one); inside its
-    block it equals the part kernel composed with the block's affine chart,
-    and all cross-block values are zero.
-    """
-
-    def __init__(self, parts):
+        `parts` are (weight, kernel) pairs.  Part i occupies a block of
+        width a_i (weights sum to one); inside its block it equals the
+        part kernel composed with the block's affine chart, and all
+        cross-block values are zero.
+        """
         parts = list(parts)
         if not parts:
             raise ValidationError("direct sum needs at least one part")
@@ -353,95 +260,100 @@ class DirectSumKernel(Kernel):
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("part weights must sum to 1")
         for k in kernels:
-            if not isinstance(k, Kernel):
+            if not isinstance(k, StepKernel):
                 raise ValidationError("parts must be (weight, Kernel) pairs")
-        self.weights = weights
-        self.kernels = kernels
-
-    @property
-    def parts(self):
-        return list(zip(self.weights.tolist(), self.kernels))
-
-    def _to_step(self) -> StepKernel:
-        steps = [k.as_step() for k in self.kernels]
-        edges = np.concatenate([[0.0], np.cumsum(self.weights)])
+        edges = np.concatenate([[0.0], np.cumsum(weights)])
         edges[-1] = 1.0  # protect against cumulative rounding
         bounds = [0.0]
-        for step, a, hi in zip(steps, self.weights, edges[1:]):
-            inner = bounds[-1] + a * step.partition.boundaries[1:-1]
+        for k, a, hi in zip(kernels, weights, edges[1:]):
+            inner = bounds[-1] + a * k.partition.boundaries[1:-1]
             bounds.extend(inner.tolist())
             bounds.append(float(hi))
-        sizes = [s.partition.size for s in steps]
+        sizes = [k.partition.size for k in kernels]
         total = sum(sizes)
         values = np.zeros((total, total))
         offset = 0
-        for step, size in zip(steps, sizes):
-            values[offset : offset + size, offset : offset + size] = step.values
+        for k, size in zip(kernels, sizes):
+            values[offset : offset + size, offset : offset + size] = k.values
             offset += size
-        return StepKernel(bounds, values)
-
-    def spec(self) -> dict:
-        return {
+        spec = {
             "type": "direct_sum",
             "parts": [
-                {"weight": float(a), "kernel": k.spec()}
-                for a, k in zip(self.weights, self.kernels)
+                {"weight": float(a), "kernel": k.spec()} for a, k in zip(weights, kernels)
             ],
         }
+        return cls._named(bounds, values, spec)
 
-    def __repr__(self):
-        return f"DirectSumKernel({len(self.kernels)} parts)"
+    @classmethod
+    def ws_mix(cls, base: "StepKernel", p: float) -> "StepKernel":
+        """Rewiring mix of a graphon base: (1-p) W + p (1-W) for p in [0, 1/2].
 
-
-class WattsStrogatzKernel(Kernel):
-    """Rewiring mix of a graphon base: (1-p) W + p (1-W) for p in [0, 1/2].
-
-    The base must take values in [0, 1]; the mix then stays in [p, 1-p].
-    """
-
-    def __init__(self, base: Kernel, p: float):
+        The base must take values in [0, 1]; the mix then stays in [p, 1-p].
+        """
         p = float(p)
         if not 0.0 <= p <= 0.5:
             raise ValidationError("mixing probability p must lie in [0, 1/2]")
-        if not isinstance(base, Kernel):
+        if not isinstance(base, StepKernel):
             raise ValidationError("base must be a Kernel")
         if not base.is_graphon():
             raise ValidationError("base kernel range must be within [0, 1]")
-        self.base = base
-        self.p = p
+        spec = {"type": "ws_mix", "p": p, "base": base.spec()}
+        return cls._named(base.partition, (1.0 - 2.0 * p) * base.values + p, spec)
 
-    def _to_step(self) -> StepKernel:
-        s = self.base.as_step()
-        return StepKernel(s.partition, (1.0 - 2.0 * self.p) * s.values + self.p)
+    def evaluate(self, x, y):
+        """Pointwise value W(x, y); cell boundaries resolve to the left cell."""
+        i = self.partition.cell_of(x)
+        j = self.partition.cell_of(y)
+        return self.values[i, j]
+
+    def degree(self, x):
+        """Normalised degree d_W(x): the exact integral of W(x, .) over [0,1]."""
+        i = self.partition.cell_of(x)
+        return self.values[i] @ self.partition.measures
+
+    def value_range(self) -> tuple[float, float]:
+        return float(self.values.min()), float(self.values.max())
+
+    def is_graphon(self) -> bool:
+        """True when the value range lies within [0, 1]."""
+        lo, hi = self.value_range()
+        return lo >= 0.0 and hi <= 1.0
+
+    def scaled(self, factor: float) -> "StepKernel":
+        """Step kernel with all values multiplied by `factor` (range re-checked)."""
+        return StepKernel(self.partition, self.values * float(factor))
 
     def spec(self) -> dict:
-        return {"type": "ws_mix", "p": self.p, "base": self.base.spec()}
+        """JSON-serialisable description accepted by `make_kernel`: the
+        family's own spec for a named kernel, else the cell values."""
+        if self._spec is not None:
+            return copy.deepcopy(self._spec)
+        return {
+            "type": "step",
+            "boundaries": self.partition.boundaries.tolist(),
+            "values": self.values.tolist(),
+        }
 
     def __repr__(self):
-        return f"WattsStrogatzKernel(p={self.p})"
+        return f"StepKernel({self.partition.size} cells)"
 
 
-def l2_distance(k1: Kernel, k2: Kernel) -> float:
+def l2_distance(k1: StepKernel, k2: StepKernel) -> float:
     """L2([0,1]^2) distance between two kernels, exactly, by
-    common-refinement arithmetic on their step refinements.
-
-    A kernel without a step refinement raises UnsupportedVariantError
-    (`Kernel.as_step`).
-    """
-    s1, s2 = k1.as_step(), k2.as_step()
-    merged, (i1, i2) = common_refinement(s1.partition, s2.partition)
-    dv = s1.values[np.ix_(i1, i1)] - s2.values[np.ix_(i2, i2)]
+    common-refinement arithmetic on their partitions."""
+    merged, (i1, i2) = common_refinement(k1.partition, k2.partition)
+    dv = k1.values[np.ix_(i1, i1)] - k2.values[np.ix_(i2, i2)]
     mm = merged.measures
     return float(np.sqrt(mm @ (dv * dv) @ mm))
 
 
-def make_kernel(spec: dict) -> Kernel:
+def make_kernel(spec: dict) -> StepKernel:
     """Kernel of a JSON spec: a "type" and the keys `_KERNELS` gives it."""
     return build(spec, _KERNELS, "kernel")
 
 
 def _parts(parts) -> list:
-    """direct_sum parts, [{"weight": a, "kernel": {...}}, ...], as (a, Kernel) pairs."""
+    """direct_sum parts, [{"weight": a, "kernel": {...}}, ...], as (a, kernel) pairs."""
     pairs = (read(part, _PART, "direct_sum part") for part in parts)
     return [(pair.weight, pair.kernel) for pair in pairs]
 
@@ -449,12 +361,17 @@ def _parts(parts) -> list:
 _PART = {"weight": (real, REQUIRED), "kernel": (make_kernel, REQUIRED)}
 _KERNELS = {
     "step": (StepKernel, {"boundaries": (reals, REQUIRED), "values": (reals, REQUIRED)}),
-    "constant": (ConstantKernel, {"c": (real, REQUIRED)}),
-    "bipartite": (BipartiteKernel, {"r": (real, REQUIRED)}),
-    "product": (
-        lambda boundaries, f: ProductKernel(boundaries, f),
-        {"boundaries": (reals, REQUIRED), "f": (reals, REQUIRED)},
-    ),
-    "direct_sum": (DirectSumKernel, {"parts": (_parts, REQUIRED)}),
-    "ws_mix": (WattsStrogatzKernel, {"base": (make_kernel, REQUIRED), "p": (real, REQUIRED)}),
+    "constant": (StepKernel.constant, {"c": (real, REQUIRED)}),
+    "bipartite": (StepKernel.bipartite, {"r": (real, REQUIRED)}),
+    "product": (StepKernel.product, {"boundaries": (reals, REQUIRED), "f": (reals, REQUIRED)}),
+    "direct_sum": (StepKernel.direct_sum, {"parts": (_parts, REQUIRED)}),
+    "ws_mix": (StepKernel.ws_mix, {"base": (make_kernel, REQUIRED), "p": (real, REQUIRED)}),
 }
+
+# Kept only because perfbench/ names them: its span targets
+# `Kernel.as_step` and `StepKernel.as_step`, and `perfbench/sweep.py`
+# imports `BipartiteKernel`.  Delete all three with that span-target edit
+# (ROADMAP item 1).
+Kernel = StepKernel
+StepKernel.as_step = lambda self: self
+BipartiteKernel = StepKernel.bipartite

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import InitialCondition, _validate_times, solve_exact
 from .errors import UnsupportedVariantError
-from .kernels import DirectSumKernel, Kernel, Partition, StepKernel, _closure, common_refinement
+from .kernels import Partition, StepKernel, _closure, common_refinement
 
 PROPORTIONALITY_TOL = 1e-10
 MEAN_MATCH_TOL = 1e-10
@@ -53,9 +53,9 @@ class ComponentDecomposition:
     components: tuple[Component, ...]
     labels: np.ndarray  # component index of each source cell
 
-    def reassembled(self) -> DirectSumKernel:
+    def reassembled(self) -> StepKernel:
         """Direct sum of the components; equals the source up to cell order."""
-        return DirectSumKernel([(c.weight, c.kernel) for c in self.components])
+        return StepKernel.direct_sum([(c.weight, c.kernel) for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,16 @@ class NecessaryConditionReport:
         }
 
 
-def connected_components(kernel: Kernel) -> ComponentDecomposition:
-    """Support-graph components of the step refinement, smallest cell first.
+def connected_components(kernel: StepKernel) -> ComponentDecomposition:
+    """Support-graph components of the kernel's cells, smallest cell first.
 
     Cells are linked where the kernel is nonzero, exactly: the support of
     Janson's definition of connectivity.
     """
-    step = kernel.as_step()
-    v = step.values
+    v = kernel.values
     labels = _closure(v != 0.0)
     labels.setflags(write=False)
-    measures = step.partition.measures
+    measures = kernel.partition.measures
     components = []
     offset = 0.0
     for cells in _classes(labels):
@@ -121,45 +120,50 @@ def connected_components(kernel: Kernel) -> ComponentDecomposition:
             Component(tuple(cells), weight, (offset, offset + weight), sub)
         )
         offset += weight
-    return ComponentDecomposition(step, tuple(components), labels)
+    return ComponentDecomposition(kernel, tuple(components), labels)
 
 
-def is_connected(kernel: Kernel) -> bool:
-    """True when the cell support graph is connected.
+def is_connected(kernel: StepKernel) -> bool:
+    """True when the kernel is connected in Janson's sense."""
+    return _connected(connected_components(kernel))
 
-    Note the degenerate edge: an all-zero kernel refines to a single cell,
-    and a one-cell support graph counts as connected here even though no
-    mass crosses any split of it.
+
+def _connected(decomp: ComponentDecomposition) -> bool:
+    """One component and a kernel that is not identically zero.
+
+    The zero kernel is one (frozen) component, yet no mass crosses any
+    split of it, so it is not connected.
     """
-    return len(connected_components(kernel).components) == 1
+    return len(decomp.components) == 1 and bool(decomp.source.values.any())
 
 
-def find_maximal_twin_sets(kernel: Kernel) -> TwinSetPartition:
+def find_maximal_twin_sets(kernel: StepKernel) -> TwinSetPartition:
     """Partition of the cells into maximal sets with proportional rows.
 
-    Rows i and j pass the pairwise test when
-    | v_i * ||v_j|| - sigma * v_j * ||v_i|| | <= PROPORTIONALITY_TOL
-    componentwise, with the sign sigma read off the dominant entry; zero
-    rows (norm at most PROPORTIONALITY_TOL) form their own single set.
-    Each pair i < j is tested with the dominant entry of row j, and a zero
-    sign means no link.  Maximal sets are the transitive closure of the
-    pairwise relation.
+    Zero rows (norm exactly 0) form their own single set.  Nonzero rows
+    i and j are linked when, for sigma = +1 or sigma = -1,
+    | v_i * ||v_j|| - sigma * v_j * ||v_i|| | <= PROPORTIONALITY_TOL * (||v_i|| * ||v_j||)
+    componentwise: a relative test, symmetric in i and j, so scaling the
+    kernel leaves it unchanged.  Maximal sets are the transitive closure
+    of the pairwise relation.
     """
-    step = kernel.as_step()
-    v = step.values
+    v = kernel.values
     norms = np.linalg.norm(v, axis=1)
-    zero = norms <= PROPORTIONALITY_TOL
+    zero = norms == 0.0
     related = np.outer(zero, zero)
     for j in range(1, len(v)):
         if zero[j]:
             continue
         p = int(np.argmax(np.abs(v[j])))
-        sigma = np.sign(v[:j, p]) * np.sign(v[j, p])
+        bound = PROPORTIONALITY_TOL * (norms[:j] * norms[j])
+        # Only the sign of v_i[p] * v_j[p] can pass: with the other, column
+        # p deviates by at least |v_j[p]| ||v_i|| >= ||v_i|| ||v_j|| / sqrt(m).
+        sigma = np.copysign(1.0, v[:j, p] * v[j, p])
         # Column p alone rules out most rows; only the rest get the full test.
         at_p = np.abs(v[:j, p] * norms[j] - sigma * v[j, p] * norms[:j])
-        rows = np.flatnonzero((at_p <= PROPORTIONALITY_TOL) & (sigma != 0.0) & ~zero[:j])
+        rows = np.flatnonzero((at_p <= bound) & ~zero[:j])
         dev = np.abs(v[rows] * norms[j] - sigma[rows, None] * v[j] * norms[rows, None])
-        related[j, rows] = dev.max(axis=1) <= PROPORTIONALITY_TOL
+        related[j, rows] = dev.max(axis=1) <= bound[rows]
     sets = []
     for cells in _classes(_closure(related | related.T)):
         rep = cells[0]
@@ -169,7 +173,7 @@ def find_maximal_twin_sets(kernel: Kernel) -> TwinSetPartition:
             p = int(np.argmax(np.abs(v[rep])))
             mult = [float(v[i, p] / v[rep, p]) for i in cells]
         sets.append(TwinSet(tuple(cells), rep, tuple(mult)))
-    return TwinSetPartition(step, tuple(sets))
+    return TwinSetPartition(kernel, tuple(sets))
 
 
 def _refined_means(decomp: ComponentDecomposition, g: InitialCondition):
@@ -190,7 +194,7 @@ def _mean_check(
     return NecessaryConditionReport(spread <= MEAN_MATCH_TOL, means, spread)
 
 
-def necessary_condition(kernel: Kernel, g: InitialCondition) -> NecessaryConditionReport:
+def necessary_condition(kernel: StepKernel, g: InitialCondition) -> NecessaryConditionReport:
     """Check the consensus prerequisite: equal initial means on all components.
 
     Consensus forces the limit to be the conserved mean of each component,
@@ -201,27 +205,28 @@ def necessary_condition(kernel: Kernel, g: InitialCondition) -> NecessaryConditi
     return _mean_check(connected_components(kernel), g)
 
 
-def predict_limit(kernel: Kernel, g: InitialCondition) -> InitialCondition:
+def predict_limit(kernel: StepKernel, g: InitialCondition) -> InitialCondition:
     """Long-time profile predicted from the component structure of a graphon.
 
     Each component with any mass relaxes to the mean of g over it; a
     component with an all-zero kernel (a cell with a zero row) has frozen
     dynamics and keeps g unchanged there.  Requires nonnegative values.
     """
-    step = kernel.as_step()
-    if step.values.min() < 0.0:
+    if kernel.values.min() < 0.0:
         raise UnsupportedVariantError(
             "limit prediction requires a graphon (no negative values)"
         )
-    decomp = connected_components(step)
+    decomp = connected_components(kernel)
     means, merged, cells, g_cells = _refined_means(decomp, g)
     values = means[decomp.labels[cells]]
-    frozen = ~step.values.any(axis=1)[cells]
+    frozen = ~kernel.values.any(axis=1)[cells]
     values[frozen] = g.values[g_cells][frozen]
     return InitialCondition(merged, values)
 
 
-def decompose_solution(kernel: Kernel, g: InitialCondition, times) -> tuple[Partition, np.ndarray]:
+def decompose_solution(
+    kernel: StepKernel, g: InitialCondition, times
+) -> tuple[Partition, np.ndarray]:
     """`solve_exact` run on each component alone: (partition, cell values per time).
 
     A component of weight a evolves on its kernel rescaled onto [0,1] and
@@ -232,12 +237,11 @@ def decompose_solution(kernel: Kernel, g: InitialCondition, times) -> tuple[Part
     returns for the whole kernel; the values match its to rounding.
     """
     t = _validate_times(times)
-    step = kernel.as_step()
-    decomp = connected_components(step)
-    part, (cells, g_cells) = common_refinement(step.partition, g.partition)
+    decomp = connected_components(kernel)
+    part, (cells, g_cells) = common_refinement(kernel.partition, g.partition)
     # exactly 0 where a merged cell starts a kernel cell, so the chart puts
     # it on the component kernel's own boundary and adds no sliver cells
-    offsets = part.boundaries[:-1] - step.partition.boundaries[cells]
+    offsets = part.boundaries[:-1] - kernel.partition.boundaries[cells]
     values = np.empty((t.size, part.size))
     for ci, comp in enumerate(decomp.components):
         pieces = np.flatnonzero(decomp.labels[cells] == ci)
@@ -250,12 +254,12 @@ def decompose_solution(kernel: Kernel, g: InitialCondition, times) -> tuple[Part
     return part, values
 
 
-def structure_report(kernel: Kernel, g: InitialCondition | None = None) -> dict:
+def structure_report(kernel: StepKernel, g: InitialCondition | None = None) -> dict:
     """JSON-ready summary: components, twin-sets and the optional mean check."""
     decomp = connected_components(kernel)
     twins = find_maximal_twin_sets(kernel)
     report = {
-        "connected": len(decomp.components) == 1,
+        "connected": _connected(decomp),
         "twin_kernel": twins.is_twin_kernel,
         "components": [
             {

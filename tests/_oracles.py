@@ -155,50 +155,27 @@ def brute_components(values):
 
 
 def brute_twin_sets(values, prop_tol=1e-10):
-    """Definitional pairwise proportionality check plus transitive closure."""
+    """Definitional pairwise proportionality check plus transitive closure.
+
+    Every ordered pair, every column and both signs: zero rows (norm 0)
+    are twins of each other only; nonzero rows i and j are twins when
+    |v_i ||v_j|| - sigma v_j ||v_i||| <= prop_tol ||v_i|| ||v_j|| in every
+    column for sigma = +1 or sigma = -1.
+    """
     m = np.asarray(values, dtype=float)
     n = m.shape[0]
     norms = np.linalg.norm(m, axis=1)
 
     def twins(i, j):
-        if norms[i] <= prop_tol and norms[j] <= prop_tol:
-            return True
-        if norms[i] <= prop_tol or norms[j] <= prop_tol:
-            return False
-        p = int(np.argmax(np.abs(m[j])))
-        sigma = 1.0 if m[i, p] * m[j, p] >= 0 else -1.0
-        return bool(
-            np.all(
-                np.abs(m[i] * norms[j] - sigma * m[j] * norms[i]) <= prop_tol
-            )
+        if norms[i] == 0.0 or norms[j] == 0.0:
+            return bool(norms[i] == norms[j])
+        bound = prop_tol * (norms[i] * norms[j])
+        return any(
+            all(abs(m[i, c] * norms[j] - sigma * m[j, c] * norms[i]) <= bound for c in range(n))
+            for sigma in (1.0, -1.0)
         )
 
     return _closure_groups([[twins(i, j) for j in range(n)] for i in range(n)])
-
-
-def pairwise_twin_sets(values, prop_tol=1e-10):
-    """The library's pairwise rule, one pair at a time, plus transitive closure.
-
-    Unlike brute_twin_sets, only pairs i < j are tested, with the dominant
-    entry of the later row j, and a zero sign means no link.  The two can
-    differ when rows with norms not far above prop_tol meet it.
-    """
-    m = np.asarray(values, dtype=float)
-    n = m.shape[0]
-    norms = np.linalg.norm(m, axis=1)
-    zero = norms <= prop_tol
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if zero[i] or zero[j]:
-                link = bool(zero[i] and zero[j])
-            else:
-                p = int(np.argmax(np.abs(m[j])))
-                sigma = np.sign(m[i, p]) * np.sign(m[j, p])
-                dev = np.abs(m[i] * norms[j] - sigma * m[j] * norms[i])
-                link = bool(sigma != 0.0 and np.max(dev) <= prop_tol)
-            adj[i][j] = adj[j][i] = link
-    return _closure_groups(adj)
 
 
 def _closure_groups(adj):
@@ -347,9 +324,8 @@ def randcond_evaluate(kernel, traj, variant="literal"):
     """
     if variant not in ("literal", "absolute"):
         raise ValidationError("variant must be 'literal' or 'absolute'")
-    step = kernel.as_step()
-    merged, (kc, uc) = common_refinement(step.partition, Partition.uniform(traj.n))
-    w = step.values[np.ix_(kc, kc)]
+    merged, (kc, uc) = common_refinement(kernel.partition, Partition.uniform(traj.n))
+    w = kernel.values[np.ix_(kc, kc)]
     weight = w * (1.0 - w)
     m = merged.measures
     best = np.inf
@@ -364,9 +340,8 @@ def randcond_evaluate(kernel, traj, variant="literal"):
 
 def gemm_discretize(kernel, n):
     """Raw n x n discretisation n^2 O V O^T from one product over all pixels."""
-    step = kernel.as_step()
-    overlap = overlap_matrix(Partition.uniform(n), step.partition)
-    return overlap @ step.values @ overlap.T * (n * n)
+    overlap = overlap_matrix(Partition.uniform(n), kernel.partition)
+    return overlap @ kernel.values @ overlap.T * (n * n)
 
 
 def dense_volterra_residual(beta, times, states):
@@ -405,9 +380,8 @@ def whole_matrix_symmetric_unit(values, what):
 
 def index_scatter_w_random(kernel, n, seed):
     """W-random adjacency drawn through triu_indices and a fancy scatter."""
-    step = kernel.as_step()
-    cells = step.partition.cell_of(np.arange(1, n + 1) / n)
-    probs = step.values[np.ix_(cells, cells)]
+    cells = kernel.partition.cell_of(np.arange(1, n + 1) / n)
+    probs = kernel.values[np.ix_(cells, cells)]
     rng = np.random.Generator(np.random.Philox(key=seed))
     iu, ju = np.triu_indices(n, k=1)
     draws = rng.random(iu.size)

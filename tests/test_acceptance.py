@@ -118,8 +118,8 @@ def random_suite(seed=20240815, count=24):
 
 def test_criterion_01_golden_matrices():
     with criterion(1, "golden generator matrices", budget=1.0):
-        d5 = vl.laplacian(vl.discretize_kernel(vl.BipartiteKernel(R), 5))
-        d6 = vl.laplacian(vl.discretize_kernel(vl.BipartiteKernel(R), 6))
+        d5 = vl.laplacian(vl.discretize_kernel(vl.StepKernel.bipartite(R), 5))
+        d6 = vl.laplacian(vl.discretize_kernel(vl.StepKernel.bipartite(R), 6))
         assert np.max(np.abs(d6 - GEN_6)) <= 1e-12
         assert np.max(np.abs(d5 - GEN_5)) <= 1e-12
         assert abs(d5[0, 0] + 8.0 / 15.0) <= 1e-12
@@ -129,7 +129,7 @@ def test_criterion_02_closed_form_agreement():
     with criterion(2, "closed form at n=300", budget=30.0):
         g = vl.InitialCondition.balanced_blocks(R)
         times = np.arange(21) * 0.5
-        traj = vl.solve_continuum(vl.BipartiteKernel(R), g, 300, times)
+        traj = vl.solve_continuum(vl.StepKernel.bipartite(R), g, 300, times)
         mids = vl.Partition.uniform(300).midpoints()
         cf = BipartiteClosedForm(R, g)
         worst = max(
@@ -250,7 +250,7 @@ def test_criterion_08_twin_limit_prediction():
 def test_criterion_09_volterra_oracle():
     with criterion(9, "integral-equation residuals"):
         bal = vl.InitialCondition.balanced_blocks(R)
-        bip = vl.BipartiteKernel(R)
+        bip = vl.StepKernel.bipartite(R)
         rng = np.random.default_rng(814)
         raw = rng.uniform(0.2, 1.0, (3, 3))
         rand_kernel = vl.StepKernel([0.0, 0.3, 0.7, 1.0], (raw + raw.T) / 2.0)
@@ -263,7 +263,7 @@ def test_criterion_09_volterra_oracle():
             (two_component_kernel(), vl.InitialCondition.from_cell_values([1.0, 0.6, 0.4, 0.0]), 16, 20.0),
             (rand_kernel, rand_g, 32, 10.0),
         ]
-        sampled = vl.sample_w_random(vl.ConstantKernel(0.8), 64, seed=7)
+        sampled = vl.sample_w_random(vl.StepKernel.constant(0.8), 64, seed=7)
         for kernel, g, n, horizon in cases:
             base = int(round(horizon / 0.05)) + 1
             coarse = vl.solve_continuum(kernel, g, n, np.linspace(0.0, horizon, base))

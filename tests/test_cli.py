@@ -72,7 +72,7 @@ class TestSimulate:
         assert meta["resolved"]["horizon_source"] == "config"
         assert meta["library_version"] == vl.__version__
         assert "final_diameter" in meta["summary"]
-        assert meta["kernel"] == vl.BipartiteKernel(1 / 3).spec()
+        assert meta["kernel"] == vl.StepKernel.bipartite(1 / 3).spec()
 
     def test_meta_records_solver_path_and_classes(self, tmp_path):
         # the two-block kernel at n = 12 has repeated weight rows
@@ -80,7 +80,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         meta = read_json(out / "trajectory_meta.json")
-        graph = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 12)
+        graph = vl.discretize_kernel(vl.StepKernel.bipartite(1 / 3), 12)
         assert meta["solver_path"] == "twin_quotient"
         assert meta["q"] == len(row_equality_classes(graph.weights)) < 12
 
@@ -125,7 +125,7 @@ class TestSimulate:
         ).read_bytes()
 
     def test_inline_graph_accepted(self, tmp_path):
-        graph = vl.discretize_kernel(vl.ConstantKernel(1.0), 4)
+        graph = vl.discretize_kernel(vl.StepKernel.constant(1.0), 4)
         cfg = write_config(
             tmp_path,
             {

@@ -108,10 +108,10 @@ def test_average_initial_is_exact_cell_mean(rng):
 
 
 def test_default_horizon():
-    t, source = vl.default_horizon(vl.ConstantKernel(1.0))
+    t, source = vl.default_horizon(vl.StepKernel.constant(1.0))
     assert source == "spectral_gap"
     assert t == pytest.approx(10.0, rel=1e-6)
-    t, source = vl.default_horizon(vl.ConstantKernel(0.0))
+    t, source = vl.default_horizon(vl.StepKernel.constant(0.0))
     assert source == "fallback"
     assert t == 20.0
     t, source = vl.default_horizon(None)
@@ -120,7 +120,7 @@ def test_default_horizon():
 
 class TestSolveFinite:
     def test_size_guard(self, monkeypatch):
-        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 5)
+        g = vl.discretize_kernel(vl.StepKernel.constant(1.0), 5)
         monkeypatch.setattr(graphs, "DEFAULT_N_MAX", 4)
         with pytest.raises(vl.SizeLimitError):
             vl.solve_finite(g, np.zeros(5), np.array([0.0, 1.0]))
@@ -151,7 +151,7 @@ class TestSolveFinite:
             assert np.abs(traj.states).max() <= np.abs(u0).max() + 1e-12
 
     def test_expm_matches_series_oracle(self, rng):
-        g = vl.discretize_kernel(vl.BipartiteKernel(1 / 3), 12)
+        g = vl.discretize_kernel(vl.StepKernel.bipartite(1 / 3), 12)
         D = vl.laplacian(g)
         u0 = rng.uniform(-1, 1, 12)
         t = 1.7
@@ -160,7 +160,7 @@ class TestSolveFinite:
         assert np.abs(traj.states[-1] - want).max() <= 1e-12
 
     def test_expm_and_rk_agree(self, rng):
-        for k in (vl.BipartiteKernel(0.25), random_step_kernel(rng)):
+        for k in (vl.StepKernel.bipartite(0.25), random_step_kernel(rng)):
             g = vl.discretize_kernel(k, 24)
             u0 = rng.uniform(-1, 1, 24)
             times = np.linspace(0, 4, 9)
@@ -169,7 +169,7 @@ class TestSolveFinite:
             assert np.abs(a.states - b).max() <= 1e-7
 
     def test_time_grid_validation(self):
-        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 4)
+        g = vl.discretize_kernel(vl.StepKernel.constant(1.0), 4)
         with pytest.raises(vl.ValidationError):
             vl.solve_finite(g, np.zeros(4), np.array([1.0, 2.0]))
         with pytest.raises(vl.ValidationError):
@@ -177,7 +177,7 @@ class TestSolveFinite:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_times(self, bad):
-        g = vl.discretize_kernel(vl.ConstantKernel(1.0), 4)
+        g = vl.discretize_kernel(vl.StepKernel.constant(1.0), 4)
         with pytest.raises(vl.ValidationError, match="finite"):
             vl.solve_finite(g, np.zeros(4), np.array([0.0, bad]))
 
@@ -242,7 +242,7 @@ class TestTwinQuotient:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 24))
     def test_false_twins_in_simple_graphs_match_dense(self, seed, k):
         r = np.random.default_rng(seed)
-        sample = vl.sample_w_random(vl.ConstantKernel(0.5), k, seed)
+        sample = vl.sample_w_random(vl.StepKernel.constant(0.5), k, seed)
         graph = vl.blow_up(sample, r.integers(1, 4, k))
         assert graph.is_simple()
         u0 = r.uniform(-1.0, 1.0, graph.n)
@@ -264,7 +264,7 @@ class TestTwinQuotient:
     def test_large_random_graphs_with_and_without_twins(self):
         # a W-random graph has no twins; copying three of its vertices adds
         # three classes with more than one member
-        sample = vl.sample_w_random(vl.ConstantKernel(0.5), 300, seed=7)
+        sample = vl.sample_w_random(vl.StepKernel.constant(0.5), 300, seed=7)
         copies = np.ones(300, dtype=int)
         copies[[3, 150, 299]] = [2, 3, 2]
         for graph, q in ((sample, 300), (vl.blow_up(sample, copies), 300)):
@@ -299,7 +299,7 @@ class TestSolverMetadata:
         assert traj.metadata["n"] == 64
 
     def test_random_graph_run_takes_the_krylov_path(self):
-        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 64, seed=3)
+        graph = vl.sample_w_random(vl.StepKernel.constant(0.5), 64, seed=3)
         assert len(row_equality_classes(graph.weights)) == 64
         u0 = np.linspace(-1.0, 1.0, 64)
         times = np.linspace(0.0, 2.0, 5)
@@ -371,12 +371,11 @@ class TestPixelClassSolve:
     def test_errors_keep_their_order(self):
         g = vl.InitialCondition.constant(0.5)
         bad_grid = [1.0, 2.0]
+        not_a_kernel = object()  # the count is read before the kernel
         with pytest.raises(vl.ValidationError, match="n >= 1"):
-            vl.solve_continuum(vl.Kernel(), g, 0, bad_grid)
+            vl.solve_continuum(not_a_kernel, g, 0, bad_grid)
         with pytest.raises(vl.SizeLimitError):
-            vl.solve_continuum(vl.Kernel(), g, vl.DEFAULT_N_MAX + 1, bad_grid)
-        with pytest.raises(vl.UnsupportedVariantError):
-            vl.solve_continuum(vl.Kernel(), g, 4, bad_grid)
+            vl.solve_continuum(not_a_kernel, g, vl.DEFAULT_N_MAX + 1, bad_grid)
         for n in (4, 64):  # every pixel its own class, then twin classes
             kernel = vl.StepKernel(np.arange(9) / 8, np.full((8, 8), 0.5))
             with pytest.raises(vl.ValidationError, match="start at 0"):
@@ -478,11 +477,10 @@ class TestColumnSynthesis:
         bounds = np.concatenate([[0.0], np.unique(r.uniform(0.01, 0.99, 6)), [1.0]])
         g = vl.InitialCondition(bounds, r.choice(_START_PALETTE, bounds.size - 1))
         times = np.linspace(0.0, float(r.choice([2.0, 50.0, 1e3])), 9)
-        step = kernel.as_step()
-        sizes = step.partition.measures
-        part, (cells, g_cells) = common_refinement(step.partition, g.partition)
+        sizes = kernel.partition.measures
+        part, (cells, g_cells) = common_refinement(kernel.partition, g.partition)
         want = per_cell_class_states(
-            cells, part.measures, sizes, 1.0, step.values @ sizes, step.values,
+            cells, part.measures, sizes, 1.0, kernel.values @ sizes, kernel.values,
             g.values[g_cells], times,
         )
         if not np.all(np.isfinite(want)):
@@ -650,7 +648,7 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("c", [0.25, 0.1, -3.7])
     def test_constant_start_stays_put(self, c):
-        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 256, seed=1)
+        graph = vl.sample_w_random(vl.StepKernel.constant(0.5), 256, seed=1)
         meta = _check_krylov(graph, np.full(256, c), np.array([0.0, 10.0]))
         assert meta["krylov_dim"] <= 1
 
@@ -665,14 +663,14 @@ class TestKrylovPath:
         assert meta["krylov_bound"] == 0.0
 
     def test_random_graph_final_state_takes_the_krylov_path(self):
-        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 512, seed=3)
+        graph = vl.sample_w_random(vl.StepKernel.constant(0.5), 512, seed=3)
         u0 = np.linspace(-1.0, 1.0, 512)
         meta = _check_krylov(graph, u0, np.array([0.0, 10.0]))
         assert meta["n"] == 512
         assert 1 < meta["krylov_dim"] <= 128
 
     def test_twin_free_grid_solve_pays_no_dense_eigendecomposition(self, monkeypatch):
-        graph = vl.sample_w_random(vl.ConstantKernel(0.5), 1024, seed=3)
+        graph = vl.sample_w_random(vl.StepKernel.constant(0.5), 1024, seed=3)
         u0 = np.linspace(-1.0, 1.0, 1024)
         times = np.linspace(0.0, 10.0, 201)
         eigh, sizes = np.linalg.eigh, []
@@ -728,7 +726,7 @@ class TestClosedForm:
         r = 1 / 3
         g = vl.InitialCondition.balanced_blocks(r)
         times = np.linspace(0, 10, 21)
-        traj = vl.solve_continuum(vl.BipartiteKernel(r), g, 300, times)
+        traj = vl.solve_continuum(vl.StepKernel.bipartite(r), g, 300, times)
         cf = BipartiteClosedForm(r, g)
         part = Partition.uniform(300)
         worst = max(
@@ -795,7 +793,7 @@ class TestExactSolve:
         parts = [
             random_step_kernel(r, max_cells=4, nonneg=bool(r.integers(2))) for _ in range(k)
         ]
-        kernel = vl.DirectSumKernel(list(zip(weights, parts)))
+        kernel = vl.StepKernel.direct_sum(list(zip(weights, parts)))
         edges = np.concatenate([[0.0], np.cumsum(weights)])
         edges[-1] = 1.0
         local = [random_initial(r, n_cells=int(r.integers(1, 5))) for _ in range(k)]
@@ -825,10 +823,10 @@ class TestExactSolve:
         weights /= weights.sum()
         parts = [
             random_step_kernel(r, max_cells=4, nonneg=True, low=0.05)
-            if r.integers(3) else vl.ConstantKernel(0.0)
+            if r.integers(3) else vl.StepKernel.constant(0.0)
             for _ in range(k)
         ]
-        kernel = vl.DirectSumKernel(list(zip(weights, parts)))
+        kernel = vl.StepKernel.direct_sum(list(zip(weights, parts)))
         g = random_initial(r, n_cells=int(r.integers(1, 9)))
         horizon = 50.0 * vl.default_horizon(kernel)[0]
         part, values = vl.solve_exact(kernel, g, [0.0, horizon])
@@ -841,7 +839,7 @@ class TestExactSolve:
     def test_two_block_kernel_matches_closed_form(self, r, left, right):
         g = _blocks(r, left, right)
         times = np.linspace(0.0, 5.0, 11)
-        part, values = vl.solve_exact(vl.BipartiteKernel(r), g, times)
+        part, values = vl.solve_exact(vl.StepKernel.bipartite(r), g, times)
         cf = BipartiteClosedForm(r, g)
         assert part == cf.partition
         for k, t in enumerate(times):
@@ -861,17 +859,17 @@ class TestExactSolve:
         # W = -1: deviations from the mean grow like e^t
         g = vl.InitialCondition.balanced_blocks(0.5)
         with pytest.raises(vl.SolverConvergenceError):
-            vl.solve_exact(vl.ConstantKernel(-1.0), g, np.linspace(0.0, 1e3, 11))
+            vl.solve_exact(vl.StepKernel.constant(-1.0), g, np.linspace(0.0, 1e3, 11))
 
     def test_time_grid_is_validated(self):
         g = vl.InitialCondition.constant(0.5)
         with pytest.raises(vl.ValidationError):
-            vl.solve_exact(vl.ConstantKernel(1.0), g, [1.0, 2.0])
+            vl.solve_exact(vl.StepKernel.constant(1.0), g, [1.0, 2.0])
 
     @pytest.mark.filterwarnings("error")
     def test_class_constant_start_stays_put_where_decay_overflows(self):
         # W = -1: exp(-d t) = e^1000 overflows, but every deviation is 0
-        kernel = vl.ConstantKernel(-1.0)
+        kernel = vl.StepKernel.constant(-1.0)
         g = vl.InitialCondition.constant(0.3)
         _, values = vl.solve_exact(kernel, g, [0.0, 1e3])
         assert np.all(values == 0.3)
@@ -918,8 +916,8 @@ def test_small_worlds_rescaling(rng):
     g = vl.InitialCondition.balanced_blocks(0.5)
     for p in (0.1, 0.3):
         times = np.linspace(0, 3, 7)
-        mixed = vl.solve_continuum(vl.WattsStrogatzKernel(base, p), g, 32, times)
-        damped = vl.solve_continuum(base.as_step().scaled(1 - 2 * p), g, 32, times)
+        mixed = vl.solve_continuum(vl.StepKernel.ws_mix(base, p), g, 32, times)
+        damped = vl.solve_continuum(base.scaled(1 - 2 * p), g, 32, times)
         gap = np.abs(
             mixed.states - np.exp(-p * times)[:, None] * damped.states
         ).max()
@@ -928,25 +926,25 @@ def test_small_worlds_rescaling(rng):
 
 class TestVolterraResidual:
     def test_zero_kernel_is_exact(self):
-        k = vl.ConstantKernel(0.0)
+        k = vl.StepKernel.constant(0.0)
         g = vl.InitialCondition.from_cell_values([0.5, -0.5, 0.25, 0.0])
         traj = vl.solve_continuum(k, g, 8, np.linspace(0, 2, 5))
         assert vl.volterra_residual(k, traj) == 0.0
 
     def test_stationary_constant_profile(self):
-        k = vl.ConstantKernel(1.0)
+        k = vl.StepKernel.constant(1.0)
         g = vl.InitialCondition.constant(0.37)
         traj = vl.solve_continuum(k, g, 8, np.linspace(0, 3, 7))
         assert vl.volterra_residual(k, traj) <= 1e-12
 
     def test_reference_configuration(self):
-        k = vl.BipartiteKernel(1 / 3)
+        k = vl.StepKernel.bipartite(1 / 3)
         g = vl.InitialCondition.balanced_blocks(1 / 3)
         traj = vl.solve_continuum(k, g, 64, np.linspace(0, 2, 200))
         assert vl.volterra_residual(k, traj) <= 1e-4
 
     def test_second_order_in_the_time_grid(self):
-        k = vl.BipartiteKernel(1 / 3)
+        k = vl.StepKernel.bipartite(1 / 3)
         g = vl.InitialCondition.balanced_blocks(1 / 3)
         coarse = vl.solve_continuum(k, g, 32, np.linspace(0, 2, 51))
         fine = vl.solve_continuum(k, g, 32, np.linspace(0, 2, 101))
@@ -958,7 +956,7 @@ class TestVolterraResidual:
         # an independent quadrature of the same identity also calls the
         # expm trajectory consistent (quadrature constants differ, so the
         # two values need not be ordered, only both small)
-        k = vl.BipartiteKernel(1 / 3)
+        k = vl.StepKernel.bipartite(1 / 3)
         g = vl.InitialCondition.balanced_blocks(1 / 3)
         traj = vl.solve_continuum(k, g, 16, np.linspace(0, 1, 401))
         beta = vl.discretize_kernel(k, 16).weights
@@ -968,7 +966,7 @@ class TestVolterraResidual:
     def test_flags_a_wrong_trajectory(self):
         # the identity is linear in u, so corrupt with extra time decay
         # rather than a global factor
-        k = vl.BipartiteKernel(1 / 3)
+        k = vl.StepKernel.bipartite(1 / 3)
         g = vl.InitialCondition.balanced_blocks(1 / 3)
         traj = vl.solve_continuum(k, g, 16, np.linspace(0, 2, 101))
         wrong = traj.states * np.exp(-0.5 * traj.times)[:, None]
@@ -1124,14 +1122,14 @@ class TestTrajectoryIO:
     def test_csv_is_deterministic(self):
         g = vl.InitialCondition.balanced_blocks(0.25)
         times = np.linspace(0, 2, 5)
-        a = vl.solve_continuum(vl.BipartiteKernel(0.25), g, 12, times)
-        b = vl.solve_continuum(vl.BipartiteKernel(0.25), g, 12, times)
+        a = vl.solve_continuum(vl.StepKernel.bipartite(0.25), g, 12, times)
+        b = vl.solve_continuum(vl.StepKernel.bipartite(0.25), g, 12, times)
         assert vl.trajectory_csv_text(a) == vl.trajectory_csv_text(b)
 
     def test_round_trip_preserves_floats(self, tmp_path):
         g = vl.InitialCondition.balanced_blocks(1 / 3)
         traj = vl.solve_continuum(
-            vl.BipartiteKernel(1 / 3), g, 9, np.linspace(0, 1.3, 4)
+            vl.StepKernel.bipartite(1 / 3), g, 9, np.linspace(0, 1.3, 4)
         )
         csv_path = tmp_path / "traj.csv"
         vl.write_trajectory(traj, csv_path)
@@ -1250,6 +1248,6 @@ class TestTrajectoryIO:
 
     def test_header_names_cells(self):
         g = vl.InitialCondition.constant(0.0)
-        traj = vl.solve_continuum(vl.ConstantKernel(0.0), g, 3, np.array([0.0, 1.0]))
+        traj = vl.solve_continuum(vl.StepKernel.constant(0.0), g, 3, np.array([0.0, 1.0]))
         header = vl.trajectory_csv_text(traj).splitlines()[0]
         assert header == "t,cell_0,cell_1,cell_2"

@@ -11,7 +11,7 @@ from conftest import closed_form_errors, random_step_kernel
 
 def bipartite_config(**over):
     base = dict(
-        kernel=vl.BipartiteKernel(1 / 3),
+        kernel=vl.StepKernel.bipartite(1 / 3),
         initial=vl.InitialCondition.balanced_blocks(1 / 3),
         n_ladder=[6, 12, 24],
         horizon=2.0,
@@ -168,13 +168,13 @@ class TestConvergenceStudy:
             vl.consensus_proximity(cfg, reference_n=reference_n)
 
     def test_exact_reference_without_closed_form(self):
-        cfg = bipartite_config(kernel=vl.ConstantKernel(1.0))
+        cfg = bipartite_config(kernel=vl.StepKernel.constant(1.0))
         table = vl.convergence_study(cfg)
         assert table.reference == "exact"
         assert max(row.sup_l2_error for row in table.rows) <= 1e-12
 
     def test_exact_reference_overflow_is_a_solver_error(self):
-        cfg = bipartite_config(kernel=vl.ConstantKernel(-1.0), horizon=1e3)
+        cfg = bipartite_config(kernel=vl.StepKernel.constant(-1.0), horizon=1e3)
         with pytest.raises(vl.SolverConvergenceError):
             vl.convergence_study(cfg)
 
@@ -198,8 +198,8 @@ class TestConsensusProximity:
         assert max(r.max_exceptional_measure for r in rep.rows) <= 1e-12
 
     def test_consensus_not_reached(self):
-        k = vl.DirectSumKernel(
-            [(0.5, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(1.0))]
+        k = vl.StepKernel.direct_sum(
+            [(0.5, vl.StepKernel.constant(1.0)), (0.5, vl.StepKernel.constant(1.0))]
         )
         g = vl.InitialCondition([0, 0.5, 1], [0.2, 0.8])
         cfg = vl.ExperimentConfig(
@@ -236,7 +236,7 @@ class TestConsensusProximity:
 class TestRandomConsensusMC:
     def mc_config(self, **over):
         base = dict(
-            kernel=vl.WattsStrogatzKernel(vl.ConstantKernel(1.0), 0.2),
+            kernel=vl.StepKernel.ws_mix(vl.StepKernel.constant(1.0), 0.2),
             initial=vl.InitialCondition.balanced_blocks(0.5),
             n_ladder=[16, 32],
             horizon=12.0,
@@ -255,7 +255,7 @@ class TestRandomConsensusMC:
 
     def test_requires_graphon(self):
         with pytest.raises(vl.ValidationError):
-            vl.random_consensus_mc(self.mc_config(kernel=vl.BipartiteKernel(0.3)))
+            vl.random_consensus_mc(self.mc_config(kernel=vl.StepKernel.bipartite(0.3)))
 
     @pytest.mark.parametrize("threads", [0, vl.experiments.MC_MAX_THREADS + 1])
     def test_thread_count_checked_before_any_solve(self, threads, monkeypatch):
@@ -358,27 +358,27 @@ class TestRandcond:
     # generating kernel; on a sampled 0/1 graph the weight vanishes
 
     def test_literal_form_vanishes_by_symmetry(self):
-        k = vl.ConstantKernel(0.8)
+        k = vl.StepKernel.constant(0.8)
         g = vl.sample_w_random(k, 24, seed=3)
         u0 = vl.average_initial(vl.InitialCondition.balanced_blocks(0.5), 24)
         traj = vl.solve_finite(g, u0, np.linspace(0, 3, 7))
         assert abs(randcond_evaluate(k, traj, variant="literal")) <= 1e-12
 
     def test_absolute_form_is_positive_for_uneven_states(self):
-        k = vl.ConstantKernel(0.8)
+        k = vl.StepKernel.constant(0.8)
         g = vl.sample_w_random(k, 24, seed=3)
         u0 = vl.average_initial(vl.InitialCondition.balanced_blocks(0.5), 24)
         traj = vl.solve_finite(g, u0, np.array([0.0, 1.0]))
         assert randcond_evaluate(k, traj, variant="absolute") > 0.0
 
     def test_sampled_pixel_weight_is_degenerate(self):
-        g = vl.sample_w_random(vl.ConstantKernel(0.8), 16, seed=5)
+        g = vl.sample_w_random(vl.StepKernel.constant(0.8), 16, seed=5)
         u0 = vl.average_initial(vl.InitialCondition.balanced_blocks(0.5), 16)
         traj = vl.solve_finite(g, u0, np.array([0.0, 1.0]))
         assert randcond_evaluate(vl.pixel_kernel(g), traj, "absolute") == 0.0
 
     def test_variant_validation(self):
-        g = vl.sample_w_random(vl.ConstantKernel(0.8), 8, seed=0)
+        g = vl.sample_w_random(vl.StepKernel.constant(0.8), 8, seed=0)
         traj = vl.solve_finite(g, np.zeros(8), np.array([0.0, 1.0]))
         with pytest.raises(vl.ValidationError):
             randcond_evaluate(vl.pixel_kernel(g), traj, variant="other")

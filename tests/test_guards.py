@@ -14,8 +14,8 @@ from voterlim.cli import main
 from _oracles import brute_components
 from conftest import random_step_kernel
 
-KERNEL = vl.BipartiteKernel(0.3)
-GRAPHON = vl.ConstantKernel(0.5)
+KERNEL = vl.StepKernel.bipartite(0.3)
+GRAPHON = vl.StepKernel.constant(0.5)
 START = vl.InitialCondition.balanced_blocks(0.3)
 
 

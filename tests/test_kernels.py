@@ -137,39 +137,39 @@ class TestStepKernel:
         k = vl.StepKernel([0, 0.5, 1], [[0.2, 0.8], [0.8, 1.0]])
         assert k.value_range() == (0.2, 1.0)
         assert k.is_graphon()
-        assert not vl.BipartiteKernel(0.3).is_graphon()
+        assert not vl.StepKernel.bipartite(0.3).is_graphon()
 
 
 class TestClosedFormFamilies:
     def test_constant(self):
-        k = vl.ConstantKernel(-0.5)
+        k = vl.StepKernel.constant(-0.5)
         assert k.evaluate(0.3, 0.9) == -0.5
         assert k.degree(0.2) == -0.5
         with pytest.raises(vl.ValidationError):
-            vl.ConstantKernel(1.5)
+            vl.StepKernel.constant(1.5)
 
     def test_bipartite_step_form(self):
-        k = vl.BipartiteKernel(0.25).as_step()
+        k = vl.StepKernel.bipartite(0.25)
+        assert repr(k) == "StepKernel(2 cells)"
         assert list(k.partition.boundaries) == [0.0, 0.25, 1.0]
         assert k.values.tolist() == [[-1.0, 1.0], [1.0, 1.0]]
 
     def test_bipartite_degree(self):
         """d(x) = 1 - 2r on the first block and 1 on the second."""
         r = 0.3
-        k = vl.BipartiteKernel(r)
+        k = vl.StepKernel.bipartite(r)
         assert k.degree(0.1) == pytest.approx(1 - 2 * r, abs=1e-15)
         assert k.degree(0.9) == pytest.approx(1.0, abs=1e-15)
 
     def test_bipartite_requires_r_below_half(self):
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(vl.ValidationError):
-                vl.BipartiteKernel(bad)
+                vl.StepKernel.bipartite(bad)
 
     def test_product_is_outer_product(self):
-        k = vl.ProductKernel([0, 0.25, 0.5, 1], [0.8, -0.4, 0.2])
-        s = k.as_step()
+        k = vl.StepKernel.product([0, 0.25, 0.5, 1], [0.8, -0.4, 0.2])
         f = np.array([0.8, -0.4, 0.2])
-        assert np.abs(s.values - np.outer(f, f)).max() == 0.0
+        assert np.abs(k.values - np.outer(f, f)).max() == 0.0
         # degree factorizes: d(x) = f(x) * integral of f
         int_f = 0.25 * 0.8 + 0.25 * (-0.4) + 0.5 * 0.2
         assert k.degree(0.1) == pytest.approx(0.8 * int_f, abs=1e-15)
@@ -177,7 +177,7 @@ class TestClosedFormFamilies:
     def test_ws_mix_values(self):
         # rewiring blend (1-2p)*v + p: 0.8 on the blocks, 0.2 across
         base = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
-        k = vl.WattsStrogatzKernel(base, 0.2)
+        k = vl.StepKernel.ws_mix(base, 0.2)
         assert k.evaluate(0.1, 0.1) == pytest.approx(0.8)
         assert k.evaluate(0.1, 0.9) == pytest.approx(0.2)
         assert k.degree(0.1) == pytest.approx(0.6 * 0.5 + 0.2, abs=1e-15)
@@ -185,40 +185,41 @@ class TestClosedFormFamilies:
 
     def test_ws_mix_requires_graphon_base(self):
         with pytest.raises(vl.ValidationError):
-            vl.WattsStrogatzKernel(vl.BipartiteKernel(0.3), 0.1)
+            vl.StepKernel.ws_mix(vl.StepKernel.bipartite(0.3), 0.1)
         with pytest.raises(vl.ValidationError):
-            vl.WattsStrogatzKernel(vl.ConstantKernel(1.0), 0.6)
+            vl.StepKernel.ws_mix(vl.StepKernel.constant(1.0), 0.6)
 
     def test_direct_sum_blocks(self):
-        k = vl.DirectSumKernel(
-            [(0.5, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(0.5))]
+        k = vl.StepKernel.direct_sum(
+            [(0.5, vl.StepKernel.constant(1.0)), (0.5, vl.StepKernel.constant(0.5))]
         )
         assert k.evaluate(0.2, 0.3) == 1.0
         assert k.evaluate(0.7, 0.9) == 0.5
         assert k.evaluate(0.2, 0.7) == 0.0  # cross-block is zero
         with pytest.raises(vl.ValidationError):
-            vl.DirectSumKernel([(0.4, vl.ConstantKernel(1.0)), (0.5, vl.ConstantKernel(1.0))])
+            vl.StepKernel.direct_sum(
+                [(0.4, vl.StepKernel.constant(1.0)), (0.5, vl.StepKernel.constant(1.0))]
+            )
 
     def test_direct_sum_inner_coordinates(self):
         inner = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])
-        k = vl.DirectSumKernel([(0.25, inner), (0.75, vl.ConstantKernel(0.0))])
+        k = vl.StepKernel.direct_sum([(0.25, inner), (0.75, vl.StepKernel.constant(0.0))])
         # inner cell split at 0.5 maps to the global point 0.125
         assert k.evaluate(0.1, 0.1) == 1.0
         assert k.evaluate(0.1, 0.2) == 0.0
-        s = k.as_step()
-        assert 0.125 in list(s.partition.boundaries)
+        assert 0.125 in list(k.partition.boundaries)
 
 
 def test_scaled_step():
-    k = vl.ConstantKernel(0.5).as_step().scaled(0.5)
+    k = vl.StepKernel.constant(0.5).scaled(0.5)
     assert k.evaluate(0.1, 0.9) == 0.25
     with pytest.raises(vl.ValidationError):
-        vl.ConstantKernel(0.8).as_step().scaled(2.0)
+        vl.StepKernel.constant(0.8).scaled(2.0)
 
 
 class TestL2Distance:
     def test_same_kernel_built_two_ways_is_exactly_zero(self):
-        a = vl.BipartiteKernel(0.25)
+        a = vl.StepKernel.bipartite(0.25)
         b = vl.StepKernel([0, 0.25, 1], [[-1, 1], [1, 1]])
         assert vl.l2_distance(a, b) == 0.0
 
@@ -241,29 +242,6 @@ class TestL2Distance:
             diff2 = (a.values[np.ix_(ia, ia)] - b.values[np.ix_(ib, ib)]) ** 2
             want = np.sqrt(merged.measures @ diff2 @ merged.measures)
             assert got == pytest.approx(want, abs=1e-13)
-
-    def test_opaque_kernels_are_unsupported(self):
-        class Smooth(vl.Kernel):
-            def evaluate(self, x, y):
-                return np.asarray(x) * np.asarray(y) * 0.0 + 0.5
-
-            def degree(self, x):
-                return np.asarray(x) * 0.0 + 0.5
-
-            def value_range(self):
-                return (0.5, 0.5)
-
-            def is_graphon(self):
-                return True
-
-            def spec(self):
-                return {"type": "opaque"}
-
-        # no quadrature fallback: a kernel without a step refinement is
-        # refused here as everywhere else
-        for pair in ((Smooth(), vl.ConstantKernel(0.0)), (vl.ConstantKernel(0.0), Smooth())):
-            with pytest.raises(vl.UnsupportedVariantError, match="Smooth"):
-                vl.l2_distance(*pair)
 
 
 @settings(max_examples=25, deadline=None)
@@ -410,6 +388,17 @@ class TestMakeKernel:
         k = vl.make_kernel(spec)
         again = vl.make_kernel(k.spec())
         assert vl.l2_distance(k, again) == 0.0
+        assert again.spec() == k.spec()
+
+    def test_named_kernels_keep_their_spec(self):
+        base = {"type": "product", "boundaries": [0.0, 0.5, 1.0], "f": [0.5, 1.0]}
+        spec = {"type": "ws_mix", "p": 0.1, "base": base}
+        k = vl.make_kernel(spec)
+        assert k.spec() == spec
+        k.spec()["base"]["f"][0] = 0.0  # a copy: the kernel's spec stays
+        assert k.spec() == spec
+        # values derived from a named kernel are a plain step kernel
+        assert k.scaled(1.0).spec()["type"] == "step"
 
     def test_unknown_type(self):
         with pytest.raises(vl.ValidationError):

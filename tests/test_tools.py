@@ -1,8 +1,14 @@
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import voterlim as vl
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_tool(name="compare_artifacts"):
@@ -144,3 +150,34 @@ def test_ab_run_job_sums_walls_and_keeps_the_largest_peak(tmp_path, monkeypatch)
     job = SimpleNamespace(calls=[SimpleNamespace(command=c, config=c) for c in "ab"])
     assert tool.run_job(tmp_path, job, tmp_path, tmp_path, {}) == (0.75, 40000)
     assert not (tmp_path / "out").exists()
+
+
+# The benchmark names library functions by their qualified names and
+# imports others by name; these two checks keep every such name present.
+
+
+def test_every_perfbench_span_target_exists(monkeypatch):
+    import voterlim.cli  # noqa: F401  (imports every voterlim module)
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclass resolves its annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    installed = spans.install(spans.Recorder("job-1"))
+    try:
+        assert installed.missing == []
+    finally:
+        installed.restore()
+
+
+def test_every_name_perfbench_imports_from_voterlim_exists():
+    imported = [
+        (path.name, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "voterlim"
+        for alias in node.names
+    ]
+    assert len(imported) >= 5
+    assert [(f, name) for f, name in imported if not hasattr(vl, name)] == []
