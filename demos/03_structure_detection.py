@@ -69,11 +69,12 @@ triangle = vl.WeightedGraph(
 )
 blown = vl.blow_up(triangle, [2, 1, 1], scale=[[1.0, 0.5], [1.0], [1.0]])
 twins = vl.find_maximal_twin_sets(vl.pixel_kernel(blown))
-print("\nblow-up twin sets:", [list(s.cells) for s in twins.sets])
-print("multipliers of the first set:", list(twins.sets[0].multipliers))
+print("\nblow-up twin sets:", [list(s.cells) for s in twins])
+print("multipliers of the first set:", list(twins[0].multipliers))
 
-# The signed 4-cycle: connected, twin, but some profiles are stationary
-# without being constant, so consensus never happens.
+# The signed 4-cycle: connected, each row minus the opposite vertex's (so
+# two twin sets of two), but some profiles are stationary without being
+# constant, so consensus never happens.
 cycle = vl.WeightedGraph(
     [
         [0.0, 1.0, -1.0, 0.0],
@@ -88,6 +89,6 @@ tent = vl.InitialCondition.from_cell_values(
 )
 traj = vl.solve_continuum(k4, tent, 8, np.linspace(0.0, 20.0, 81))
 print("\nsigned cycle: connected =", len(vl.connected_components(k4).components) == 1,
-      "| twin =", vl.find_maximal_twin_sets(k4).is_twin_kernel)
+      "| twin sets =", [list(s.cells) for s in vl.find_maximal_twin_sets(k4)])
 print("max movement over [0, 20]:", float(np.abs(traj.states - traj.states[0]).max()))
 print("consensus detected:", vl.detect_consensus(traj, 0.05))

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from ._schema import OPTIONAL, REQUIRED, as_is, count, loads, numbers, positive, read, solver
 from ._version import __version__
@@ -36,7 +37,10 @@ from .errors import (
 from .experiments import (
     _EXPERIMENT,
     MC_MAX_THREADS,
+    ErrorRow,
     ExperimentConfig,
+    ProximityRow,
+    _table_csv,
     consensus_proximity,
     convergence_study,
     experiment_metadata,
@@ -184,7 +188,7 @@ def _cmd_structure(cfg, out_dir, threads) -> None:
 def _cmd_convergence(cfg, out_dir, threads) -> None:
     experiment = ExperimentConfig._of(cfg)
     table = convergence_study(experiment, cfg.reference_n)
-    _write(out_dir, "error_table.csv", table.csv_text())
+    _write(out_dir, "error_table.csv", _table_csv(ErrorRow, table.rows))
     meta = experiment_metadata(experiment, reference=table.reference)
     _write(out_dir, "convergence_meta.json", meta)
 
@@ -192,8 +196,8 @@ def _cmd_convergence(cfg, out_dir, threads) -> None:
 def _cmd_proximity(cfg, out_dir, threads) -> None:
     experiment = ExperimentConfig._of(cfg)
     report = consensus_proximity(experiment, cfg.reference_n)
-    _write(out_dir, "proximity.csv", report.csv_text())
-    meta = experiment_metadata(experiment, report=report.to_dict())
+    _write(out_dir, "proximity.csv", _table_csv(ProximityRow, report.rows))
+    meta = experiment_metadata(experiment, report=asdict(report))
     _write(out_dir, "proximity_meta.json", meta)
 
 

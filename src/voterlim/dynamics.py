@@ -425,14 +425,6 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     return Trajectory._trusted(t, states, {"n": n, **detail})
 
 
-def _check_positive(name: str, value) -> None:
-    """ValidationError unless value is a positive finite number, not a boolean."""
-    try:
-        positive(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be positive and finite") from exc
-
-
 def solve_continuum(kernel: StepKernel, g: InitialCondition, n: int, times) -> Trajectory:
     """Finite-n approximation of the kernel dynamics started from g.
 
@@ -543,7 +535,7 @@ def exceptional_measure(state, eps: float) -> float:
     Exact: sorts the values and keeps the largest group fitting in a
     closed window of width eps, so the result is (n - kept) / n.
     """
-    _check_positive("eps", eps)
+    checked(positive, "eps", eps, "exceptional measure")
     v = np.sort(_cells(state))
     n = v.size
     kept = np.searchsorted(v, v + eps, side="right") - np.arange(n)
@@ -556,7 +548,7 @@ def detect_consensus(traj: Trajectory, eps: float):
     Returns None when the diameter exceeds eps at the final time or never
     settles below it for good within the grid.
     """
-    _check_positive("eps", eps)
+    checked(positive, "eps", eps, "consensus detection")
     ok = traj.diameters() <= eps
     if not ok[-1]:
         return None
@@ -694,17 +686,9 @@ def _trajectory_rows(traj: Trajectory):
         yield b"".join([str(t).encode(), *runs, b"\n"])
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    """Render a trajectory as CSV with header t,cell_0,...,cell_{n-1}.
-
-    The text `write_trajectory` writes, from the same rows: each distinct
-    run of columns is formatted once per row (see `_trajectory_rows`).
-    """
-    return b"".join(_trajectory_rows(traj)).decode()
-
-
 def write_trajectory(traj: Trajectory, csv_path) -> None:
-    """Write the trajectory CSV; the CLI writes the metadata beside it.
+    """Write the trajectory CSV, header t,cell_0,...,cell_{n-1}; the CLI
+    writes the metadata beside it.
 
     Rows are streamed to the file one at a time as bytes, so neither the
     whole text nor an encoded copy of it is ever alive.

@@ -4,23 +4,25 @@ Three studies: finite-to-continuum convergence, approximate consensus
 over a measurement window, and Monte Carlo over random graphs sampled
 from a graphon.  Every run is driven by one config, derives all
 randomness from the base seed, and writes plot-ready CSV plus a metadata
-JSON that echoes each resolved default.
+JSON that echoes each resolved default.  Tables and echoes are read off
+the fields of their dataclasses: a CSV column per row field
+(`_table_csv`), the config by `ExperimentConfig.resolved`, a report by
+`dataclasses.asdict`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from ._schema import REQUIRED, as_is, checked, count, numbers, read, real, solver
+from ._schema import REQUIRED, as_is, checked, count, numbers, positive, read, real, solver
 from ._version import __version__
 from .dynamics import (
     CONSENSUS_EPS,
     DEFAULT_NUM_TIMES,
     InitialCondition,
-    _check_positive,
     _exceedance,
     _l2_norm,
     average_initial,
@@ -60,7 +62,7 @@ class ExperimentConfig:
     trials: int = 50
     base_seed: int = 0
     num_times: int = DEFAULT_NUM_TIMES
-    horizon_source: str = "config"
+    horizon_source: str = field(default="config", init=False)  # set by `_of`
 
     def __post_init__(self):
         ladder = checked(tuple, "n_ladder", self.n_ladder, "experiment config")
@@ -68,7 +70,7 @@ class ExperimentConfig:
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("n_ladder must be non-empty and strictly increasing")
         for name in ("horizon", "window", "eps", "c"):
-            _check_positive(name, getattr(self, name))
+            checked(positive, name, getattr(self, name), "experiment config")
         for name in ("trials", "base_seed", "num_times"):
             setattr(self, name, checked(count, name, getattr(self, name), "experiment config"))
         if self.trials < 1:
@@ -85,8 +87,10 @@ class ExperimentConfig:
     def _of(cls, spec) -> "ExperimentConfig":
         """Config of the `_EXPERIMENT` keys as `read` gives them."""
         times, horizon, source = resolve_time_grid(spec.kernel, spec.horizon, spec.num_times)
-        rest = (spec.window, spec.eps, spec.c, spec.trials, spec.base_seed, times.size, source)
-        return cls(spec.kernel, spec.initial, spec.n_ladder, horizon, *rest)
+        rest = (spec.window, spec.eps, spec.c, spec.trials, spec.base_seed, times.size)
+        cfg = cls(spec.kernel, spec.initial, spec.n_ladder, horizon, *rest)
+        cfg.horizon_source = source
+        return cfg
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.num_times)
@@ -140,6 +144,14 @@ def _reference(cfg: ExperimentConfig, times: np.ndarray, reference_n=None):
     return f"finite_n_{n}", Partition.uniform(n), traj.states
 
 
+def _table_csv(row_type, rows) -> str:
+    """CSV of dataclass rows: a column per field of `row_type`, in field order.
+
+    Given the type, an empty table still gets its header.
+    """
+    return csv_text([f.name for f in fields(row_type)], map(astuple, rows))
+
+
 @dataclass(frozen=True)
 class ErrorRow:
     n: int
@@ -152,15 +164,6 @@ class ErrorRow:
 class ErrorTable:
     rows: tuple[ErrorRow, ...]
     reference: str
-
-    def csv_text(self) -> str:
-        return csv_text(
-            ["n", "sup_l2_error", "diameter_at_T", "exceptional_measure"],
-            [
-                (r.n, r.sup_l2_error, r.diameter_at_T, r.exceptional_measure)
-                for r in self.rows
-            ],
-        )
 
 
 def convergence_study(cfg: ExperimentConfig, reference_n: int | None = None) -> ErrorTable:
@@ -213,25 +216,6 @@ class ProximityReport:
     window: float
     reference: str
     rows: tuple[ProximityRow, ...]
-
-    def csv_text(self) -> str:
-        return csv_text(
-            ["n", "max_exceptional_measure"],
-            [(r.n, r.max_exceptional_measure) for r in self.rows],
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "t_eps": self.t_eps,
-            "eps": self.eps,
-            "window": self.window,
-            "reference": self.reference,
-            "rows": [
-                {"n": r.n, "max_exceptional_measure": r.max_exceptional_measure}
-                for r in self.rows
-            ],
-        }
 
 
 def consensus_proximity(

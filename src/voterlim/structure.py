@@ -15,7 +15,7 @@ component of each source cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,30 +73,12 @@ class TwinSet:
 
 
 @dataclass(frozen=True)
-class TwinSetPartition:
-    source: StepKernel
-    sets: tuple[TwinSet, ...]
-
-    @property
-    def is_twin_kernel(self) -> bool:
-        # The maximal sets always cover every cell of a step kernel.
-        return True
-
-
-@dataclass(frozen=True)
 class NecessaryConditionReport:
     """Per-component means of the initial condition and their agreement."""
 
     satisfied: bool
     component_means: tuple[float, ...]
     spread: float
-
-    def to_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "component_means": list(self.component_means),
-            "spread": self.spread,
-        }
 
 
 def connected_components(kernel: StepKernel) -> ComponentDecomposition:
@@ -137,32 +119,37 @@ def _connected(decomp: ComponentDecomposition) -> bool:
     return len(decomp.components) == 1 and bool(decomp.source.values.any())
 
 
-def find_maximal_twin_sets(kernel: StepKernel) -> TwinSetPartition:
-    """Partition of the cells into maximal sets with proportional rows.
+def find_maximal_twin_sets(kernel: StepKernel) -> tuple[TwinSet, ...]:
+    """The maximal sets of cells with proportional rows, smallest cell first.
 
-    Zero rows (norm exactly 0) form their own single set.  Nonzero rows
-    i and j are linked when, for sigma = +1 or sigma = -1,
+    The sets cover every cell.  Zero rows (all entries exactly 0) form
+    their own single set.  Nonzero rows i and j are linked when, for
+    sigma = +1 or sigma = -1,
     | v_i * ||v_j|| - sigma * v_j * ||v_i|| | <= PROPORTIONALITY_TOL * (||v_i|| * ||v_j||)
     componentwise: a relative test, symmetric in i and j, so scaling the
-    kernel leaves it unchanged.  Maximal sets are the transitive closure
-    of the pairwise relation.
+    kernel leaves it unchanged.  It is homogeneous in each row, so it runs
+    on the rows divided by their largest magnitude, whose squared norms
+    cannot underflow.  Maximal sets are the transitive closure of the
+    pairwise relation.
     """
     v = kernel.values
-    norms = np.linalg.norm(v, axis=1)
-    zero = norms == 0.0
+    scale = np.abs(v).max(axis=1)
+    zero = scale == 0.0
+    u = v / np.where(zero, 1.0, scale)[:, None]
+    norms = np.linalg.norm(u, axis=1)
     related = np.outer(zero, zero)
     for j in range(1, len(v)):
         if zero[j]:
             continue
-        p = int(np.argmax(np.abs(v[j])))
+        p = int(np.argmax(np.abs(u[j])))
         bound = PROPORTIONALITY_TOL * (norms[:j] * norms[j])
-        # Only the sign of v_i[p] * v_j[p] can pass: with the other, column
-        # p deviates by at least |v_j[p]| ||v_i|| >= ||v_i|| ||v_j|| / sqrt(m).
-        sigma = np.copysign(1.0, v[:j, p] * v[j, p])
+        # Only the sign of u_i[p] * u_j[p] can pass: with the other, column
+        # p deviates by at least |u_j[p]| ||u_i|| >= ||u_i|| ||u_j|| / sqrt(m).
+        sigma = np.copysign(1.0, u[:j, p] * u[j, p])
         # Column p alone rules out most rows; only the rest get the full test.
-        at_p = np.abs(v[:j, p] * norms[j] - sigma * v[j, p] * norms[:j])
+        at_p = np.abs(u[:j, p] * norms[j] - sigma * u[j, p] * norms[:j])
         rows = np.flatnonzero((at_p <= bound) & ~zero[:j])
-        dev = np.abs(v[rows] * norms[j] - sigma[rows, None] * v[j] * norms[rows, None])
+        dev = np.abs(u[rows] * norms[j] - sigma[rows, None] * u[j] * norms[rows, None])
         related[j, rows] = dev.max(axis=1) <= bound[rows]
     sets = []
     for cells in _classes(_closure(related | related.T)):
@@ -173,7 +160,7 @@ def find_maximal_twin_sets(kernel: StepKernel) -> TwinSetPartition:
             p = int(np.argmax(np.abs(v[rep])))
             mult = [float(v[i, p] / v[rep, p]) for i in cells]
         sets.append(TwinSet(tuple(cells), rep, tuple(mult)))
-    return TwinSetPartition(kernel, tuple(sets))
+    return tuple(sets)
 
 
 def _refined_means(decomp: ComponentDecomposition, g: InitialCondition):
@@ -255,30 +242,21 @@ def decompose_solution(
 
 
 def structure_report(kernel: StepKernel, g: InitialCondition | None = None) -> dict:
-    """JSON-ready summary: components, twin-sets and the optional mean check."""
+    """JSON-ready summary: components, twin-sets and the optional mean check.
+
+    Twin sets and the mean check are their dataclass fields (`asdict`); a
+    component is its fields but the kernel.
+    """
     decomp = connected_components(kernel)
     twins = find_maximal_twin_sets(kernel)
-    report = {
+    return {
         "connected": _connected(decomp),
-        "twin_kernel": twins.is_twin_kernel,
+        # the maximal twin sets cover every cell, so a step kernel is a twin kernel
+        "twin_kernel": True,
         "components": [
-            {
-                "cells": list(c.cells),
-                "weight": c.weight,
-                "interval": list(c.interval),
-            }
+            {"cells": c.cells, "weight": c.weight, "interval": c.interval}
             for c in decomp.components
         ],
-        "twin_sets": [
-            {
-                "cells": list(s.cells),
-                "representative": s.representative,
-                "multipliers": list(s.multipliers),
-            }
-            for s in twins.sets
-        ],
-        "necessary_condition": None,
+        "twin_sets": [asdict(s) for s in twins],
+        "necessary_condition": None if g is None else asdict(_mean_check(decomp, g)),
     }
-    if g is not None:
-        report["necessary_condition"] = _mean_check(decomp, g).to_dict()
-    return report

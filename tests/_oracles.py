@@ -160,10 +160,14 @@ def brute_twin_sets(values, prop_tol=1e-10):
     Every ordered pair, every column and both signs: zero rows (norm 0)
     are twins of each other only; nonzero rows i and j are twins when
     |v_i ||v_j|| - sigma v_j ||v_i||| <= prop_tol ||v_i|| ||v_j|| in every
-    column for sigma = +1 or sigma = -1.
+    column for sigma = +1 or sigma = -1.  The test is homogeneous in each
+    row, so it runs on the rows divided by their largest magnitude, whose
+    squared norms do not underflow.
     """
     m = np.asarray(values, dtype=float)
     n = m.shape[0]
+    top = np.abs(m).max(axis=1)
+    m = m / np.where(top == 0.0, 1.0, top)[:, None]
     norms = np.linalg.norm(m, axis=1)
 
     def twins(i, j):

@@ -204,7 +204,8 @@ def test_criterion_07_structure_suite():
     with criterion(7, "signed cycle and split components"):
         k4 = alternating_cycle_kernel()
         assert len(vl.connected_components(k4).components) == 1
-        assert vl.find_maximal_twin_sets(k4).is_twin_kernel
+        # twin: each row is minus the row of the opposite vertex
+        assert [s.cells for s in vl.find_maximal_twin_sets(k4)] == [(0, 3), (1, 2)]
         tent = tent_initial()
         times = np.linspace(0.0, 20.0, 81)
         traj = vl.solve_continuum(k4, tent, 8, times)

@@ -631,7 +631,7 @@ class TestFailureModes:
                     "trials": 30,
                     "c": float("inf"),
                 },
-                "c must",
+                "for 'c':",
                 "mc.csv",
             ),
         ],
@@ -877,12 +877,15 @@ PAYLOAD_LEAVES = st.one_of(
     st.lists(st.lists(FLOATS), min_size=1),  # ragged, empty rows included
     st.lists(st.one_of(FLOATS, st.integers()), min_size=1),
     st.tuples(FLOATS, FLOATS),
+    FLOAT_ROWS.map(lambda rows: tuple(map(tuple, rows))),  # rows as `asdict` gives them
     st.just([]),
     st.just({}),
 )
 PAYLOADS = st.recursive(
     PAYLOAD_LEAVES,
-    lambda kids: st.one_of(st.lists(kids), st.dictionaries(st.text(), kids)),
+    lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(st.text(), kids)
+    ),
     max_leaves=12,
 )
 

@@ -1103,6 +1103,14 @@ def test_step_exceedance_measure_matches_fraction_oracle(seed, n_a, n_b, uniform
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def written_csv(traj) -> str:
+    """The text of the trajectory CSV that `write_trajectory` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        vl.write_trajectory(traj, path)
+        return path.read_bytes().decode("ascii")
+
+
 class TestTrajectoryIO:
     def test_csv_text_matches_csv_writer(self):
         header = ["n", "value", "flag"]
@@ -1124,7 +1132,7 @@ class TestTrajectoryIO:
         times = np.linspace(0, 2, 5)
         a = vl.solve_continuum(vl.StepKernel.bipartite(0.25), g, 12, times)
         b = vl.solve_continuum(vl.StepKernel.bipartite(0.25), g, 12, times)
-        assert vl.trajectory_csv_text(a) == vl.trajectory_csv_text(b)
+        assert written_csv(a) == written_csv(b)
 
     def test_round_trip_preserves_floats(self, tmp_path):
         g = vl.InitialCondition.balanced_blocks(1 / 3)
@@ -1178,12 +1186,7 @@ class TestTrajectoryIO:
             runs = np.diff(np.concatenate([[0], cuts, [n]]))
             states = pool[:, np.repeat(r.integers(0, pool.shape[1], runs.size), runs)]
         traj = vl.Trajectory(times, states)
-        text = vl.trajectory_csv_text(traj)
-        assert text == row_by_row_trajectory_csv(times, traj.states)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "trajectory.csv"
-            vl.write_trajectory(traj, path)
-            assert path.read_bytes() == text.encode()
+        assert written_csv(traj) == row_by_row_trajectory_csv(times, traj.states)
 
     def test_write_and_read_peak_memory_on_the_benchmark_trajectory(self, tmp_path, monkeypatch):
         # the benchmark's seed-1 simulate config: 201 x 2048 states, an 8 MB file
@@ -1242,12 +1245,12 @@ class TestTrajectoryIO:
 
     def test_csv_text_keeps_the_sign_of_zero_columns(self):
         traj = vl.Trajectory([0.0], [[0.0, -0.0, 0.0, -0.0]])
-        assert vl.trajectory_csv_text(traj) == (
+        assert written_csv(traj) == (
             "t,cell_0,cell_1,cell_2,cell_3\n0.0,0.0,-0.0,0.0,-0.0\n"
         )
 
     def test_header_names_cells(self):
         g = vl.InitialCondition.constant(0.0)
         traj = vl.solve_continuum(vl.StepKernel.constant(0.0), g, 3, np.array([0.0, 1.0]))
-        header = vl.trajectory_csv_text(traj).splitlines()[0]
+        header = written_csv(traj).splitlines()[0]
         assert header == "t,cell_0,cell_1,cell_2"

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,12 @@ class TestExperimentConfig:
                     "method": "rk",
                 }
             )
+
+    def test_horizon_source_is_derived_not_given(self):
+        # echoed in the metadata as what the code derived, so no caller sets it
+        assert bipartite_config().horizon_source == "config"
+        with pytest.raises(TypeError, match="horizon_source"):
+            bipartite_config(horizon_source="spectral_gap")
 
     @pytest.mark.parametrize("name", ["horizon", "window", "eps", "c"])
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
@@ -180,8 +188,8 @@ class TestConvergenceStudy:
 
     def test_csv_is_deterministic(self):
         cfg = bipartite_config()
-        a = vl.convergence_study(cfg).csv_text()
-        b = vl.convergence_study(cfg).csv_text()
+        a = vl.experiments._table_csv(vl.ErrorRow, vl.convergence_study(cfg).rows)
+        b = vl.experiments._table_csv(vl.ErrorRow, vl.convergence_study(cfg).rows)
         assert a == b
         header = a.splitlines()[0]
         assert header == "n,sup_l2_error,diameter_at_T,exceptional_measure"
@@ -210,6 +218,9 @@ class TestConsensusProximity:
         assert rep.status == "consensus-not-reached-in-horizon"
         assert rep.t_eps is None
         assert len(rep.rows) == 0
+        # an empty table still has its header
+        csv = vl.experiments._table_csv(vl.experiments.ProximityRow, rep.rows)
+        assert csv == "n,max_exceptional_measure\n"
 
     def test_finite_reference_requires_margin(self):
         cfg = bipartite_config(n_ladder=[64])
@@ -227,7 +238,7 @@ class TestConsensusProximity:
 
         cfg = bipartite_config(horizon=25.0, num_times=101, eps=0.01, window=1.0)
         rep = vl.consensus_proximity(cfg)
-        data = rep.to_dict()
+        data = asdict(rep)
         json.dumps(data)
         assert data["status"] == "ok"
         assert data["eps"] == 0.01
