@@ -51,7 +51,7 @@ cfg = vl.ExperimentConfig.from_dict(
         "base_seed": 7,
     }
 )
-result = vl.random_consensus_mc(cfg, threads=2)
+result = vl.random_consensus_mc(cfg)
 print("\nsuccess fractions:")
 for n, frac in result.success_fractions:
     print(f"  n={n:>4}: {frac:.2f}")

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .experiments import (
     _EXPERIMENT,
-    MC_MAX_THREADS,
     ErrorRow,
     ExperimentConfig,
     ProximityRow,
@@ -150,7 +149,7 @@ def _graph(spec) -> WeightedGraph:
     return WeightedGraph._from_dict(spec)
 
 
-def _cmd_simulate(cfg, out_dir, threads) -> None:
+def _cmd_simulate(cfg, out_dir) -> None:
     if cfg.graph is None and (cfg.kernel is None or cfg.n is None):
         raise ValidationError("simulate config needs a 'graph', or a 'kernel' and its 'n'")
     n = cfg.n if cfg.graph is None else cfg.graph.n
@@ -168,7 +167,7 @@ def _cmd_simulate(cfg, out_dir, threads) -> None:
     _write(out_dir, "trajectory_meta.json", traj.metadata)
 
 
-def _cmd_discretize(cfg, out_dir, threads) -> None:
+def _cmd_discretize(cfg, out_dir) -> None:
     graph = discretize_kernel(cfg.kernel, cfg.n)
     simple = graph.is_simple()
     _write(out_dir, "graph.json", graph.to_json() + "\n")
@@ -178,14 +177,14 @@ def _cmd_discretize(cfg, out_dir, threads) -> None:
     _write(out_dir, "graph_meta.json", {**meta, "library_version": __version__})
 
 
-def _cmd_structure(cfg, out_dir, threads) -> None:
+def _cmd_structure(cfg, out_dir) -> None:
     _write(out_dir, "structure.json", structure_report(cfg.kernel, cfg.initial))
     initial = cfg.initial.spec() if cfg.initial is not None else None
     meta = {"kernel": cfg.kernel.spec(), "initial": initial}
     _write(out_dir, "structure_meta.json", {**meta, "library_version": __version__})
 
 
-def _cmd_convergence(cfg, out_dir, threads) -> None:
+def _cmd_convergence(cfg, out_dir) -> None:
     experiment = ExperimentConfig._of(cfg)
     table = convergence_study(experiment, cfg.reference_n)
     _write(out_dir, "error_table.csv", _table_csv(ErrorRow, table.rows))
@@ -193,7 +192,7 @@ def _cmd_convergence(cfg, out_dir, threads) -> None:
     _write(out_dir, "convergence_meta.json", meta)
 
 
-def _cmd_proximity(cfg, out_dir, threads) -> None:
+def _cmd_proximity(cfg, out_dir) -> None:
     experiment = ExperimentConfig._of(cfg)
     report = consensus_proximity(experiment, cfg.reference_n)
     _write(out_dir, "proximity.csv", _table_csv(ProximityRow, report.rows))
@@ -201,9 +200,9 @@ def _cmd_proximity(cfg, out_dir, threads) -> None:
     _write(out_dir, "proximity_meta.json", meta)
 
 
-def _cmd_mc_random(cfg, out_dir, threads) -> None:
+def _cmd_mc_random(cfg, out_dir) -> None:
     experiment = ExperimentConfig._of(cfg)
-    result = random_consensus_mc(experiment, threads=threads)
+    result = random_consensus_mc(experiment)
     _write(out_dir, "mc.csv", result.csv_text())
     _write(out_dir, "mc_meta.json", experiment_metadata(experiment, **result.diagnostics()))
 
@@ -236,6 +235,17 @@ _COMMANDS = {
     "mc-random": (_cmd_mc_random, "experiment config", _EXPERIMENT),
 }
 
+# --threads is kept only because perfbench/run.py passes it to every call.  It
+# must still be 1 to 64, as when it sized the Monte Carlo thread pool, and has
+# no other effect.  Delete it, these lines and the `_check_threads` call in
+# `main` with that harness edit (ROADMAP item 1).
+_THREADS = {"type": int, "default": 1, "help": "no effect; must be 1 to 64"}
+
+
+def _check_threads(threads: int) -> None:
+    if not 1 <= threads <= 64:
+        raise ValidationError("threads must be between 1 and 64")
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are ValidationErrors, so that they take
@@ -259,9 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"output directory (default: ${OUT_DIR_ENV} or the working directory)",
         )
-        cmd.add_argument(
-            "--threads", type=int, default=1, help="worker threads for trial loops"
-        )
+        cmd.add_argument("--threads", **_THREADS)
     return parser
 
 
@@ -300,11 +308,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _make_dir(out_dir)
-        if not 1 <= args.threads <= MC_MAX_THREADS:
-            raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
+        _check_threads(args.threads)
         handler, what, table = _COMMANDS[args.command]
         config = loads(_read(args.config, "config"), "config")
-        handler(read(config, table, what), out_dir, args.threads)
+        handler(read(config, table, what), out_dir)
     except (ValidationError, DomainError, UnsupportedVariantError) as exc:
         return _fail(out_dir, exc, EXIT_CONFIG)
     except SizeLimitError as exc:

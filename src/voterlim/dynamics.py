@@ -492,27 +492,28 @@ def resolve_time_grid(
 ) -> tuple[np.ndarray, float, str]:
     """Time grid of a run config: (times, horizon, horizon_source).
 
-    Explicit `times` win and end at the horizon.  Otherwise the grid has
-    `num_times` evenly spaced points on [0, horizon], a missing horizon
-    coming from `default_horizon(kernel)`.  Values that do not form a
-    grid raise ValidationError.
+    The one reader of `horizon`, `num_times` and `times`, for `simulate`
+    and the experiment configs alike.  Explicit `times` win; they must
+    end at a positive time, which is the horizon.  Otherwise the grid has
+    `num_times` (at least 2) evenly spaced points on [0, horizon], for a
+    positive finite horizon or, when it is None, `default_horizon(kernel)`.
+    Every grid returned passes `_validate_times`; values that form none
+    raise a ValidationError naming the key.
     """
     if times is not None:
         t = _validate_times(times)
+        if t.size < 2:  # it starts at 0
+            raise ValidationError("malformed time grid value for 'times': must end after 0")
         return t, float(t[-1]), "config"
     source = "config"
     if horizon is None:
         horizon, source = default_horizon(kernel)
-    horizon = checked(real, "horizon", horizon, "time grid")
-    # inf would make linspace warn; NaN is refused downstream, where
-    # experiment configs call it a horizon that is not positive
-    if math.isinf(horizon):
-        raise ValidationError("time grid must be finite")
+    horizon = checked(positive, "horizon", horizon, "time grid")
     num_times = checked(count, "num_times", num_times, "time grid")
-    try:
-        return np.linspace(0.0, horizon, num_times), horizon, source
-    except ValueError as exc:
-        raise ValidationError(f"malformed time grid: {exc}") from exc
+    if num_times < 2:
+        raise ValidationError("malformed time grid value for 'num_times': must be at least 2")
+    # a horizon of a few subnormals has steps that round to 0
+    return _validate_times(np.linspace(0.0, horizon, num_times)), horizon, source
 
 
 def _cells(state) -> np.ndarray:

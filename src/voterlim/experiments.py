@@ -40,13 +40,15 @@ from .graphs import RNG_ALGORITHM, _seed, _size, _w_random_sampler
 from .kernels import Partition, StepKernel, common_refinement, make_kernel
 
 MC_MIN_TRIALS = 30
-MC_MAX_THREADS = 64
 
 
 @dataclass
 class ExperimentConfig:
     """Parameters shared by the experiment harnesses.
 
+    `horizon` and `num_times` give the time grid through
+    `resolve_time_grid`, the reader `simulate` uses too: a horizon of
+    None is `default_horizon(kernel)`, and `horizon_source` says which.
     `window` is the measurement window length after the consensus
     time, `eps` the consensus resolution and `c` the tolerated share of
     exceptional mass (the success cut-off is c squared).
@@ -55,28 +57,30 @@ class ExperimentConfig:
     kernel: StepKernel
     initial: InitialCondition
     n_ladder: tuple[int, ...]
-    horizon: float
+    horizon: float | None
     window: float = 1.0
     eps: float = CONSENSUS_EPS
     c: float = 0.1
     trials: int = 50
     base_seed: int = 0
     num_times: int = DEFAULT_NUM_TIMES
-    horizon_source: str = field(default="config", init=False)  # set by `_of`
+    horizon_source: str = field(init=False)  # set by __post_init__
 
     def __post_init__(self):
         ladder = checked(tuple, "n_ladder", self.n_ladder, "experiment config")
         self.n_ladder = ladder = tuple(_size(n, "n_ladder") for n in ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("n_ladder must be non-empty and strictly increasing")
-        for name in ("horizon", "window", "eps", "c"):
+        times, self.horizon, self.horizon_source = resolve_time_grid(
+            self.kernel, self.horizon, self.num_times
+        )
+        self.num_times = times.size
+        for name in ("window", "eps", "c"):
             checked(positive, name, getattr(self, name), "experiment config")
-        for name in ("trials", "base_seed", "num_times"):
+        for name in ("trials", "base_seed"):
             setattr(self, name, checked(count, name, getattr(self, name), "experiment config"))
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
-        if self.num_times < 2:
-            raise ValidationError("num_times must be at least 2")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -86,11 +90,8 @@ class ExperimentConfig:
     @classmethod
     def _of(cls, spec) -> "ExperimentConfig":
         """Config of the `_EXPERIMENT` keys as `read` gives them."""
-        times, horizon, source = resolve_time_grid(spec.kernel, spec.horizon, spec.num_times)
-        rest = (spec.window, spec.eps, spec.c, spec.trials, spec.base_seed, times.size)
-        cfg = cls(spec.kernel, spec.initial, spec.n_ladder, horizon, *rest)
-        cfg.horizon_source = source
-        return cfg
+        rest = (spec.window, spec.eps, spec.c, spec.trials, spec.base_seed, spec.num_times)
+        return cls(spec.kernel, spec.initial, spec.n_ladder, spec.horizon, *rest)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.num_times)
@@ -309,7 +310,7 @@ class MCResult:
         }
 
 
-def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
+def random_consensus_mc(cfg: ExperimentConfig) -> MCResult:
     """Monte Carlo consensus study over graphs sampled from a graphon.
 
     Trial j of every ladder size uses seed base_seed + j, so any subset
@@ -319,69 +320,54 @@ def random_consensus_mc(cfg: ExperimentConfig, threads: int = 1) -> MCResult:
     continuum solution (`solve_exact`) by more than eps, next to the
     Chebyshev bound (L2 distance / eps)^2 that must dominate it.
 
-    The ladder runs one size at a time: the edge probabilities, the start
-    and the reference on the common refinement with the uniform partition
-    are set up once per size and shared by its trials, through one sampler
-    whose 0/1 graphs are symmetric by construction and are not validated
-    again.  Each trial takes only its difference from that reference, with
-    the operations of `step_exceedance_measure` and `step_l2_distance`.
-    Only one size's sampler is alive at a time.
+    The trials run in one loop, one ladder size at a time: the edge
+    probabilities, the start and the reference on the common refinement
+    with the uniform partition are set up once per size and shared by its
+    trials, through one sampler whose 0/1 graphs are symmetric by
+    construction and are not validated again.  Each trial takes only its
+    difference from that reference, with the operations of
+    `step_exceedance_measure` and `step_l2_distance`.  Only one size's
+    sampler is alive at a time.
     """
     if not cfg.kernel.is_graphon():
         raise ValidationError("Monte Carlo sampling requires a graphon kernel")
     if cfg.trials < MC_MIN_TRIALS:
         raise ValidationError(f"fraction estimates need at least {MC_MIN_TRIALS} trials")
-    if not 1 <= threads <= MC_MAX_THREADS:
-        raise ValidationError(f"threads must be between 1 and {MC_MAX_THREADS}")
     for seed in (cfg.base_seed, cfg.base_seed + cfg.trials - 1):  # before any solve
         _seed(seed)
     times = np.array([0.0, cfg.horizon])
     label, ref_part, ref_values = _reference(cfg, times)
     ref_final = ref_values[-1]
     c_squared = cfg.c * cfg.c
-
-    def size_rows(n: int, run) -> list[MCTrialRow]:
-        """The trials of ladder size n, in trial order, through map-like `run`."""
+    rows = []
+    for n in cfg.n_ladder:
         sample = _w_random_sampler(cfg.kernel, n)
         u0 = average_initial(cfg.initial, n)
         part, (cells, ref_cells) = common_refinement(Partition.uniform(n), ref_part)
         ref_on_part = ref_final[ref_cells]
-
-        def one_trial(trial: int) -> MCTrialRow:
+        for trial in range(cfg.trials):
             seed = cfg.base_seed + trial
             traj = solve_finite(sample(seed), u0, times)
             final = traj.states[-1]
             exc = exceptional_measure(final, cfg.eps)
             diff = final[cells] - ref_on_part
             l2 = _l2_norm(part.measures, diff)
-            return MCTrialRow(
-                n=n,
-                trial=trial,
-                seed=seed,
-                diameter_at_T=consensus_diameter(final),
-                exceptional_measure=exc,
-                success=bool(exc < c_squared),
-                exceedance_fraction=_exceedance(part.measures, diff, cfg.eps),
-                chebyshev_bound=float((l2 / cfg.eps) ** 2),
-                solver_path=traj.metadata["solver_path"],
-                krylov_dim=traj.metadata.get("krylov_dim"),
+            rows.append(
+                MCTrialRow(
+                    n=n,
+                    trial=trial,
+                    seed=seed,
+                    diameter_at_T=consensus_diameter(final),
+                    exceptional_measure=exc,
+                    success=bool(exc < c_squared),
+                    exceedance_fraction=_exceedance(part.measures, diff, cfg.eps),
+                    chebyshev_bound=float((l2 / cfg.eps) ** 2),
+                    solver_path=traj.metadata["solver_path"],
+                    krylov_dim=traj.metadata.get("krylov_dim"),
+                )
             )
-
-        return list(run(one_trial, range(cfg.trials)))  # map keeps trial order
-
-    def ladder_rows(run) -> tuple[MCTrialRow, ...]:
-        return tuple(row for n in cfg.n_ladder for row in size_rows(n, run))
-
-    if threads > 1:
-        # imported here: concurrent.futures brings logging into every CLI process
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = ladder_rows(pool.map)
-    else:
-        rows = ladder_rows(map)
     fractions = tuple(
         (n, sum(r.success for r in rows if r.n == n) / cfg.trials)
         for n in cfg.n_ladder
     )
-    return MCResult(rows, fractions, label)
+    return MCResult(tuple(rows), fractions, label)

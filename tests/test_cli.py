@@ -820,7 +820,9 @@ class TestFailureModes:
         out = tmp_path / "out"
         rc = main([command, "--config", str(path), "--out", str(out)])
         err = self.check_error(out, rc, 2, "ValidationError")
-        assert err["message"] == "time grid must be finite"
+        assert err["message"] == (
+            "malformed time grid value for 'horizon': must be positive and finite"
+        )
 
     def test_oversized_graph_json(self, tmp_path):
         cfg = simulate_config()
@@ -919,18 +921,22 @@ class TestWriteJson:
         assert (tmp_path / "keys.json").read_text() == want
 
 
-def test_cli_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures, and logging with it, load only when a pool runs
-    src = os.path.dirname(os.path.dirname(vl.__file__))
+def test_mc_job_with_threads_loads_no_thread_pool(tmp_path):
+    # --threads is checked and ignored: the trials run in one loop, so neither
+    # concurrent.futures nor the logging it brings loads in a CLI process
+    path = write_config(tmp_path, mc_config())
+    argv = ["mc-random", "--config", path, "--out", str(tmp_path / "out"), "--threads", "2"]
     code = (
         "import sys, voterlim.cli; "
-        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        f"rc = voterlim.cli.main({argv!r}); "
+        "print(rc, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vl.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "mc.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["mc-random", "convergence", "proximity"])

@@ -1,14 +1,18 @@
-"""Every entry path reads a size or a seed through one reader and refuses the
-same values with the same error (`graphs._size`, `graphs._seed`)."""
+"""Every entry path reads a size, a seed or a time grid through one reader and
+refuses the same values with the same error (`graphs._size`, `graphs._seed`,
+`dynamics.resolve_time_grid`)."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import voterlim as vl
-from voterlim import graphs
+from voterlim import dynamics, graphs
 from voterlim.cli import main
 
 from _oracles import brute_components
@@ -152,6 +156,88 @@ def test_out_naming_a_file_exits_2_with_the_error_on_stderr(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ValidationError" and error["exit_code"] == 2
     assert taken.read_text() == ""
+
+
+GRID_COMMANDS = {
+    "simulate": {"kernel": {"type": "constant", "c": 0.8}, "n": 8,
+                 "initial": {"type": "balanced_blocks", "r": 0.5}, "horizon": 5.0},
+    "convergence": _mc_config(),
+    "proximity": _mc_config(),
+    "mc-random": _mc_config(),
+}
+EVERY = list(GRID_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "key,value,commands",
+    [
+        ("horizon", 0, EVERY),
+        ("horizon", -1, EVERY),
+        ("horizon", math.nan, EVERY),
+        ("horizon", 1e400, EVERY),
+        ("num_times", 0, EVERY),
+        ("num_times", 1, EVERY),
+        ("num_times", 2.5, EVERY),
+        ("times", [0.0], ["simulate"]),  # the experiments take no times
+    ],
+)
+def test_one_time_grid_rule_on_every_entry_path(key, value, commands, tmp_path, monkeypatch):
+    # simulate ran {"horizon": 5, "num_times": 1} as one row at t = 0, echoed
+    # horizon 5.0, and stopped at horizon 0 on a message that named no key
+    for module in (vl.cli, vl.experiments):
+        monkeypatch.setattr(module, "solve_continuum", _no_solve)
+    monkeypatch.setattr(vl.experiments, "solve_exact", _no_solve)
+    messages = set()
+    for command in commands:
+        config = {**GRID_COMMANDS[command], key: value}
+        if key == "times":
+            del config["horizon"]
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "ValidationError"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        messages.add(error["message"])
+    if key != "times":
+        with pytest.raises(vl.ValidationError) as refused:
+            vl.ExperimentConfig(GRAPHON, START, [8], **{"horizon": 6.0, key: value})
+        messages.add(str(refused.value))
+    [message] = messages
+    assert f"time grid value for {key!r}" in message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel=st.sampled_from([None, KERNEL, GRAPHON, vl.StepKernel.constant(0.0)]),
+    horizon=st.none() | st.floats() | st.integers(-2, 10**6),
+    num_times=st.integers(-2, 300) | st.floats(-2.0, 300.0),
+    times=st.none() | st.lists(st.floats(0.0, 1e6), max_size=5),
+)
+@example(kernel=None, horizon=5e-324, num_times=3, times=None)  # its steps round to 0
+def test_every_resolved_grid_is_valid_and_ends_at_its_horizon(kernel, horizon, num_times, times):
+    try:
+        grid, end, source = dynamics.resolve_time_grid(kernel, horizon, num_times, times)
+    except vl.ValidationError:
+        return
+    assert dynamics._validate_times(grid).size >= 2
+    assert grid[-1] == end and 0.0 < end < math.inf
+    assert source in {"config", "spectral_gap", "fallback"}
+
+
+def test_a_horizon_of_none_is_the_default_horizon():
+    spec = {
+        "kernel": {"type": "constant", "c": 1.0},
+        "initial": {"type": "constant", "c": 0.2},
+        "n_ladder": [4, 8],
+    }
+    built = vl.ExperimentConfig(
+        vl.make_kernel(spec["kernel"]), vl.make_initial(spec["initial"]), (4, 8), None
+    )
+    assert built.resolved() == vl.ExperimentConfig.from_dict(spec).resolved()
+    assert built.horizon_source == "spectral_gap"
+    assert built.horizon == vl.default_horizon(built.kernel)[0]
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,6 @@ DEFAULTED = [
     "consensus_proximity(reference_n)",
     "convergence_study(reference_n)",
     "default_horizon(kernel)",
-    "random_consensus_mc(threads)",
     "structure_report(g)",
 ]
 

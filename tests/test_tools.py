@@ -142,6 +142,32 @@ def test_ab_report_pairs_jobs_and_counts_only_wins():
     ]
 
 
+def test_ab_ratio_report_gives_quartiles_and_counts_only_wins():
+    tool = load_tool("ab_jobs")
+    # the second pair is a tie and the third a loss: neither counts as a win
+    lines = tool.ratio_report(
+        {"this": [1.5, 2.0, 3.0, 1.0, 2.5], "other": [2.0, 2.0, 2.5, 3.0, 3.5]}
+    )
+    assert lines == [
+        "this: job / import probe median 2.000, quartiles 1.500-2.500",
+        "other: job / import probe median 2.500, quartiles 2.000-3.000",
+        "this tree lower on job / import probe in 3 of 5 pairs",
+    ]
+
+
+def test_ab_import_probe_times_one_import_of_the_tree(tmp_path, monkeypatch):
+    tool = load_tool("ab_jobs")
+    calls = []
+
+    def spawn(argv, cwd, env, stderr_path):
+        calls.append((argv[1:], env))
+        return SimpleNamespace(wall_s=0.125, maxrss_kb=1, code=0)
+
+    monkeypatch.setattr(tool, "spawn", spawn)
+    assert tool.import_probe(tmp_path, tmp_path, {"PYTHONPATH": "x"}) == 0.125
+    assert calls == [(["-c", "import voterlim.cli"], {"PYTHONPATH": "x"})]
+
+
 def test_ab_run_job_sums_walls_and_keeps_the_largest_peak(tmp_path, monkeypatch):
     tool = load_tool("ab_jobs")
     procs = iter([SimpleNamespace(wall_s=0.25, maxrss_kb=40000, code=0),

@@ -15,6 +15,12 @@ peak RSS (the largest of the job's processes; this tool checks nothing
 in-process, so its own small peak is all a child can inherit), the
 change of the median and how many of the K pairs this tree won; exits 1
 if a job fails.
+
+Right before each timed job, one fresh `python -c "import voterlim.cli"`
+process of the same tree, env and bytecode cache is timed too (the import
+probe).  Job wall / probe wall divides out most of the host's drift, which
+moves both alike; per tree the tool prints the median and quartiles of
+that ratio and how many pairs this tree won on it.
 """
 
 from __future__ import annotations
@@ -56,6 +62,16 @@ def run_job(tree: Path, wl, configs: Path, work: Path, env: dict) -> tuple[float
     return wall, peak
 
 
+def import_probe(tree: Path, work: Path, env: dict) -> float:
+    """Wall time of one fresh process that imports `voterlim.cli` from
+    `tree`; RuntimeError if it fails."""
+    proc = spawn([sys.executable, "-c", "import voterlim.cli"], work, env, work / "stderr.txt")
+    if proc.code != 0:
+        err = (work / "stderr.txt").read_text()[-300:]
+        raise RuntimeError(f"{tree}: importing voterlim.cli exited with {proc.code}: {err}")
+    return proc.wall_s
+
+
 def summary(walls: list[float], peaks_kb: list[int]) -> dict:
     """Median and quartiles (inclusive method) of job walls, and the median
     job peak RSS in MB."""
@@ -80,6 +96,20 @@ def report(walls: dict, peaks_kb: dict) -> list[str]:
     return lines
 
 
+def ratio_report(ratios: dict) -> list[str]:
+    """Lines comparing job wall / import-probe wall of "this" and "other",
+    paired job by job."""
+    lines = []
+    for side, values in ratios.items():
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        lines.append(f"{side}: job / import probe median {median:.3f},"
+                     f" quartiles {q1:.3f}-{q3:.3f}")
+    won = sum(a < b for a, b in zip(ratios["this"], ratios["other"]))
+    lines.append(f"this tree lower on job / import probe in {won} of "
+                 f"{len(ratios['this'])} pairs")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the tree to compare with")
@@ -93,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     wl = WORKLOADS[args.workload](args.seed)
     walls = {side: [] for side in trees}
     peaks = {side: [] for side in trees}
+    ratios = {side: [] for side in trees}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         wl.write_configs(work / "configs")
@@ -108,13 +139,15 @@ def main(argv: list[str] | None = None) -> int:
             for rep in range(args.reps):
                 order = ("this", "other") if rep % 2 == 0 else ("other", "this")
                 for side in order:
+                    probe = import_probe(trees[side], work, envs[side])
                     wall, peak = run_job(trees[side], wl, work / "configs", work, envs[side])
                     walls[side].append(wall)
                     peaks[side].append(peak)
+                    ratios[side].append(wall / probe)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    for line in report(walls, peaks):
+    for line in report(walls, peaks) + ratio_report(ratios):
         print(line)
     return 0
 
