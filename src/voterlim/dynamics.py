@@ -37,7 +37,6 @@ running a solver.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 
@@ -701,24 +700,23 @@ def write_trajectory(traj: Trajectory, csv_path) -> None:
 def read_trajectory(csv_path) -> Trajectory:
     """Read a trajectory CSV written by `write_trajectory`, without metadata.
 
-    Each row is parsed to a float array as it is read, so neither the rows'
-    text nor a Python float per value outlives its row.  The first field
-    that is not a float, rows of unequal lengths, and rows that disagree
-    with the header, in that order, raise ValidationError.
+    The header is checked first; `np.loadtxt` then parses every row after
+    it into one float array, skipping blank lines.  A header with no rows
+    and rows that disagree with the header's width raise ValidationError,
+    and so, with numpy's reason, does the first row with a field that is
+    not a float (`_` digit separators included) or a different width.
     """
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t" or len(header) < 2:
+    with open(csv_path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[0] != "t" or len(header) < 2:
             raise ValidationError("trajectory CSV must start with t,cell_0,...")
+        first = next((line for line in fh if line != "\n"), None)
+        if first is None:
+            raise ValidationError("trajectory CSV rows disagree with header width")
         try:
-            rows = [np.array(list(map(float, row))) for row in reader if row]
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"malformed trajectory CSV: {exc}") from exc
-    widths = {row.size for row in rows}
-    if len(widths) > 1:
-        raise ValidationError("malformed trajectory CSV: rows differ in length")
-    if widths != {len(header)}:
+    if data.shape[1] != len(header):
         raise ValidationError("trajectory CSV rows disagree with header width")
-    data = np.array(rows)
     return Trajectory(data[:, 0], data[:, 1:])

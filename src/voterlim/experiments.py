@@ -42,10 +42,11 @@ from .kernels import Partition, StepKernel, common_refinement, make_kernel
 MC_MIN_TRIALS = 30
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters shared by the experiment harnesses.
+    """Parameters shared by the experiment harnesses, checked once when built; frozen.
 
+    `kernel` must be a StepKernel and `initial` an InitialCondition.
     `horizon` and `num_times` give the time grid through
     `resolve_time_grid`, the reader `simulate` uses too: a horizon of
     None is `default_horizon(kernel)`, and `horizon_source` says which.
@@ -68,19 +69,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ladder = checked(tuple, "n_ladder", self.n_ladder, "experiment config")
-        self.n_ladder = ladder = tuple(_size(n, "n_ladder") for n in ladder)
+        ladder = tuple(_size(n, "n_ladder") for n in ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("n_ladder must be non-empty and strictly increasing")
-        times, self.horizon, self.horizon_source = resolve_time_grid(
-            self.kernel, self.horizon, self.num_times
-        )
-        self.num_times = times.size
+        for name, kind in (("kernel", StepKernel), ("initial", InitialCondition)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValidationError(f"experiment config {name!r} must be a {kind.__name__}")
+        times, horizon, how = resolve_time_grid(self.kernel, self.horizon, self.num_times)
+        settled = dict(n_ladder=ladder, horizon=horizon, horizon_source=how, num_times=times.size)
         for name in ("window", "eps", "c"):
             checked(positive, name, getattr(self, name), "experiment config")
         for name in ("trials", "base_seed"):
-            setattr(self, name, checked(count, name, getattr(self, name), "experiment config"))
-        if self.trials < 1:
+            settled[name] = checked(count, name, getattr(self, name), "experiment config")
+        if settled["trials"] < 1:
             raise ValidationError("trials must be at least 1")
+        for name, value in settled.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -7,7 +7,6 @@ reproduce the hand-computed matrices for small n to rounding accuracy.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -312,12 +311,10 @@ def blow_up(graph: WeightedGraph, copies, scale=None) -> WeightedGraph:
 
 
 def write_edge_list(graph: WeightedGraph, path) -> None:
-    """Compact CSV edge list (i, j, beta) for simple graphs, 1-based, i < j."""
+    """CSV edge list (i, j, beta) of a simple graph, 1-based, i < j, with newline line ends."""
     if not graph.is_simple():
         raise ValidationError("edge-list format is reserved for simple graphs")
     iu, ju = np.nonzero(np.triu(graph.weights, k=1))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "beta"])
-        for i, j in zip(iu, ju):
-            writer.writerow([i + 1, j + 1, 1])
+        fh.write("i,j,beta\n")
+        fh.writelines(f"{i + 1},{j + 1},1\n" for i, j in zip(iu.tolist(), ju.tolist()))

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import asdict
 
 import numpy as np
@@ -46,6 +47,35 @@ class TestExperimentConfig:
                     "method": "rk",
                 }
             )
+
+    @pytest.mark.parametrize("horizon", [1.0, None])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kernel", "x"),
+            ("kernel", {"type": "constant", "c": 1.0}),
+            ("kernel", vl.InitialCondition.constant(0.5)),
+            ("initial", vl.WeightedGraph([[0.0, 1.0], [1.0, 0.0]])),
+            ("initial", vl.StepKernel.constant(0.5)),
+            ("initial", 0.5),
+        ],
+    )
+    def test_kernel_and_initial_must_be_library_objects(self, key, value, horizon):
+        # a wrong object built, then failed with AttributeError in a study, or
+        # in default_horizon at construction when horizon was None
+        with pytest.raises(vl.ValidationError, match=f"'{key}'"):
+            bipartite_config(**{key: value, "n_ladder": [4], "horizon": horizon})
+
+    @pytest.mark.parametrize(
+        "name, value", [("horizon", -1.0), ("n_ladder", (4,)), ("trials", 0), ("kernel", None)]
+    )
+    def test_a_built_config_cannot_be_changed(self, name, value):
+        # a field set after construction skipped every check, and a negative
+        # horizon failed late in a study, naming no key
+        cfg = bipartite_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg.resolved() == bipartite_config().resolved()
 
     def test_horizon_source_is_derived_not_given(self):
         # echoed in the metadata as what the code derived, so no caller sets it

@@ -555,7 +555,10 @@ class TestEdgeList:
         g = vl.sample_w_random(vl.StepKernel.constant(0.4), 30, seed=5)
         p = tmp_path / "edges.csv"
         vl.write_edge_list(g, p)
-        header, *rows = p.read_text().splitlines()
+        text = p.read_bytes().decode("ascii")
+        # newline line ends, like every other CSV the library writes
+        assert "\r" not in text and text.endswith("\n")
+        header, *rows = text.splitlines()
         assert header == "i,j,beta"
         back = np.zeros((30, 30))
         for row in rows:

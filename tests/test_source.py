@@ -36,6 +36,19 @@ def test_imports_are_used_and_all_is_unique():
     assert [name for name in vl.__all__ if not hasattr(vl, name)] == []
 
 
+def test_no_module_imports_csv():
+    # every CSV is one dialect with newline line ends: written by f-strings
+    # (`csv_text`, `write_trajectory`, `write_edge_list`) and read by numpy
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append(f"{path.name}: from csv")
+    assert found == []
+
+
 CONFIG_READERS = ("from_dict", "_from_dict", "make_kernel", "make_initial")
 
 
