@@ -697,14 +697,43 @@ def write_trajectory(traj: Trajectory, csv_path) -> None:
         fh.writelines(_trajectory_rows(traj))
 
 
+def _malformed_line(csv_path) -> str | None:
+    """" at line N: why" for the line of a trajectory CSV that `np.loadtxt`
+    refused, or None.
+
+    Called only after a parse failed, it reads the file again a line at a
+    time: the first non-blank line after the header whose width is not the
+    first row's, or with a field numpy cannot read as a float.  Lines are
+    counted as in the file, the header being line 1 and blank lines
+    included.
+    """
+    with open(csv_path) as fh:
+        fh.readline()
+        width = None
+        for number, line in enumerate(fh, start=2):
+            if line == "\n":
+                continue
+            fields = line.rstrip("\n").count(",") + 1
+            width = width or fields
+            if fields != width:
+                return f" at line {number}: the number of columns changed from {width} to {fields}"
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as exc:  # numpy's row is 0, the index in [line]
+                reason = str(exc).replace(" at row 0, column ", " in column ").rstrip(".")
+                return f" at line {number}: {reason}"
+    return None
+
+
 def read_trajectory(csv_path) -> Trajectory:
     """Read a trajectory CSV written by `write_trajectory`, without metadata.
 
     The header is checked first; `np.loadtxt` then parses every row after
     it into one float array, skipping blank lines.  A header with no rows
     and rows that disagree with the header's width raise ValidationError,
-    and so, with numpy's reason, does the first row with a field that is
-    not a float (`_` digit separators included) or a different width.
+    and so does the first row with a field that is not a float (`_` digit
+    separators included) or a width other than the first row's, named by
+    its line in the file (`_malformed_line`).
     """
     with open(csv_path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -716,7 +745,8 @@ def read_trajectory(csv_path) -> Trajectory:
         try:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise ValidationError(f"malformed trajectory CSV: {exc}") from exc
+            where = _malformed_line(csv_path) or f": {exc}"
+            raise ValidationError(f"malformed trajectory CSV{where}") from exc
     if data.shape[1] != len(header):
         raise ValidationError("trajectory CSV rows disagree with header width")
     return Trajectory(data[:, 0], data[:, 1:])

@@ -314,6 +314,75 @@ class MCResult:
         }
 
 
+def _worker_count(trials: int) -> int:
+    """Processes to run `trials` Monte Carlo trials in: one per CPU of this
+    process's affinity mask, at most `trials`.
+
+    1 where the mask cannot be read (off Linux), and 1 while another
+    Python thread runs, since a fork copies the calling thread only.
+    `threading` is looked at only if something imported it: without it
+    no such thread exists.
+    """
+    import os
+    import sys
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    threading = sys.modules.get("threading")
+    if affinity is None or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(len(affinity(0)), trials)
+
+
+def _in_blocks(run, blocks: list) -> list:
+    """`[run(block) for block in blocks]`, the first in this process and each
+    other in a child of its own.
+
+    A child is forked, so it shares everything `run` needs, sends its
+    result pickled down a pipe and leaves by `os._exit`, which runs no
+    handler of the parent's.  Every child is reaped before this returns or
+    raises; a child that exits without a result raises RuntimeError.
+    """
+    # os and pickle are loaded already (numpy imports pickle); importing them
+    # here keeps every import of voterlim from depending on that
+    import os
+    import pickle
+
+    children = []
+    try:
+        for block in blocks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(run(block), pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)  # so that later children do not hold it open
+            children.append((pid, read_fd))
+        results = [run(blocks[0])]
+    finally:
+        ends = []
+        for pid, read_fd in children:
+            with open(read_fd, "rb") as pipe:  # end of file once the child exits
+                payload = pipe.read()
+            ends.append((pid, payload, os.waitpid(pid, 0)[1]))
+    for pid, payload, status in ends:
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"Monte Carlo worker {pid} exited with code {code}")
+        results.append(pickle.loads(payload))
+    return results
+
+
 def random_consensus_mc(cfg: ExperimentConfig) -> MCResult:
     """Monte Carlo consensus study over graphs sampled from a graphon.
 
@@ -324,14 +393,22 @@ def random_consensus_mc(cfg: ExperimentConfig) -> MCResult:
     continuum solution (`solve_exact`) by more than eps, next to the
     Chebyshev bound (L2 distance / eps)^2 that must dominate it.
 
-    The trials run in one loop, one ladder size at a time: the edge
-    probabilities, the start and the reference on the common refinement
-    with the uniform partition are set up once per size and shared by its
-    trials, through one sampler whose 0/1 graphs are symmetric by
-    construction and are not validated again.  Each trial takes only its
-    difference from that reference, with the operations of
-    `step_exceedance_measure` and `step_l2_distance`.  Only one size's
-    sampler is alive at a time.
+    The trial indices are split into contiguous blocks, one per worker
+    (`_worker_count`: the CPUs this process may run on, at most `trials`),
+    and each block covers every ladder size.  The caller runs the first
+    block; each other block runs in a child forked after the reference
+    solve (`_in_blocks`).  The rows are merged in (n, trial) order, so the
+    result does not depend on the number of workers.  A trial that raises
+    in any worker raises the same error here; when several blocks fail,
+    the first failing trial in (n, trial) order decides, as in one loop.
+
+    A block runs one ladder size at a time: the edge probabilities, the
+    start and the reference on the common refinement with the uniform
+    partition are set up once per size and shared by its trials, through
+    one sampler whose 0/1 graphs are symmetric by construction and are
+    not validated again.  Each trial takes only its difference from that
+    reference, with the operations of `step_exceedance_measure` and
+    `step_l2_distance`.  Only one size's sampler is alive at a time.
     """
     if not cfg.kernel.is_graphon():
         raise ValidationError("Monte Carlo sampling requires a graphon kernel")
@@ -343,35 +420,55 @@ def random_consensus_mc(cfg: ExperimentConfig) -> MCResult:
     label, ref_part, ref_values = _reference(cfg, times)
     ref_final = ref_values[-1]
     c_squared = cfg.c * cfg.c
-    rows = []
-    for n in cfg.n_ladder:
-        sample = _w_random_sampler(cfg.kernel, n)
-        u0 = average_initial(cfg.initial, n)
-        part, (cells, ref_cells) = common_refinement(Partition.uniform(n), ref_part)
-        ref_on_part = ref_final[ref_cells]
-        for trial in range(cfg.trials):
-            seed = cfg.base_seed + trial
-            traj = solve_finite(sample(seed), u0, times)
-            final = traj.states[-1]
-            exc = exceptional_measure(final, cfg.eps)
-            diff = final[cells] - ref_on_part
-            l2 = _l2_norm(part.measures, diff)
-            rows.append(
-                MCTrialRow(
-                    n=n,
-                    trial=trial,
-                    seed=seed,
-                    diameter_at_T=consensus_diameter(final),
-                    exceptional_measure=exc,
-                    success=bool(exc < c_squared),
-                    exceedance_fraction=_exceedance(part.measures, diff, cfg.eps),
-                    chebyshev_bound=float((l2 / cfg.eps) ** 2),
-                    solver_path=traj.metadata["solver_path"],
-                    krylov_dim=traj.metadata.get("krylov_dim"),
-                )
-            )
+
+    def run(trials: range):
+        """(rows of `trials` per ladder size, None), or at the first failure
+        (the rows so far, ((ladder index, trial), the error))."""
+        rows = [[] for _ in cfg.n_ladder]
+        try:
+            for i, n in enumerate(cfg.n_ladder):
+                position = (i, trials.start)
+                sample = _w_random_sampler(cfg.kernel, n)
+                u0 = average_initial(cfg.initial, n)
+                part, (cells, ref_cells) = common_refinement(Partition.uniform(n), ref_part)
+                ref_on_part = ref_final[ref_cells]
+                for trial in trials:
+                    position = (i, trial)
+                    seed = cfg.base_seed + trial
+                    traj = solve_finite(sample(seed), u0, times)
+                    final = traj.states[-1]
+                    exc = exceptional_measure(final, cfg.eps)
+                    diff = final[cells] - ref_on_part
+                    l2 = _l2_norm(part.measures, diff)
+                    rows[i].append(
+                        MCTrialRow(
+                            n=n,
+                            trial=trial,
+                            seed=seed,
+                            diameter_at_T=consensus_diameter(final),
+                            exceptional_measure=exc,
+                            success=bool(exc < c_squared),
+                            exceedance_fraction=_exceedance(part.measures, diff, cfg.eps),
+                            chebyshev_bound=float((l2 / cfg.eps) ** 2),
+                            solver_path=traj.metadata["solver_path"],
+                            krylov_dim=traj.metadata.get("krylov_dim"),
+                        )
+                    )
+        except Exception as error:  # reported by the caller, in serial order
+            return rows, (position, error)
+        return rows, None
+
+    workers = _worker_count(cfg.trials)
+    cuts = [cfg.trials * b // workers for b in range(workers + 1)]
+    outcomes = _in_blocks(run, [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = tuple(
+        row for i in range(len(cfg.n_ladder)) for block, _ in outcomes for row in block[i]
+    )
     fractions = tuple(
         (n, sum(r.success for r in rows if r.n == n) / cfg.trials)
         for n in cfg.n_ladder
     )
-    return MCResult(tuple(rows), fractions, label)
+    return MCResult(rows, fractions, label)

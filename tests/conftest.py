@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,39 @@ def closed_form_errors(cfg):
             )
         )
     return errors
+
+
+def set_mc_workers(monkeypatch, workers):
+    """Run `random_consensus_mc`'s trials in `workers` processes."""
+    monkeypatch.setattr(vl.experiments, "_worker_count", lambda trials: workers)
+
+
+def fail_mc_trials(monkeypatch, bad):
+    """Make the solver raise SolverConvergenceError on the graphs that
+    `random_consensus_mc` samples for the (n, seed) pairs in `bad`."""
+    sampler, solve = vl.experiments._w_random_sampler, vl.experiments.solve_finite
+    drawn = []
+
+    def tagging_sampler(kernel, n):
+        sample = sampler(kernel, n)
+
+        def tagged(seed):
+            drawn.append((n, seed))
+            return sample(seed)
+
+        return tagged
+
+    def failing_solve(graph, u0, times):
+        if drawn[-1] in bad:
+            n, seed = drawn[-1]
+            raise vl.SolverConvergenceError(f"no convergence at n = {n}, seed {seed}")
+        return solve(graph, u0, times)
+
+    monkeypatch.setattr(vl.experiments, "_w_random_sampler", tagging_sampler)
+    monkeypatch.setattr(vl.experiments, "solve_finite", failing_solve)
+
+
+def assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

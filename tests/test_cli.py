@@ -20,7 +20,7 @@ import voterlim as vl
 from voterlim.cli import main
 
 from _oracles import dense_eigh_states, row_equality_classes
-from conftest import closed_form_errors
+from conftest import assert_no_child_left, closed_form_errors, fail_mc_trials, set_mc_workers
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -922,14 +922,16 @@ class TestWriteJson:
 
 
 def test_mc_job_with_threads_loads_no_thread_pool(tmp_path):
-    # --threads is checked and ignored: the trials run in one loop, so neither
-    # concurrent.futures nor the logging it brings loads in a CLI process
+    # --threads is checked and ignored: each extra CPU runs a block of trials
+    # in a child made by os.fork, so neither concurrent.futures (nor the
+    # logging it brings) nor multiprocessing loads in a CLI process
     path = write_config(tmp_path, mc_config())
     argv = ["mc-random", "--config", path, "--out", str(tmp_path / "out"), "--threads", "2"]
     code = (
         "import sys, voterlim.cli; "
         f"rc = voterlim.cli.main({argv!r}); "
-        "print(rc, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        "print(rc, sorted({'concurrent.futures', 'logging', 'multiprocessing'}"
+        " & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vl.__file__)))
     done = subprocess.run(
@@ -937,6 +939,37 @@ def test_mc_job_with_threads_loads_no_thread_pool(tmp_path):
     )
     assert done.stdout.strip() == "0 []"
     assert (tmp_path / "out" / "mc.csv").exists()
+
+
+def run_mc(tmp_path, name, monkeypatch, workers=None):
+    """(exit code, output directory) of `mc-random` on `mc_config()`, its
+    trials in `workers` processes (None: one per CPU)."""
+    if workers is not None:
+        set_mc_workers(monkeypatch, workers)
+    out = tmp_path / name
+    rc = main(["mc-random", "--config", write_config(tmp_path, mc_config()), "--out", str(out)])
+    assert_no_child_left()
+    return rc, out
+
+
+def test_mc_artifacts_do_not_depend_on_the_cpus(tmp_path, monkeypatch):
+    assert run_mc(tmp_path, "default", monkeypatch)[0] == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_mc(tmp_path, "one_cpu", monkeypatch)[0] == 0
+    for name in ("mc.csv", "mc_meta.json"):
+        default = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "one_cpu" / name).read_bytes() == default
+
+
+def test_mc_failure_in_a_child_exits_4_with_the_serial_error(tmp_path, monkeypatch):
+    # 30 trials of base seed 0 in 3 workers: seeds 20-29 run in the second child
+    fail_mc_trials(monkeypatch, {(8, 25)})
+    serial = run_mc(tmp_path, "serial", monkeypatch, workers=1)
+    forked = run_mc(tmp_path, "forked", monkeypatch, workers=3)
+    assert serial[0] == forked[0] == 4
+    error = read_json(serial[1] / "error.json")
+    assert error["error"]["message"] == "no convergence at n = 8, seed 25"
+    assert (forked[1] / "error.json").read_bytes() == (serial[1] / "error.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["mc-random", "convergence", "proximity"])

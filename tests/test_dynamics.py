@@ -1244,6 +1244,18 @@ class TestTrajectoryIO:
             ("t,cell_0\n0.0,1.0\n1.0\n2.0,x\n", "malformed.*number of columns changed"),
             # float() accepts digit separators; numpy's parser does not
             ("t,cell_0\n0.0,1_0\n", "malformed.*'1_0'"),
+            # the file's own line (header = line 1, blank lines counted) and
+            # no numpy row number or `usecols` hint
+            (
+                "t,cell_0\n0.0,1.0\n1.0,x\n",
+                "^malformed trajectory CSV at line 3: could not convert string 'x' "
+                "to float64 in column 2$",
+            ),
+            (
+                "t,cell_0\n0.0,1.0\n\n\n1.0\n",
+                "^malformed trajectory CSV at line 5: the number of columns changed "
+                "from 2 to 1$",
+            ),
             ("t,cell_0\n", "disagree with header width"),
             ("t,cell_0\n\n\n", "disagree with header width"),
             ("t,cell_0\n0.0,1.0,2.0\n1.0,1.0,2.0\n", "disagree with header width"),

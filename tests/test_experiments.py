@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +11,13 @@ from hypothesis import strategies as st
 import voterlim as vl
 
 from _oracles import randcond_evaluate
-from conftest import closed_form_errors, random_step_kernel
+from conftest import (
+    assert_no_child_left,
+    closed_form_errors,
+    fail_mc_trials,
+    random_step_kernel,
+    set_mc_workers,
+)
 
 
 def bipartite_config(**over):
@@ -304,7 +312,8 @@ class TestRandomConsensusMC:
         assert a.csv_text() == b.csv_text()
 
     def test_takes_no_thread_count(self):
-        # the trials run in one loop; a thread pool measured no gain
+        # the trials take one process per CPU, not a thread count: threads
+        # measured no gain, since the trials hold the GIL
         with pytest.raises(TypeError, match="threads"):
             vl.random_consensus_mc(self.mc_config(), threads=2)
 
@@ -383,6 +392,102 @@ class TestRandomConsensusMC:
         assert [n for n, _ in res.success_fractions] == [16, 32]
         for _, frac in res.success_fractions:
             assert 0.0 <= frac <= 1.0
+
+
+class TestTrialWorkers:
+    mc_config = TestRandomConsensusMC.mc_config
+
+    @pytest.mark.parametrize("trials", [30, 31])
+    def test_result_does_not_depend_on_the_worker_count(self, monkeypatch, trials):
+        # 31 trials split unevenly: blocks of 15 and 16, or 10, 10 and 11
+        cfg = self.mc_config(trials=trials)
+        results = []
+        for workers in (1, 2, 3):
+            set_mc_workers(monkeypatch, workers)
+            results.append(vl.random_consensus_mc(cfg))
+            assert_no_child_left()
+        one = results[0]
+        assert [(r.n, r.trial) for r in one.rows] == [
+            (n, t) for n in cfg.n_ladder for t in range(trials)
+        ]
+        for res in results[1:]:
+            assert res.rows == one.rows
+            assert res.success_fractions == one.success_fractions
+            assert res.csv_text() == one.csv_text()
+            assert res.diagnostics() == one.diagnostics()
+
+    # base_seed 7 and 30 trials in 3 workers: seeds 7-16 run in this process,
+    # 17-26 and 27-36 in two children; ladder [16, 32]
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ({(32, 32)}, (32, 32)),  # in a child's block
+            # two children fail; the later block fails earlier in (n, trial) order
+            ({(32, 22), (16, 32)}, (16, 32)),
+            # this process fails too, later in (n, trial) order
+            ({(32, 9), (16, 32)}, (16, 32)),
+            ({(16, 9), (16, 32)}, (16, 9)),
+        ],
+    )
+    def test_the_first_failing_trial_in_serial_order_raises(self, monkeypatch, bad, first):
+        cfg = self.mc_config()
+        fail_mc_trials(monkeypatch, bad)
+        raised = []
+        for workers in (1, 3):
+            set_mc_workers(monkeypatch, workers)
+            with pytest.raises(vl.SolverConvergenceError) as info:
+                vl.random_consensus_mc(cfg)
+            assert_no_child_left()
+            raised.append((type(info.value), str(info.value)))
+        want = (vl.SolverConvergenceError, "no convergence at n = {}, seed {}".format(*first))
+        assert raised == [want, want]
+
+    def test_blocks_run_in_a_child_each_and_come_back_in_order(self):
+        results = vl.experiments._in_blocks(lambda block: (os.getpid(), block), ["a", "b", "c"])
+        assert [block for _, block in results] == ["a", "b", "c"]
+        pids = [pid for pid, _ in results]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert_no_child_left()
+
+    def test_a_child_that_exits_without_a_result_raises(self):
+        def run(block):
+            if block == "c":
+                os._exit(3)
+            return block
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            vl.experiments._in_blocks(run, ["a", "b", "c"])
+        assert_no_child_left()
+
+    def test_this_process_failing_still_reaps_every_child(self):
+        def run(block):
+            if block == "a":
+                raise KeyboardInterrupt
+            return block
+
+        with pytest.raises(KeyboardInterrupt):
+            vl.experiments._in_blocks(run, ["a", "b", "c"])
+        assert_no_child_left()
+
+    def test_worker_count_is_the_affinity_mask_capped_at_trials(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert vl.experiments._worker_count(30) == 3
+        assert vl.experiments._worker_count(2) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert vl.experiments._worker_count(30) == 1
+
+    def test_one_worker_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert vl.experiments._worker_count(30) == 2
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert vl.experiments._worker_count(30) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestRandcond:

@@ -142,6 +142,28 @@ def test_ab_report_pairs_jobs_and_counts_only_wins():
     ]
 
 
+def test_ab_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
+    tool = load_tool("ab_jobs")
+    other = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # median 1.45, IQR 0.45
+    faster = [t - 0.5 for t in other]
+    assert tool.verdict({"this": faster, "other": other}) == (
+        "claim holds: this tree faster in 10 of 10 pairs (needs 9),"
+        " medians +0.500 s apart against the other tree's interquartile range 0.450 s"
+    )
+    # one tie and one loss: 8 of 10 won
+    mixed = faster[:8] + [other[8], other[9] + 0.5]
+    assert tool.verdict({"this": mixed, "other": other}).startswith(
+        "claim not met: this tree faster in 8 of 10 pairs (needs 9)"
+    )
+    # every pair won, but by less than the spread of the other tree's runs
+    close = [t - 0.25 for t in other]
+    assert tool.verdict({"this": close, "other": other}) == (
+        "claim not met: this tree faster in 10 of 10 pairs (needs 9),"
+        " medians +0.250 s apart against the other tree's interquartile range 0.450 s"
+    )
+    assert "(needs 10)" in tool.verdict({"this": faster + [1.0], "other": other + [2.0]})
+
+
 def test_ab_ratio_report_gives_quartiles_and_counts_only_wins():
     tool = load_tool("ab_jobs")
     # the second pair is a tie and the third a loss: neither counts as a win

@@ -13,8 +13,10 @@ other, other, this, ...), K jobs each, so drift in the host's speed falls
 on both alike.  Prints each tree's median and quartiles, its median job
 peak RSS (the largest of the job's processes; this tool checks nothing
 in-process, so its own small peak is all a child can inherit), the
-change of the median and how many of the K pairs this tree won; exits 1
-if a job fails.
+change of the median and how many of the K pairs this tree won, and
+whether that backs a claim that this tree is faster: at least nine
+tenths of the pairs won and medians further apart than the other tree's
+interquartile range.  Exits 1 if a job fails.
 
 Right before each timed job, one fresh `python -c "import voterlim.cli"`
 process of the same tree, env and bytecode cache is timed too (the import
@@ -96,6 +98,21 @@ def report(walls: dict, peaks_kb: dict) -> list[str]:
     return lines
 
 
+def verdict(walls: dict) -> str:
+    """Whether the job walls back a claim that "this" is faster: it holds
+    when this tree won at least nine tenths of the pairs (ties count for
+    neither) and its median is below the other tree's by more than the
+    other tree's interquartile range."""
+    pairs = len(walls["this"])
+    won = sum(a < b for a, b in zip(walls["this"], walls["other"]))
+    q1, median, q3 = statistics.quantiles(walls["other"], n=4, method="inclusive")
+    gap = median - statistics.median(walls["this"])
+    holds = 10 * won >= 9 * pairs and gap > q3 - q1
+    return (f"claim {'holds' if holds else 'not met'}: this tree faster in {won} of "
+            f"{pairs} pairs (needs {-(-9 * pairs // 10)}), medians {gap:+.3f} s apart "
+            f"against the other tree's interquartile range {q3 - q1:.3f} s")
+
+
 def ratio_report(ratios: dict) -> list[str]:
     """Lines comparing job wall / import-probe wall of "this" and "other",
     paired job by job."""
@@ -147,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    for line in report(walls, peaks) + ratio_report(ratios):
+    for line in report(walls, peaks) + [verdict(walls)] + ratio_report(ratios):
         print(line)
     return 0
 
