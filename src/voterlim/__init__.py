@@ -1,139 +1,105 @@
-"""Voter dynamics on weighted graphs and their kernel limits."""
+"""Voter dynamics on weighted graphs and their kernel limits.
 
-from ._version import __version__
-from .dynamics import (
-    CONSENSUS_EPS,
-    InitialCondition,
-    Trajectory,
-    average_initial,
-    consensus_diameter,
-    default_horizon,
-    detect_consensus,
-    exceptional_measure,
-    make_initial,
-    read_trajectory,
-    solve_continuum,
-    solve_exact,
-    solve_finite,
-    step_exceedance_measure,
-    step_l2_distance,
-    volterra_residual,
-    write_trajectory,
-)
-from .errors import (
-    DomainError,
-    SizeLimitError,
-    SolverConvergenceError,
-    UnsupportedVariantError,
-    ValidationError,
-    VoterlimError,
-)
-from .experiments import (
-    ErrorRow,
-    ErrorTable,
-    ExperimentConfig,
-    MCResult,
-    ProximityReport,
-    consensus_proximity,
-    convergence_study,
-    experiment_metadata,
-    random_consensus_mc,
-)
-from .graphs import (
-    DEFAULT_N_MAX,
-    RNG_ALGORITHM,
-    WeightedGraph,
-    blow_up,
-    discretize_kernel,
-    laplacian,
-    pixel_kernel,
-    sample_w_random,
-    write_edge_list,
-)
-from .kernels import (  # Kernel and BipartiteKernel: perfbench aliases of StepKernel
-    BipartiteKernel,
-    Kernel,
-    Partition,
-    StepKernel,
-    common_refinement,
-    l2_distance,
-    make_kernel,
-    overlap_matrix,
-)
-from .structure import (
-    Component,
-    ComponentDecomposition,
-    NecessaryConditionReport,
-    TwinSet,
-    connected_components,
-    decompose_solution,
-    find_maximal_twin_sets,
-    is_connected,
-    necessary_condition,
-    predict_limit,
-    structure_report,
-)
+Every name in `__all__` is resolved on first access (PEP 562), from the
+submodule that `_NAMES` lists it under, and so is each of those
+submodules: `import voterlim` loads neither numpy nor any submodule.
+That lets the CLI's process entry (`voterlim._entry`) set up the process
+before numpy loads, also under `python -m voterlim.cli`, which imports
+this package first.  The names are looked up in their modules on every
+access, never copied here, so a name patched in its module is patched
+here too.
+"""
 
-__all__ = [
-    "__version__",
-    "BipartiteKernel",
-    "CONSENSUS_EPS",
-    "Component",
-    "ComponentDecomposition",
-    "DEFAULT_N_MAX",
-    "DomainError",
-    "ErrorRow",
-    "ErrorTable",
-    "ExperimentConfig",
-    "InitialCondition",
-    "Kernel",
-    "MCResult",
-    "NecessaryConditionReport",
-    "Partition",
-    "ProximityReport",
-    "RNG_ALGORITHM",
-    "SizeLimitError",
-    "SolverConvergenceError",
-    "StepKernel",
-    "Trajectory",
-    "TwinSet",
-    "UnsupportedVariantError",
-    "ValidationError",
-    "VoterlimError",
-    "WeightedGraph",
-    "average_initial",
-    "blow_up",
-    "common_refinement",
-    "connected_components",
-    "consensus_diameter",
-    "consensus_proximity",
-    "convergence_study",
-    "decompose_solution",
-    "default_horizon",
-    "detect_consensus",
-    "discretize_kernel",
-    "exceptional_measure",
-    "experiment_metadata",
-    "find_maximal_twin_sets",
-    "is_connected",
-    "l2_distance",
-    "laplacian",
-    "make_initial",
-    "make_kernel",
-    "necessary_condition",
-    "overlap_matrix",
-    "pixel_kernel",
-    "predict_limit",
-    "random_consensus_mc",
-    "read_trajectory",
-    "sample_w_random",
-    "solve_continuum",
-    "solve_exact",
-    "solve_finite",
-    "step_exceedance_measure",
-    "step_l2_distance",
-    "structure_report",
-    "volterra_residual",
-    "write_edge_list",
-    "write_trajectory",
-]
+import importlib
+
+_NAMES = {
+    "_version": ("__version__",),
+    "dynamics": (
+        "CONSENSUS_EPS",
+        "InitialCondition",
+        "Trajectory",
+        "average_initial",
+        "consensus_diameter",
+        "default_horizon",
+        "detect_consensus",
+        "exceptional_measure",
+        "make_initial",
+        "read_trajectory",
+        "solve_continuum",
+        "solve_exact",
+        "solve_finite",
+        "step_exceedance_measure",
+        "step_l2_distance",
+        "volterra_residual",
+        "write_trajectory",
+    ),
+    "errors": (
+        "DomainError",
+        "SizeLimitError",
+        "SolverConvergenceError",
+        "UnsupportedVariantError",
+        "ValidationError",
+        "VoterlimError",
+    ),
+    "experiments": (
+        "ErrorRow",
+        "ErrorTable",
+        "ExperimentConfig",
+        "MCResult",
+        "ProximityReport",
+        "consensus_proximity",
+        "convergence_study",
+        "experiment_metadata",
+        "random_consensus_mc",
+    ),
+    "graphs": (
+        "DEFAULT_N_MAX",
+        "RNG_ALGORITHM",
+        "WeightedGraph",
+        "blow_up",
+        "discretize_kernel",
+        "laplacian",
+        "pixel_kernel",
+        "sample_w_random",
+        "write_edge_list",
+    ),
+    "kernels": (
+        "BipartiteKernel",  # Kernel and BipartiteKernel: perfbench aliases of StepKernel
+        "Kernel",
+        "Partition",
+        "StepKernel",
+        "common_refinement",
+        "l2_distance",
+        "make_kernel",
+        "overlap_matrix",
+    ),
+    "structure": (
+        "Component",
+        "ComponentDecomposition",
+        "NecessaryConditionReport",
+        "TwinSet",
+        "connected_components",
+        "decompose_solution",
+        "find_maximal_twin_sets",
+        "is_connected",
+        "necessary_condition",
+        "predict_limit",
+        "structure_report",
+    ),
+}
+
+__all__ = [name for names in _NAMES.values() for name in names]
+
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

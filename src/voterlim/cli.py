@@ -2,10 +2,17 @@
 
 Exit codes: 0 success, 2 config or validation problem, 3 size guard,
 4 the solution left the representable range.  Failures leave a
-machine-readable error.json in the output directory.
+machine-readable error.json in the output directory.  A `voterlim`
+process, `python -m voterlim.cli` or the console script, runs `main`
+through `_entry.run`.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":  # python -m voterlim.cli: the process entry, before numpy loads
+    from ._entry import run
+
+    run()
 
 import argparse
 import json
@@ -320,6 +327,3 @@ def main(argv=None) -> int:
         return _fail(out_dir, exc, EXIT_SOLVER)
     return EXIT_OK
 
-
-if __name__ == "__main__":
-    sys.exit(main())

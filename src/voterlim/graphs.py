@@ -52,9 +52,9 @@ def _float_texts(values) -> tuple[np.ndarray, np.ndarray]:
     by their bits (the int64 view), so 0.0 and -0.0 keep their own texts.
     """
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    _, first, labels = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    bits, labels = np.unique(flat.view(np.int64), return_inverse=True)
     # one encoder call; no float text contains ", "
-    texts = np.array(json.dumps(flat[first].tolist())[1:-1].split(", "), dtype=object)
+    texts = np.array(json.dumps(bits.view(float).tolist())[1:-1].split(", "), dtype=object)
     return labels, texts
 
 

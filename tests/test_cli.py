@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -992,3 +993,118 @@ def test_experiments_leave_numpy_ma_unloaded(tmp_path, command):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "0 False"
+
+
+# The process entry (voterlim._entry.run), as `python -m voterlim.cli` and as
+# the console script runs it: sys.argv[1:] are the CLI's arguments either way.
+ENTRIES = {
+    "module": ["-m", "voterlim.cli"],
+    "script": ["-c", "from voterlim._entry import run; run()"],
+}
+SRC_DIR = os.path.dirname(os.path.dirname(vl.__file__))
+
+
+def entry_env(**extra):
+    """The environment of an entry process: src first, OPENBLAS_NUM_THREADS unset."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, **extra)
+    if "OPENBLAS_NUM_THREADS" not in extra:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def tree_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = (Path(SRC_DIR).parent / "pyproject.toml").read_text()
+    assert '\nvoterlim = "voterlim._entry:run"\n' in pyproject
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize(
+    "command, edit, code",
+    [
+        ("simulate", {}, 0),
+        ("mc-random", None, 0),
+        ("simulate", {"n": 4097, "kernel": {"type": "constant", "c": 1.0}}, 3),
+        ("simulate", {"eps": -1.0}, 2),
+    ],
+)
+def test_entry_process_matches_main(tmp_path, capsys, entry, command, edit, code):
+    # the process leaves by os._exit: its artifacts, error.json and the one
+    # JSON line on stderr must all be out by then, as after main() returns
+    cfg = mc_config() if edit is None else {**simulate_config(), **edit}
+    path = write_config(tmp_path, cfg)
+    args = [command, "--config", path, "--out"]
+    assert main(args + [str(tmp_path / "in_process")]) == code
+    want_err = capsys.readouterr().err
+    done = subprocess.run(
+        [sys.executable, *ENTRIES[entry], *args, str(tmp_path / "process")],
+        env=entry_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", want_err)
+    assert want_err.count("\n") == (code != 0)
+    want = tree_bytes(tmp_path / "in_process")
+    assert tree_bytes(tmp_path / "process") == want
+    assert ("error.json" in want) == (code != 0)
+
+
+EXIT_HOOK = """\
+import os
+
+_exit = os._exit
+
+
+def logged_exit(code):
+    with open(os.environ["EXIT_LOG"], "a") as fh:
+        threads = len(os.listdir("/proc/self/task"))
+        fh.write(f"{threads} {os.environ.get('OPENBLAS_NUM_THREADS')}\\n")
+    _exit(code)
+
+
+os._exit = logged_exit
+"""
+
+
+def exit_log(tmp_path, command, cfg, **env):
+    """Per process that left by os._exit (the CLI process and its forked
+    Monte Carlo workers): (its OS threads then, its OPENBLAS_NUM_THREADS)."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(EXIT_HOOK)
+    log = tmp_path / "exit.log"
+    env = entry_env(EXIT_LOG=str(log), **env)
+    env["PYTHONPATH"] = os.pathsep.join([str(site), SRC_DIR])
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    subprocess.run([sys.executable, "-m", "voterlim.cli", *argv], env=env, check=True)
+    return [(int(t), value) for t, value in (line.split() for line in log.read_text().splitlines())]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_entry_process_runs_one_blas_thread(tmp_path):
+    assert exit_log(tmp_path, "simulate", simulate_config()) == [(1, "1")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_entry_forks_monte_carlo_workers_without_blas_threads(tmp_path):
+    workers = min(len(os.sched_getaffinity(0)), mc_config()["trials"])
+    assert exit_log(tmp_path, "mc-random", mc_config()) == [(1, "1")] * workers
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_entry_keeps_the_callers_blas_threads(tmp_path):
+    [(threads, value)] = exit_log(tmp_path, "simulate", simulate_config(), OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+    assert threads == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_importing_the_cli_leaves_the_environment_alone():
+    code = (
+        "import os; before = dict(os.environ); import voterlim.cli; "
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=entry_env(), capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "True False\n"

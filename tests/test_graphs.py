@@ -151,6 +151,18 @@ class TestGraphJson:
         text = '{"n": 2.0, "weights": [[0.0, 1.0], [1.0, 0.0]]}'
         assert vl.WeightedGraph.from_json(text).n == 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1, 1.5]),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_float_texts_give_each_entry_its_json_text(self, values):
+        labels, texts = graphs._float_texts(np.array(values).reshape(-1, 1))
+        assert [texts[k] for k in labels.tolist()] == [json.dumps(v) for v in values]
+        assert len(texts) == len(set(np.array(values).view(np.int64).tolist()))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(JSON_TOKENS), max_size=12), st.booleans())
     def test_json_loads_matches_on_repeated_and_aliased_tokens(self, tokens, as_object):

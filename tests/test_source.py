@@ -1,10 +1,16 @@
 """Source hygiene that a linter would check: no dead imports, a clean `__all__`,
-one module deciding the bits of the discretisation and no unlisted defaulted
-parameter in the public API."""
+one module deciding the bits of the discretisation, no unlisted defaulted
+parameter in the public API, and a package that loads its names on first use."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import voterlim as vl
 
@@ -173,3 +179,30 @@ def test_public_defaulted_parameters_are_listed():
                     ):
                         found += _defaulted(method, f"{node.name}.")
     assert sorted(found) == DEFAULTED
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    code = (
+        "import sys, voterlim; "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'voterlim.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_every_public_name_resolves_to_its_modules_object():
+    for module, names in vl._NAMES.items():
+        source = importlib.import_module(f"voterlim.{module}")
+        assert getattr(vl, module) is source
+        for name in names:
+            assert getattr(vl, name) is getattr(source, name), name
+    assert set(vl.__all__) <= set(dir(vl))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'voterlim' has no attribute 'solve'"):
+        vl.solve
+    assert not hasattr(vl, "numpy")

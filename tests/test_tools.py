@@ -177,6 +177,16 @@ def test_ab_ratio_report_gives_quartiles_and_counts_only_wins():
     ]
 
 
+def test_ab_blas_line_names_the_inherited_setting_or_unset():
+    tool = load_tool("ab_jobs")
+    assert tool.blas_line({"OPENBLAS_NUM_THREADS": "2"}) == (
+        "jobs and import probes inherit OPENBLAS_NUM_THREADS=2"
+    )
+    unset = tool.blas_line({"PYTHONPATH": "x"})
+    assert unset.startswith("jobs and import probes inherit OPENBLAS_NUM_THREADS unset: ")
+    assert "job / import probe does not cancel the host's BLAS phase" in unset
+
+
 def test_ab_import_probe_times_one_import_of_the_tree(tmp_path, monkeypatch):
     tool = load_tool("ab_jobs")
     calls = []

@@ -23,6 +23,12 @@ process of the same tree, env and bytecode cache is timed too (the import
 probe).  Job wall / probe wall divides out most of the host's drift, which
 moves both alike; per tree the tool prints the median and quartiles of
 that ratio and how many pairs this tree won on it.
+
+Its first line is the `OPENBLAS_NUM_THREADS` that every job and probe
+inherits, or "unset" (`blas_line`).  Unset, a tree whose CLI process
+defaults it to 1 runs its jobs on one BLAS thread but its import probes
+(an import, not the process entry) on OpenBLAS's default threads; against
+a tree whose jobs keep the default, only the job walls compare the trees.
 """
 
 from __future__ import annotations
@@ -127,6 +133,18 @@ def ratio_report(ratios: dict) -> list[str]:
     return lines
 
 
+def blas_line(env: dict) -> str:
+    """The OPENBLAS_NUM_THREADS that jobs run with `env` inherit, or "unset"
+    with what that leaves of the job / import probe ratio."""
+    value = env.get("OPENBLAS_NUM_THREADS")
+    if value is not None:
+        return f"jobs and import probes inherit OPENBLAS_NUM_THREADS={value}"
+    return ("jobs and import probes inherit OPENBLAS_NUM_THREADS unset: a tree whose CLI"
+            " defaults it to 1 has one BLAS thread in its jobs but not in its probes, so"
+            " job / import probe does not cancel the host's BLAS phase against a tree"
+            " that keeps the default")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the tree to compare with")
@@ -164,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
+    print(blas_line(envs["this"]))
     for line in report(walls, peaks) + [verdict(walls)] + ratio_report(ratios):
         print(line)
     return 0
