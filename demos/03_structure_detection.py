@@ -63,11 +63,13 @@ assert gap <= 1e-14 * max(1.0, float(np.abs(whole).max()))
 
 # Twin-sets: duplicating vertices of a graph leaves the copies with
 # proportional kernel rows, and the detector recovers the grouping.
-# The triangle needs distinct edge weights or everything merges.
-triangle = vl.WeightedGraph(
-    [[0.0, 0.9, 0.3], [0.9, 0.0, 0.6], [0.3, 0.6, 0.0]]
-)
-blown = vl.blow_up(triangle, [2, 1, 1], scale=[[1.0, 0.5], [1.0], [1.0]])
+# Vertex 0 of the triangle gets two copies, the second at half strength
+# (multipliers m): the weight between copies is m_i * m_j times the
+# original.  The triangle needs distinct edge weights or everything merges.
+w = np.array([[0.0, 0.9, 0.3], [0.9, 0.0, 0.6], [0.3, 0.6, 0.0]])
+origin = np.array([0, 0, 1, 2])
+m = np.array([1.0, 0.5, 1.0, 1.0])
+blown = vl.WeightedGraph(w[np.ix_(origin, origin)] * np.outer(m, m))
 twins = vl.find_maximal_twin_sets(vl.pixel_kernel(blown))
 print("\nblow-up twin sets:", [list(s.cells) for s in twins])
 print("multipliers of the first set:", list(twins[0].multipliers))

@@ -56,12 +56,10 @@ _NAMES = {
         "DEFAULT_N_MAX",
         "RNG_ALGORITHM",
         "WeightedGraph",
-        "blow_up",
         "discretize_kernel",
         "laplacian",
         "pixel_kernel",
         "sample_w_random",
-        "write_edge_list",
     ),
     "kernels": (
         "BipartiteKernel",  # Kernel and BipartiteKernel: perfbench aliases of StepKernel

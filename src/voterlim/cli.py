@@ -52,7 +52,7 @@ from .experiments import (
     experiment_metadata,
     random_consensus_mc,
 )
-from .graphs import WeightedGraph, _joined_rows, discretize_kernel, write_edge_list
+from .graphs import WeightedGraph, _joined_rows, discretize_kernel
 from .kernels import make_kernel
 from .structure import structure_report
 
@@ -175,12 +175,8 @@ def _cmd_simulate(cfg, out_dir) -> None:
 
 
 def _cmd_discretize(cfg, out_dir) -> None:
-    graph = discretize_kernel(cfg.kernel, cfg.n)
-    simple = graph.is_simple()
-    _write(out_dir, "graph.json", graph.to_json() + "\n")
-    if simple:
-        write_edge_list(graph, os.path.join(out_dir, "edges.csv"))
-    meta = {"kernel": cfg.kernel.spec(), "n": cfg.n, "simple": simple}
+    _write(out_dir, "graph.json", discretize_kernel(cfg.kernel, cfg.n).to_json() + "\n")
+    meta = {"kernel": cfg.kernel.spec(), "n": cfg.n}
     _write(out_dir, "graph_meta.json", {**meta, "library_version": __version__})
 
 

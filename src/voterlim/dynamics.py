@@ -81,7 +81,7 @@ class InitialCondition:
 
     @classmethod
     def constant(cls, c: float) -> "InitialCondition":
-        return cls([0.0, 1.0], [c])
+        return cls([0.0, 1.0], [checked(real, "c", c, "constant initial condition")])
 
     @classmethod
     def from_cell_values(cls, values) -> "InitialCondition":
@@ -97,6 +97,7 @@ class InitialCondition:
         simplest profile that the two-block kernel lets decay in place;
         other amplitudes are a "step" profile.
         """
+        r = checked(real, "r", r, "balanced_blocks initial condition")
         if not (0.0 < r < 1.0):
             raise ValidationError("split point r must lie in (0, 1)")
         bounds = [0.0, r / 2.0, r, (1.0 + r) / 2.0, 1.0]

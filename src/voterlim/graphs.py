@@ -102,14 +102,6 @@ class WeightedGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def is_simple(self) -> bool:
-        """True when the graph is unweighted without self-loops (0/1 off-diagonal)."""
-        w = self.weights
-        if np.diag(w).any():
-            return False
-        # counted one comparison at a time: no mask of the off-diagonal
-        return bool(np.count_nonzero(w == 0.0) + np.count_nonzero(w == 1.0) == w.size)
-
     def to_json(self) -> str:
         """`json.dumps({"n": n, "weights": weights.tolist()})`, byte for byte.
 
@@ -282,39 +274,3 @@ def _w_random_sampler(kernel: StepKernel, n: int):
 
     return sample
 
-
-def blow_up(graph: WeightedGraph, copies, scale=None) -> WeightedGraph:
-    """Replace each vertex by copies whose mutual weights multiply the originals.
-
-    `copies[u]` is the number of copies of vertex u; `scale[u][c]` is a
-    positive multiplier attached to copy c.  The weight between copy c of u
-    and copy c' of v is scale[u][c] * scale[v][c'] * beta_uv, including
-    u == v, and must stay within [-1, 1].  With unit scales and one copy
-    per vertex this is the identity.
-    """
-    counts = [_size(c, "blow-up copies") for c in copies]
-    _size(sum(counts), "blow-up")
-    if scale is None:
-        scale = [[1.0] * c for c in counts]
-    scale = [list(map(float, s)) for s in scale]
-    if len(counts) != graph.n or list(map(len, scale)) != counts:
-        raise ValidationError("copies must give a count per vertex, scale a multiplier per copy")
-    if any(v <= 0.0 for s in scale for v in s):
-        raise ValidationError("scale multipliers must be positive")
-    origin = np.repeat(np.arange(graph.n), counts)
-    mults = np.concatenate([np.asarray(s) for s in scale])
-    expanded = graph.weights[np.ix_(origin, origin)]
-    new_w = np.outer(mults, mults) * expanded
-    if np.max(np.abs(new_w)) > 1.0 + 1e-12:
-        raise ValidationError("scaled blow-up weight falls outside [-1, 1]")
-    return WeightedGraph(new_w)
-
-
-def write_edge_list(graph: WeightedGraph, path) -> None:
-    """CSV edge list (i, j, beta) of a simple graph, 1-based, i < j, with newline line ends."""
-    if not graph.is_simple():
-        raise ValidationError("edge-list format is reserved for simple graphs")
-    iu, ju = np.nonzero(np.triu(graph.weights, k=1))
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,beta\n")
-        fh.writelines(f"{i + 1},{j + 1},1\n" for i, j in zip(iu.tolist(), ju.tolist()))

@@ -215,7 +215,7 @@ class StepKernel:
     @classmethod
     def constant(cls, c: float) -> "StepKernel":
         """Kernel identically equal to a constant c in [-1, 1]."""
-        c = float(c)
+        c = checked(real, "c", c, "constant kernel")
         if not np.isfinite(c) or abs(c) > 1.0:
             raise ValidationError("constant must lie in [-1, 1]")
         return cls._named([0.0, 1.0], [[c]], {"type": "constant", "c": c})
@@ -223,7 +223,7 @@ class StepKernel:
     @classmethod
     def bipartite(cls, r: float) -> "StepKernel":
         """Two-block kernel: -1 on [0,r]^2 and +1 elsewhere, for r in (0, 1/2)."""
-        r = float(r)
+        r = checked(real, "r", r, "bipartite kernel")
         if not (0.0 < r < 0.5):
             raise ValidationError("block boundary r must lie strictly in (0, 1/2)")
         spec = {"type": "bipartite", "r": r}
@@ -253,15 +253,17 @@ class StepKernel:
         parts = list(parts)
         if not parts:
             raise ValidationError("direct sum needs at least one part")
-        weights = np.array([float(a) for a, _ in parts])
+        if not all(
+            isinstance(part, (tuple, list)) and len(part) == 2 and isinstance(part[1], StepKernel)
+            for part in parts
+        ):
+            raise ValidationError("parts must be (weight, StepKernel) pairs")
+        weights = np.array([checked(real, "weight", a, "direct_sum part") for a, _ in parts])
         kernels = [k for _, k in parts]
         if np.any(weights <= 0.0):
             raise ValidationError("part weights must be positive")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("part weights must sum to 1")
-        for k in kernels:
-            if not isinstance(k, StepKernel):
-                raise ValidationError("parts must be (weight, Kernel) pairs")
         edges = np.concatenate([[0.0], np.cumsum(weights)])
         edges[-1] = 1.0  # protect against cumulative rounding
         bounds = [0.0]
@@ -290,11 +292,11 @@ class StepKernel:
 
         The base must take values in [0, 1]; the mix then stays in [p, 1-p].
         """
-        p = float(p)
+        p = checked(real, "p", p, "ws_mix kernel")
         if not 0.0 <= p <= 0.5:
             raise ValidationError("mixing probability p must lie in [0, 1/2]")
         if not isinstance(base, StepKernel):
-            raise ValidationError("base must be a Kernel")
+            raise ValidationError("base must be a StepKernel")
         if not base.is_graphon():
             raise ValidationError("base kernel range must be within [0, 1]")
         spec = {"type": "ws_mix", "p": p, "base": base.spec()}
@@ -311,17 +313,14 @@ class StepKernel:
         i = self.partition.cell_of(x)
         return self.values[i] @ self.partition.measures
 
-    def value_range(self) -> tuple[float, float]:
-        return float(self.values.min()), float(self.values.max())
-
     def is_graphon(self) -> bool:
-        """True when the value range lies within [0, 1]."""
-        lo, hi = self.value_range()
-        return lo >= 0.0 and hi <= 1.0
+        """True when the values lie within [0, 1]."""
+        return bool(self.values.min() >= 0.0 and self.values.max() <= 1.0)
 
     def scaled(self, factor: float) -> "StepKernel":
         """Step kernel with all values multiplied by `factor` (range re-checked)."""
-        return StepKernel(self.partition, self.values * float(factor))
+        factor = checked(real, "factor", factor, "kernel scaling")
+        return StepKernel(self.partition, self.values * factor)
 
     def spec(self) -> dict:
         """JSON-serialisable description accepted by `make_kernel`: the

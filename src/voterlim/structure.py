@@ -53,10 +53,6 @@ class ComponentDecomposition:
     components: tuple[Component, ...]
     labels: np.ndarray  # component index of each source cell
 
-    def reassembled(self) -> StepKernel:
-        """Direct sum of the components; equals the source up to cell order."""
-        return StepKernel.direct_sum([(c.weight, c.kernel) for c in self.components])
-
 
 @dataclass(frozen=True)
 class TwinSet:

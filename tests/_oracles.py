@@ -10,6 +10,7 @@ Two exact references that no pipeline stage needs live here too:
 `BipartiteClosedForm`, the closed form on the two-block kernel for starts
 with zero mean on each block (`has_balanced_blocks`), and
 `randcond_evaluate`, the pairwise-difference functional against W(1 - W).
+`copied_weights` builds weight matrices with twins by copying vertices.
 The last six are the plain whole-array expressions that the library's
 discretisation, Volterra residual, validator, W-random sampler, trajectory
 writer and twin-quotient synthesis were rewritten from; the rewrites must
@@ -263,6 +264,20 @@ def row_equality_classes(weights):
     for i, row in enumerate(np.asarray(weights, dtype=float)):
         groups.setdefault(row.tobytes(), []).append(i)
     return sorted(groups.values())
+
+
+def copied_weights(weights, copies, scale=None):
+    """Weights with vertex u replaced by copies[u] copies.
+
+    The weight between copy c of u and copy c' of v is
+    scale[u][c] * scale[v][c'] * weights[u, v], u == v included; scale
+    defaults to one per copy.  Copies of a vertex are twins, and with
+    unequal scales their rows are proportional.
+    """
+    weights = np.asarray(weights, dtype=float)
+    origin = np.repeat(np.arange(len(weights)), copies)
+    mults = np.ones(origin.size) if scale is None else np.concatenate(scale)
+    return weights[np.ix_(origin, origin)] * np.outer(mults, mults)
 
 
 def naive_volterra_residual(beta, times, states):

@@ -160,34 +160,25 @@ class TestSimulate:
 
 
 class TestDiscretize:
-    def test_simple_kernel_gets_edge_list(self, tmp_path):
-        # 0/1 cross-block kernel with zero diagonal blocks stays simple
-        cfg = write_config(
-            tmp_path,
-            {
-                "kernel": {
-                    "type": "step",
-                    "boundaries": [0.0, 0.5, 1.0],
-                    "values": [[0.0, 1.0], [1.0, 0.0]],
-                },
-                "n": 8,
-            },
-        )
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            # 0/1 cross-block kernel with zero diagonal blocks: a simple graph
+            {"type": "step", "boundaries": [0.0, 0.5, 1.0], "values": [[0.0, 1.0], [1.0, 0.0]]},
+            {"type": "constant", "c": 0.3},
+        ],
+        ids=["simple", "weighted"],
+    )
+    def test_writes_the_graph_and_its_meta(self, tmp_path, kernel):
+        cfg = write_config(tmp_path, {"kernel": kernel, "n": 8})
         out = tmp_path / "out"
         assert main(["discretize", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["graph.json", "graph_meta.json"]
         meta = read_json(out / "graph_meta.json")
-        assert meta["simple"] is True
+        assert sorted(meta) == ["kernel", "library_version", "n"]
         graph = vl.WeightedGraph.from_json((out / "graph.json").read_text())
-        assert graph.n == 8
-        first = (out / "edges.csv").read_text().splitlines()[0]
-        assert first == "i,j,beta"
-
-    def test_weighted_kernel_has_no_edge_list(self, tmp_path):
-        cfg = write_config(tmp_path, {"kernel": {"type": "constant", "c": 0.3}, "n": 4})
-        out = tmp_path / "out"
-        assert main(["discretize", "--config", cfg, "--out", str(out)]) == 0
-        assert read_json(out / "graph_meta.json")["simple"] is False
-        assert not (out / "edges.csv").exists()
+        want = vl.discretize_kernel(vl.make_kernel(kernel), 8)
+        assert graph.weights.tobytes() == want.weights.tobytes()
 
 
 class TestOtherCommands:

@@ -203,6 +203,29 @@ def test_python_callers_get_no_booleans_as_numbers(build, spec, key):
         build(spec)
 
 
+# Each family parameter of the Python API, with the key its JSON spec gives it.
+UNIT = vl.StepKernel.constant(1.0)
+FAMILY_PARAMETERS = {
+    "StepKernel.constant": (vl.StepKernel.constant, "c"),
+    "StepKernel.bipartite": (vl.StepKernel.bipartite, "r"),
+    "StepKernel.ws_mix": (lambda p: vl.StepKernel.ws_mix(UNIT, p), "p"),
+    "StepKernel.direct_sum": (lambda a: vl.StepKernel.direct_sum([(a, UNIT), (0.75, UNIT)]),
+                              "weight"),
+    "StepKernel.scaled": (UNIT.scaled, "factor"),
+    "InitialCondition.constant": (vl.InitialCondition.constant, "c"),
+    "InitialCondition.balanced_blocks": (vl.InitialCondition.balanced_blocks, "r"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.25"])
+@pytest.mark.parametrize("family", FAMILY_PARAMETERS)
+def test_python_callers_get_the_schema_kinds(family, value):
+    # float() read True as 1.0 and "0.25" as 0.25, where a JSON config refuses both
+    build, key = FAMILY_PARAMETERS[family]
+    with pytest.raises(vl.ValidationError, match=f"value for '{key}'"):
+        build(value)
+
+
 @pytest.mark.parametrize(
     "text,key",
     [

@@ -1,6 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script and every python block of the README run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -26,3 +28,11 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_python_blocks_run():
+    # a name removed from the library and left in the README fails here
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for number, code in enumerate(blocks):
+        exec(compile(code, f"{README.name} python block {number}", "exec"), {})

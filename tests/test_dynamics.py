@@ -21,6 +21,7 @@ from _oracles import (
     BipartiteClosedForm,
     brute_exceptional,
     brute_step_exceedance,
+    copied_weights,
     dense_eigh_states,
     dense_volterra_residual,
     frac_step_integral,
@@ -234,7 +235,7 @@ class TestTwinQuotient:
     def test_blow_ups_match_dense(self, seed, k, nonneg):
         r = np.random.default_rng(seed)
         base = vl.WeightedGraph(_random_weights(r, k, nonneg))
-        graph = vl.blow_up(base, r.integers(1, 5, k))
+        graph = vl.WeightedGraph(copied_weights(base.weights, r.integers(1, 5, k)))
         u0 = r.uniform(-1.0, 1.0, graph.n)
         q = _check_against_dense(graph, u0, np.linspace(0.0, 3.0, 7), nonneg)
         assert q == k
@@ -244,8 +245,8 @@ class TestTwinQuotient:
     def test_false_twins_in_simple_graphs_match_dense(self, seed, k):
         r = np.random.default_rng(seed)
         sample = vl.sample_w_random(vl.StepKernel.constant(0.5), k, seed)
-        graph = vl.blow_up(sample, r.integers(1, 4, k))
-        assert graph.is_simple()
+        graph = vl.WeightedGraph(copied_weights(sample.weights, r.integers(1, 4, k)))
+        assert np.isin(graph.weights, (0.0, 1.0)).all() and not np.diag(graph.weights).any()
         u0 = r.uniform(-1.0, 1.0, graph.n)
         _check_against_dense(graph, u0, np.linspace(0.0, 3.0, 7), True)
 
@@ -268,7 +269,8 @@ class TestTwinQuotient:
         sample = vl.sample_w_random(vl.StepKernel.constant(0.5), 300, seed=7)
         copies = np.ones(300, dtype=int)
         copies[[3, 150, 299]] = [2, 3, 2]
-        for graph, q in ((sample, 300), (vl.blow_up(sample, copies), 300)):
+        copied = vl.WeightedGraph(copied_weights(sample.weights, copies))
+        for graph, q in ((sample, 300), (copied, 300)):
             u0 = np.random.default_rng(q).uniform(-1.0, 1.0, graph.n)
             assert _check_against_dense(graph, u0, np.linspace(0.0, 3.0, 7), True) == q
 
@@ -415,11 +417,11 @@ class TestColumnSynthesis:
         r = np.random.default_rng(seed)
         horizon = float(r.uniform(0.5, 5.0))
         if kind == "scattered":
-            # twins of a blow-up, scattered by a permutation
+            # twins of copied vertices, scattered by a permutation
             k = int(r.integers(1, 9))
             copies = r.integers(1, 5, k)
             copies[0] = max(copies[0], 2)
-            graph = vl.blow_up(vl.WeightedGraph(_random_weights(r, k, False)), copies)
+            graph = vl.WeightedGraph(copied_weights(_random_weights(r, k, False), copies))
             perm = r.permutation(graph.n)
             graph = vl.WeightedGraph(graph.weights[np.ix_(perm, perm)])
         else:

@@ -59,15 +59,6 @@ class TestWeightedGraph:
         assert np.array_equal(back.weights, g.weights)
         assert back.n == 2
 
-    def test_is_simple(self):
-        assert vl.WeightedGraph([[0, 1], [1, 0]]).is_simple()
-        assert not vl.WeightedGraph([[1, 1], [1, 0]]).is_simple()
-        assert not vl.WeightedGraph([[0, 0.5], [0.5, 0]]).is_simple()
-        assert vl.WeightedGraph([[-0.0, 1], [1, 0]]).is_simple()
-        assert vl.WeightedGraph([[0, -0.0, 1], [-0.0, -0.0, 0], [1, 0, 0]]).is_simple()
-        assert not vl.WeightedGraph([[0, 1], [1, 1]]).is_simple()
-        assert not vl.WeightedGraph([[1, 0], [0, 0]]).is_simple()
-        assert not vl.WeightedGraph([[0, -1], [-1, 0]]).is_simple()
 
 
 def same_json(a, b) -> bool:
@@ -401,7 +392,7 @@ class TestWRandom:
         full = vl.sample_w_random(vl.StepKernel.constant(1.0), 12, seed=0)
         off = ~np.eye(12, dtype=bool)
         assert np.all(full.weights[off] == 1.0)
-        assert full.is_simple()
+        assert not np.diag(full.weights).any()
         empty = vl.sample_w_random(vl.StepKernel.constant(0.0), 12, seed=0)
         assert np.all(empty.weights == 0.0)
 
@@ -453,48 +444,6 @@ class TestWRandom:
         # in this order: the size checks win over the graphon check
         with pytest.raises((vl.ValidationError, vl.SizeLimitError), match=message):
             graphs._w_random_sampler(kernel, n)
-
-
-class TestBlowUp:
-    def test_identity(self, rng):
-        w = rng.uniform(-1, 1, (4, 4))
-        w = (w + w.T) / 2
-        g = vl.WeightedGraph(w)
-        same = vl.blow_up(g, [1, 1, 1, 1])
-        assert np.array_equal(same.weights, g.weights)
-
-    def test_single_vertex_with_loop(self):
-        g = vl.WeightedGraph([[1.0]])
-        big = vl.blow_up(g, [3])
-        assert np.array_equal(big.weights, np.ones((3, 3)))
-
-    def test_scaled_copies(self):
-        # path weights 1/6 and 1/3; the tripled copy of the hub sees 1/2 and 1
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = 1 / 6
-        w[0, 2] = w[2, 0] = 1 / 3
-        g = vl.WeightedGraph(w)
-        big = vl.blow_up(g, [2, 1, 1], [[1.0, 3.0], [1.0], [1.0]])
-        assert big.n == 4
-        assert big.weights[0, 2] == pytest.approx(1 / 6)
-        assert big.weights[1, 2] == pytest.approx(1 / 2)
-        assert big.weights[1, 3] == pytest.approx(1.0)
-        # the two copies of the hub are not directly linked (no self-loop)
-        assert big.weights[0, 1] == 0.0
-
-    def test_range_violation(self):
-        g = vl.WeightedGraph([[0.0, 0.9], [0.9, 0.0]])
-        with pytest.raises(vl.ValidationError):
-            vl.blow_up(g, [1, 1], [[2.0], [1.0]])
-
-    def test_bad_shapes(self):
-        g = vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(vl.ValidationError):
-            vl.blow_up(g, [1])
-        with pytest.raises(vl.ValidationError):
-            vl.blow_up(g, [2, 1], [[1.0], [1.0]])
-        with pytest.raises(vl.ValidationError):
-            vl.blow_up(g, [1, 1], [[-1.0], [1.0]])
 
 
 class TestByteClasses:
@@ -553,34 +502,3 @@ class TestSizeGuards:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # far below one n x n row block
-
-    def test_blow_up(self):
-        g = vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]])
-        assert vl.blow_up(g, [2, 3]).n == 5
-        for copies in ([vl.DEFAULT_N_MAX, 1], [10**9, 1]):
-            with pytest.raises(vl.SizeLimitError):
-                vl.blow_up(g, copies)
-
-
-class TestEdgeList:
-    def test_lists_each_edge_once(self, tmp_path):
-        g = vl.sample_w_random(vl.StepKernel.constant(0.4), 30, seed=5)
-        p = tmp_path / "edges.csv"
-        vl.write_edge_list(g, p)
-        text = p.read_bytes().decode("ascii")
-        # newline line ends, like every other CSV the library writes
-        assert "\r" not in text and text.endswith("\n")
-        header, *rows = text.splitlines()
-        assert header == "i,j,beta"
-        back = np.zeros((30, 30))
-        for row in rows:
-            i, j, beta = map(int, row.split(","))
-            assert 1 <= i < j <= 30 and beta == 1
-            back[i - 1, j - 1] = back[j - 1, i - 1] = beta
-        assert len(rows) == np.count_nonzero(g.weights) // 2
-        assert np.array_equal(back, g.weights)
-
-    def test_rejects_weighted(self, tmp_path):
-        g = vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(vl.ValidationError):
-            vl.write_edge_list(g, tmp_path / "edges.csv")

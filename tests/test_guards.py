@@ -31,7 +31,6 @@ SIZE_ENTRIES = {
     "sample_w_random": lambda n: vl.sample_w_random(GRAPHON, n, 0).n,
     "average_initial": lambda n: vl.average_initial(START, n).size,
     "graph JSON": lambda n: vl.WeightedGraph._from_dict({"n": n, "weights": np.zeros((4, 4))}).n,
-    "blow_up": lambda n: vl.blow_up(vl.WeightedGraph([[0.0]]), [n]).n,
     "n_ladder": lambda n: vl.ExperimentConfig(KERNEL, START, [n], 1.0).n_ladder[0],
     "reference_n": lambda n: vl.convergence_study(
         vl.ExperimentConfig(KERNEL, START, [1], 1.0, num_times=3), reference_n=n
@@ -57,12 +56,6 @@ def test_size_entries_refuse_sizes_above_the_ceiling(entry):
 def test_size_entries_record_a_python_int(entry, n):
     # json.dumps refuses an np.int64 and writes 4.0 or True as such
     assert json.dumps(SIZE_ENTRIES[entry](n)) == json.dumps(SIZE_ENTRIES[entry](4))
-
-
-def test_blow_up_refuses_a_fractional_copy_count():
-    # int() made 2 copies of 2.7
-    with pytest.raises(vl.ValidationError):
-        vl.blow_up(vl.WeightedGraph([[0.0, 0.5], [0.5, 0.0]]), [2.7, 1])
 
 
 def test_averaging_names_the_size_not_the_partition():

@@ -133,11 +133,10 @@ class TestStepKernel:
         assert k.degree(0.1) == pytest.approx(-0.125, abs=1e-15)
         assert k.degree(0.9) == pytest.approx(0.25 * (-0.5) + 0.75 * 0.25, abs=1e-15)
 
-    def test_value_range_and_graphon_flag(self):
+    def test_graphon_flag(self):
         k = vl.StepKernel([0, 0.5, 1], [[0.2, 0.8], [0.8, 1.0]])
-        assert k.value_range() == (0.2, 1.0)
-        assert k.is_graphon()
-        assert not vl.StepKernel.bipartite(0.3).is_graphon()
+        assert k.is_graphon() is True
+        assert vl.StepKernel.bipartite(0.3).is_graphon() is False
 
 
 class TestClosedFormFamilies:
@@ -200,6 +199,24 @@ class TestClosedFormFamilies:
             vl.StepKernel.direct_sum(
                 [(0.4, vl.StepKernel.constant(1.0)), (0.5, vl.StepKernel.constant(1.0))]
             )
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [vl.StepKernel.constant(1.0)],
+            [(1.0, vl.StepKernel.constant(1.0), vl.StepKernel.constant(1.0))],
+            [(1.0, {"type": "constant", "c": 1.0})],
+        ],
+        ids=["bare kernel", "triple", "spec for a kernel"],
+    )
+    def test_direct_sum_refuses_what_is_not_a_pair(self, parts):
+        # a bare kernel was unpacked as a pair: TypeError, not a ValidationError
+        with pytest.raises(vl.ValidationError, match=r"\(weight, StepKernel\) pairs"):
+            vl.StepKernel.direct_sum(parts)
+
+    def test_ws_mix_names_the_class_of_its_base(self):
+        with pytest.raises(vl.ValidationError, match="base must be a StepKernel$"):
+            vl.StepKernel.ws_mix({"type": "constant", "c": 1.0}, 0.1)
 
     def test_direct_sum_inner_coordinates(self):
         inner = vl.StepKernel([0, 0.5, 1], [[1.0, 0.0], [0.0, 1.0]])

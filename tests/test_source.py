@@ -1,4 +1,4 @@
-"""Source hygiene that a linter would check: no dead imports, a clean `__all__`,
+"""Source hygiene that a linter would check: no dead imports, a clean and pinned `__all__`,
 one module deciding the bits of the discretisation, no unlisted defaulted
 parameter in the public API, and a package that loads its names on first use."""
 
@@ -42,9 +42,34 @@ def test_imports_are_used_and_all_is_unique():
     assert [name for name in vl.__all__ if not hasattr(vl, name)] == []
 
 
+# The public API, `voterlim.__all__`: the objects of the paper, what the CLI
+# runs and the names the benchmark imports or wraps (`Kernel`,
+# `BipartiteKernel`, `laplacian`).  A name joins or leaves it on purpose.
+PUBLIC = [
+    "BipartiteKernel", "CONSENSUS_EPS", "Component", "ComponentDecomposition", "DEFAULT_N_MAX",
+    "DomainError", "ErrorRow", "ErrorTable", "ExperimentConfig", "InitialCondition", "Kernel",
+    "MCResult", "NecessaryConditionReport", "Partition", "ProximityReport", "RNG_ALGORITHM",
+    "SizeLimitError", "SolverConvergenceError", "StepKernel", "Trajectory", "TwinSet",
+    "UnsupportedVariantError", "ValidationError", "VoterlimError", "WeightedGraph",
+    "__version__", "average_initial", "common_refinement", "connected_components",
+    "consensus_diameter", "consensus_proximity", "convergence_study", "decompose_solution",
+    "default_horizon", "detect_consensus", "discretize_kernel", "exceptional_measure",
+    "experiment_metadata", "find_maximal_twin_sets", "is_connected", "l2_distance",
+    "laplacian", "make_initial", "make_kernel", "necessary_condition", "overlap_matrix",
+    "pixel_kernel", "predict_limit", "random_consensus_mc", "read_trajectory",
+    "sample_w_random", "solve_continuum", "solve_exact", "solve_finite",
+    "step_exceedance_measure", "step_l2_distance", "structure_report", "volterra_residual",
+    "write_trajectory",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert sorted(vl.__all__) == PUBLIC
+
+
 def test_no_module_imports_csv():
     # every CSV is one dialect with newline line ends: written by f-strings
-    # (`csv_text`, `write_trajectory`, `write_edge_list`) and read by numpy
+    # (`csv_text`, `write_trajectory`) and read by numpy
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -146,7 +171,6 @@ DEFAULTED = [
     "InitialCondition.integral(a)",
     "InitialCondition.integral(b)",
     "Trajectory.__init__(metadata)",
-    "blow_up(scale)",
     "consensus_proximity(reference_n)",
     "convergence_study(reference_n)",
     "default_horizon(kernel)",
