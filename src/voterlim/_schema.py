@@ -1,5 +1,5 @@
 """The one reader of JSON configs: a table of keys per config object, applied
-by `read`; unknown keys and booleans in place of numbers are refused."""
+by `read`; unknown keys, and booleans or strings in place of numbers, are refused."""
 
 from __future__ import annotations
 
@@ -13,12 +13,13 @@ from .errors import ValidationError
 
 REQUIRED = object()
 OPTIONAL = object()
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)  # what float() and int() would read as numbers
 
 
 def count(value) -> int:
     """int(value) for a count; int() alone would read 2.7 as 2, True as 1 and
     "3" as 3.  Such values, NaN and Infinity are a ValueError."""
-    if isinstance(value, (bool, np.bool_, str, bytes)) or (
+    if isinstance(value, _NOT_NUMBERS) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ValueError(f"{value!r} is not an integer")
@@ -28,7 +29,7 @@ def count(value) -> int:
 def real(value) -> float:
     """float(value); float() alone would read True as 1.0 and "0.1" as 0.1,
     so booleans and strings are a ValueError."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
+    if isinstance(value, _NOT_NUMBERS):
         raise ValueError(f"{value!r} is not a real number")
     return float(value)
 
@@ -41,28 +42,31 @@ def positive(value) -> float:
     return value
 
 
-def _holds_bool(value) -> bool:
-    """True where value is a boolean or holds one at any depth; one set of
-    element types per list, so rows of numbers cost no Python loop."""
+def _holds_non_number(value) -> bool:
+    """True where value is a boolean or a string, or holds one at any depth;
+    one set of element types per list, so rows of numbers cost no Python
+    loop.  An array is judged by its dtype, one of objects by its entries."""
     if isinstance(value, np.ndarray):
-        return value.dtype == bool
+        if value.dtype != object:
+            return value.dtype.kind in "bSU"
+        value = value.tolist()
     if not isinstance(value, (list, tuple)):
-        return isinstance(value, (bool, np.bool_))
+        return isinstance(value, _NOT_NUMBERS)
     types = set(map(type, value))
-    if types & {bool, np.bool_}:
+    if any(issubclass(t, _NOT_NUMBERS) for t in types):
         return True
-    return bool(types & {list, tuple, np.ndarray}) and any(map(_holds_bool, value))
+    return bool(types & {list, tuple, np.ndarray}) and any(map(_holds_non_number, value))
 
 
 def numbers(value):
-    """A value of numbers, as given; a boolean at any depth is a ValueError."""
-    if _holds_bool(value):
-        raise ValueError("must hold numbers, not booleans")
+    """A value of numbers, as given; a boolean or a string at any depth is a ValueError."""
+    if _holds_non_number(value):
+        raise ValueError("must hold numbers, not booleans or strings")
     return value
 
 
 def reals(value) -> np.ndarray:
-    """An array of real numbers; a boolean at any depth is a ValueError."""
+    """An array of real numbers; a boolean or a string at any depth is a ValueError."""
     return np.asarray(numbers(value), dtype=float)
 
 

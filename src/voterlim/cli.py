@@ -68,63 +68,51 @@ def _write(out_dir, name, payload) -> None:
     """Write artifact `name` into out_dir: text as given, anything else as JSON.
 
     The JSON text is `json.dump(payload, indent=2, sort_keys=True)` plus a
-    final newline, byte for byte; lists of floats have each distinct value
-    formatted once (`_json_text`).
+    final newline, byte for byte, written in the pieces `_json_pieces`
+    yields, so that the whole text is never held at once.
     """
-    text = payload if isinstance(payload, str) else _json_text(payload) + "\n"
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        fh.write(text)
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            fh.writelines(_json_pieces(payload, 0))
+            fh.write("\n")
 
 
-def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` for a value `depth` levels deep.
+def _json_pieces(value, depth: int):
+    """Pieces of `json.dumps(value, indent=2, sort_keys=True)` for a value `depth` levels deep.
 
-    Dicts with string keys and lists are laid out here when they hold a
-    container.  A list of floats, or of equal-length lists of floats, is
-    formatted by `graphs._joined_rows`; every other value by json itself
-    in one call, its line breaks indented to the depth.
+    A non-empty dict with string keys is laid out key by key, and a float
+    matrix (a non-empty list of equal-length, non-empty lists of floats)
+    row by row, each distinct row joined once by `graphs._joined_rows`.
+    Every other value is one json call, its line breaks indented to the depth.
     """
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    kind = _layout(value)
-    if kind == "json":
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
-    if kind == "dict":
-        items = [json.dumps(k) + ": " + _json_text(value[k], depth + 1) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind == "floats":
-        items = _joined_rows([value], "," + inner)
-    elif kind == "rows":
-        cell = inner + "  "
-        items = ["[" + cell + row + inner + "]" for row in _joined_rows(value, "," + cell)]
-    else:
-        items = [_json_text(v, depth + 1) for v in value]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def _layout(value) -> str:
-    """How `_json_text` writes a value: "dict" or "list" item by item,
-    "floats" (a list of floats), "rows" (equal-length non-empty lists of
-    floats) or "json" (in one json call)."""
-    containers = (dict, list, tuple)
-    if isinstance(value, dict):
-        nested = all(isinstance(k, str) for k in value) and any(
-            isinstance(v, containers) for v in value.values()
-        )
-        return "dict" if nested else "json"
-    if not isinstance(value, (list, tuple)) or not value:
-        return "json"
-    types = set(map(type, value))
-    if types == {float}:
-        return "floats"
-    if (
-        types <= {list, tuple}
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{" + inner
+        for key in sorted(value):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(value[key], depth + 1)
+            sep = "," + inner
+        yield pad + "}"
+    elif (
+        isinstance(value, (list, tuple))
+        and value
+        and set(map(type, value)) <= {list, tuple}
         and len(set(map(len, value))) == 1
         and value[0]
         and all(set(map(type, row)) == {float} for row in value)
     ):
-        return "rows"
-    return "list" if any(issubclass(t, containers) for t in types) else "json"
+        cell = inner + "  "
+        sep = "[" + inner
+        for row in _joined_rows(value, "," + cell):
+            yield sep + "[" + cell
+            yield row
+            sep = inner + "]," + inner
+        yield inner + "]" + pad + "]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _read(path, what: str) -> str:

@@ -66,7 +66,7 @@ class InitialCondition:
 
     def __init__(self, boundaries, values):
         part = boundaries if isinstance(boundaries, Partition) else Partition(boundaries)
-        v = np.asarray(values, dtype=float)
+        v = checked(reals, "values", values, "step initial condition")
         if v.shape != (part.size,):
             raise ValidationError("need one value per cell")
         if not np.all(np.isfinite(v)):
@@ -86,7 +86,7 @@ class InitialCondition:
     @classmethod
     def from_cell_values(cls, values) -> "InitialCondition":
         """Step function on the uniform partition with the given cell values."""
-        values = np.asarray(values, dtype=float)
+        values = checked(reals, "values", values, "uniform_cells initial condition")
         return cls(Partition.uniform(values.size), values)
 
     @classmethod
@@ -191,10 +191,7 @@ def average_initial(g: InitialCondition, n: int) -> np.ndarray:
 
 
 def _validate_times(times) -> np.ndarray:
-    try:
-        t = np.asarray(times, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed time grid: {exc}") from exc
+    t = checked(reals, "times", times, "time grid")
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("time grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(t)):
@@ -417,7 +414,7 @@ def solve_finite(graph: WeightedGraph, u0, times) -> Trajectory:
     and `krylov_estimate` (see `_solve_krylov`).
     """
     t = _validate_times(times)
-    u = np.asarray(u0, dtype=float)
+    u = checked(reals, "u0", u0, "finite solve")
     n = _size(graph.n, "finite solve")
     if u.shape != (n,):
         raise ValidationError(f"state has {u.size} cells, graph has {n}")

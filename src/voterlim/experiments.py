@@ -98,7 +98,7 @@ class ExperimentConfig:
         return cls(spec.kernel, spec.initial, spec.n_ladder, spec.horizon, *rest)
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.num_times)
+        return resolve_time_grid(self.kernel, self.horizon, self.num_times)[0]
 
     def resolved(self) -> dict:
         """Every effective parameter, for the metadata echo."""

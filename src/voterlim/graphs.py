@@ -79,7 +79,7 @@ class WeightedGraph:
     """
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
+        w = checked(reals, "weights", weights, "graph")
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise ValidationError("weights must form a square matrix, n >= 1")
         self.weights = symmetric_unit_matrix(w, "weights")

@@ -33,7 +33,7 @@ class Partition:
     """
 
     def __init__(self, boundaries):
-        b = np.asarray(boundaries, dtype=float)
+        b = checked(reals, "boundaries", boundaries, "partition")
         if b.ndim != 1 or b.size < 2:
             raise ValidationError("partition needs at least two boundary points")
         if b[0] != 0.0 or b[-1] != 1.0:
@@ -197,7 +197,7 @@ class StepKernel:
 
     def __init__(self, boundaries, values):
         part = boundaries if isinstance(boundaries, Partition) else Partition(boundaries)
-        v = np.asarray(values, dtype=float)
+        v = checked(reals, "values", values, "step kernel")
         m = part.size
         if v.shape != (m, m):
             raise ValidationError(
@@ -233,7 +233,7 @@ class StepKernel:
     def product(cls, boundaries, f) -> "StepKernel":
         """Rank-one kernel W(x, y) = f(x) f(y) for a step function f."""
         part = boundaries if isinstance(boundaries, Partition) else Partition(boundaries)
-        f = np.asarray(f, dtype=float)
+        f = checked(reals, "f", f, "product kernel")
         if f.shape != (part.size,):
             raise ValidationError("need one factor value per cell")
         if not np.all(np.isfinite(f)) or np.max(np.abs(f)) > 1.0 + SYMMETRY_TOL:

@@ -10,11 +10,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voterlim as vl
@@ -884,9 +885,16 @@ PAYLOADS = st.recursive(
 )
 
 
+STEP_PART = {"boundaries": [0.0, 0.5, 1.0], "type": "step", "values": [[0.5, -0.0], [-0.0, 1.0]]}
+
+
 class TestWriteJson:
     @settings(max_examples=200, deadline=None)
     @given(PAYLOADS.filter(lambda p: not isinstance(p, str)))  # text is written as given
+    @example([0.5, -0.0, 1e-300, 0.5, math.inf])
+    @example({"parts": [{"kernel": STEP_PART, "weight": w} for w in (0.25, 0.75)]})
+    @example([{"cells": (0, 1), "interval": (0.0, 0.5), "weight": 0.5},
+              {"cells": (2,), "multipliers": (1.0, 0.25), "representative": 2}])
     def test_matches_json_dump(self, payload):
         want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         with tempfile.TemporaryDirectory() as out:
@@ -905,6 +913,25 @@ class TestWriteJson:
         vl.cli._write(tmp_path, "meta.json", payload)
         want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "meta.json").read_bytes() == want.encode("ascii")
+
+    def test_a_kernel_echo_is_written_in_pieces(self, tmp_path):
+        # a 400x400 kernel with 100 distinct rows, a 4.4 MiB file: building its
+        # whole text before the write peaked at 13.2 MiB
+        r = np.random.default_rng(3)
+        label = r.permutation(400) % 100
+        blocks = r.uniform(-1.0, 1.0, (100, 100))
+        values = np.triu(blocks) + np.triu(blocks, 1).T
+        kernel = vl.StepKernel(np.linspace(0.0, 1.0, 401), values[np.ix_(label, label)])
+        payload = {"kernel": kernel.spec()}
+        tracemalloc.start()
+        try:
+            vl.cli._write(tmp_path, "meta.json", payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = (tmp_path / "meta.json").read_text()
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert peak < len(text)
 
     def test_non_string_keys_go_through_json(self, tmp_path):
         payload = {"a": {3: [0.5, 0.5], 2.5: None, -1: "x"}, "b": [{False: -0.0}]}

@@ -178,6 +178,13 @@ def test_true_in_place_of_any_number_exits_2(data):
         ("mc-random", {**mc_config(), "n_ladder": [True]}, "'n_ladder'"),
         ("discretize", {"kernel": KERNELS[4], "n": 4, "graph": GRAPH}, "'graph'"),
         ("simulate", {**simulate_config(), "kernel": {"c": 0.5, "tipe": "constant"}}, "'tipe'"),
+        ("simulate", {**simulate_config(), "kernel": {**KERNELS[0], "boundaries": [0, "0.5", 1]}},
+         "'boundaries'"),
+        ("simulate", {**simulate_config(),
+                      "kernel": {**KERNELS[0], "values": [["0.5", 1], [1, 0.25]]}}, "'values'"),
+        ("simulate", {**simulate_config(), "initial": {"type": "uniform_cells", "values": ["2"]}},
+         "'values'"),
+        ("simulate", {**simulate_config(), "times": ["0", "1.5"]}, "'times'"),
     ],
 )
 def test_reported_defects_exit_2_naming_the_key(command, config, key):
@@ -201,6 +208,35 @@ def test_python_callers_get_no_booleans_as_numbers(build, spec, key):
     # a boolean inside an array was read as 1.0 unless it came through JSON text
     with pytest.raises(vl.ValidationError, match=key):
         build(spec)
+
+
+GRAPH_2 = vl.WeightedGraph(GRAPH["weights"])
+# Each array argument of the Python API: (call, key, a value holding a boolean,
+# a value holding a numeric string).
+ARRAY_ARGUMENTS = {
+    "Partition": (vl.Partition, "boundaries", [False, True], ["0", "1"]),
+    "StepKernel": (lambda v: vl.StepKernel([0, 1], v), "values", [[True]], [["0.5"]]),
+    "StepKernel.product": (lambda f: vl.StepKernel.product([0, 1], f), "f", [True], ["0.5"]),
+    "InitialCondition": (lambda v: vl.InitialCondition([0, 1], v), "values",
+                         np.array([True], dtype=object), ["0.5"]),
+    "InitialCondition.from_cell_values": (vl.InitialCondition.from_cell_values, "values",
+                                          [True, False], np.array(["1", "0"])),
+    "WeightedGraph": (vl.WeightedGraph, "weights", [[False, True], [True, False]],
+                      [["0", "1"], ["1", "0"]]),
+    "solve_finite u0": (lambda u: vl.solve_finite(GRAPH_2, u, [0.0, 1.0]), "u0",
+                        np.array([True, False]), ["1", "0"]),
+    "solve_finite times": (lambda t: vl.solve_finite(GRAPH_2, [1.0, 0.0], t), "times",
+                           [False, True], ["0", "1"]),
+}
+
+
+@pytest.mark.parametrize("holding", ["boolean", "string"])
+@pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
+def test_python_callers_get_no_booleans_or_strings_in_arrays(entry, holding):
+    # np.asarray(x, dtype=float) read True as 1.0 and "0.5" as 0.5
+    call, key, flag, text = ARRAY_ARGUMENTS[entry]
+    with pytest.raises(vl.ValidationError, match=f"value for '{key}'"):
+        call(flag if holding == "boolean" else text)
 
 
 # Each family parameter of the Python API, with the key its JSON spec gives it.
